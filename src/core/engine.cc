@@ -174,6 +174,8 @@ class QueryObs {
         .Add(static_cast<int64_t>(stats_->point_tests));
     registry.GetCounter("engine.legs_tested")
         .Add(static_cast<int64_t>(stats_->legs_tested));
+    registry.GetCounter("engine.leg_refines")
+        .Add(static_cast<int64_t>(stats_->leg_refines));
     registry.GetCounter("engine.rows_matched")
         .Add(static_cast<int64_t>(rows_matched_));
     registry.GetCounter("engine.blocks_pinned")
@@ -676,34 +678,32 @@ Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
     filter.bbox = box;
   }
 
+  const batch::LegRefiner refiner(wanted.polys);
+
   FactTable out = FactTable::Make({"Oid", "geom", "enter", "leave"}, {});
   PIET_RETURN_NOT_OK(ParallelAppend(
       parallel::ResolveThreads(num_threads_), blocks.total_spans(), &out,
       &stats_,
       [&](size_t begin, size_t end, std::vector<Row>* rows,
           EngineStats* stats) -> Status {
+        batch::LegScratch scratch;
         return blocks.ForEachSpan(
             begin, end, filter, &stats->blocks,
             [&](const MoftColumns& data,
                 const MoftColumns::Span& sp) -> Status {
               const ObjectSpan span(&data, sp);
               ObjectId oid = span.oid();
-              PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                                    TrajectorySample::FromSpan(span));
-              PIET_ASSIGN_OR_RETURN(
-                  LinearTrajectory traj,
-                  LinearTrajectory::FromSample(std::move(sample)));
-              Interval domain = traj.TimeDomain();
+              const Interval domain(span.front().t, span.back().t);
               PIET_ASSIGN_OR_RETURN(
                   IntervalSet time_ok,
                   MatchingTimeOf(when, db_->time_dimension(), domain));
               if (time_ok.empty()) {
                 return Status::OK();
               }
-              stats->legs_tested += traj.Legs().size();
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                IntervalSet inside =
-                    moving::InsideIntervals(traj, *wanted.polys[qi]);
+              stats->legs_tested += span.size() - 1;
+              stats->leg_refines += refiner.Refine(span, &scratch);
+              for (const uint32_t qi : scratch.hit) {
+                IntervalSet inside(scratch.pieces[qi]);
                 IntervalSet matched = inside.Intersect(time_ok);
                 for (const Interval& iv : matched.intervals()) {
                   rows->push_back({Value(oid), Value(wanted.ids[qi]),
@@ -812,6 +812,8 @@ Result<FactTable> QueryEngine::TrajectoryAggregates(
     filter.bbox = box;
   }
 
+  const batch::LegRefiner refiner(wanted.polys);
+
   FactTable out = FactTable::Make({"Oid", "geom"},
                                   {"distance", "seconds", "visits"});
   PIET_RETURN_NOT_OK(ParallelAppend(
@@ -819,29 +821,20 @@ Result<FactTable> QueryEngine::TrajectoryAggregates(
       &stats_,
       [&](size_t begin, size_t end, std::vector<Row>* rows,
           EngineStats* stats) -> Status {
+        batch::LegScratch scratch;
         return blocks.ForEachSpan(
             begin, end, filter, &stats->blocks,
             [&](const MoftColumns& data,
                 const MoftColumns::Span& sp) -> Status {
               const ObjectSpan span(&data, sp);
               ObjectId oid = span.oid();
-              PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                                    TrajectorySample::FromSpan(span));
-              PIET_ASSIGN_OR_RETURN(
-                  LinearTrajectory traj,
-                  LinearTrajectory::FromSample(std::move(sample)));
-              stats->legs_tested += traj.Legs().size();
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                IntervalSet inside =
-                    moving::InsideIntervals(traj, *wanted.polys[qi]);
-                if (inside.empty()) {
-                  continue;
-                }
-                double distance = moving::DistanceTravelledInside(
-                    traj, *wanted.polys[qi]);
+              stats->legs_tested += span.size() - 1;
+              stats->leg_refines += refiner.Refine(span, &scratch);
+              for (const uint32_t qi : scratch.hit) {
+                IntervalSet inside(scratch.pieces[qi]);
                 rows->push_back(
-                    {Value(oid), Value(wanted.ids[qi]), Value(distance),
-                     Value(inside.TotalLength()),
+                    {Value(oid), Value(wanted.ids[qi]),
+                     Value(scratch.distance[qi]), Value(inside.TotalLength()),
                      Value(static_cast<int64_t>(inside.size()))});
               }
               return Status::OK();
@@ -939,6 +932,7 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
   // time_ok comes back empty). A bbox miss would also exclude it, but the
   // window is the conservative, obviously-safe choice here.
   const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
+  const batch::LegRefiner refiner(wanted.polys);
 
   struct IdChunk {
     std::vector<ObjectId> out;
@@ -950,6 +944,8 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
   parallel::OrderedReduce<IdChunk>(
       parallel::ResolveThreads(num_threads_), blocks.total_spans(),
       [&](size_t /*chunk*/, size_t begin, size_t end, IdChunk* chunk) {
+        batch::LegScratch scratch;
+        std::vector<Interval> pieces;
         chunk->status = blocks.ForEachSpan(
             begin, end, filter, &chunk->stats.blocks,
             [&](const MoftColumns& data,
@@ -959,26 +955,25 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
             bool ok = true;
             bool any = false;
             if (trajectory_semantics) {
-              PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                                    TrajectorySample::FromSpan(span));
-              PIET_ASSIGN_OR_RETURN(
-                  LinearTrajectory traj,
-                  LinearTrajectory::FromSample(std::move(sample)));
-              Interval domain = traj.TimeDomain();
+              const Interval domain(span.front().t, span.back().t);
               PIET_ASSIGN_OR_RETURN(
                   IntervalSet time_ok,
                   MatchingTimeOf(when, db_->time_dimension(), domain));
               if (time_ok.empty()) {
                 return Status::OK();
               }
-              chunk->stats.legs_tested += traj.Legs().size();
+              chunk->stats.legs_tested += span.size() - 1;
+              chunk->stats.leg_refines += refiner.Refine(span, &scratch);
               // Union of inside intervals over all qualifying polygons must
-              // cover every time-matching instant of the domain.
-              IntervalSet inside_union;
-              for (const geometry::Polygon* pg : wanted.polys) {
-                inside_union =
-                    inside_union.Union(moving::InsideIntervals(traj, *pg));
+              // cover every time-matching instant of the domain. The
+              // closed-set union is canonical, so pooling every polygon's
+              // pieces equals the per-polygon fold.
+              pieces.clear();
+              for (const uint32_t qi : scratch.hit) {
+                pieces.insert(pieces.end(), scratch.pieces[qi].begin(),
+                              scratch.pieces[qi].end());
               }
+              const IntervalSet inside_union(pieces);
               IntervalSet required = time_ok;
               IntervalSet covered = required.Intersect(inside_union);
               any = !required.empty();

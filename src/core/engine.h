@@ -39,6 +39,9 @@ struct EngineStats {
   size_t samples_scanned = 0;  ///< MOFT rows visited.
   size_t point_tests = 0;      ///< Exact point-in-polygon tests.
   size_t legs_tested = 0;      ///< Trajectory legs geometrically processed.
+  /// Exact (leg, polygon) refines of the leg-major kernel — the pairs whose
+  /// boxes meet, out of legs_tested × qualifying polygons.
+  size_t leg_refines = 0;
   /// Block I/O of the scan: pins, codec decodes, zonemap skips. All zero
   /// when the MOFT has no block store (the synthetic single block is
   /// never pinned or skipped).
@@ -48,6 +51,7 @@ struct EngineStats {
     samples_scanned += other.samples_scanned;
     point_tests += other.point_tests;
     legs_tested += other.legs_tested;
+    leg_refines += other.leg_refines;
     blocks += other.blocks;
     return *this;
   }

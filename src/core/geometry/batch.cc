@@ -1,9 +1,12 @@
 #include "core/geometry/batch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "geometry/predicates.h"
 #include "geometry/segment.h"
+#include "geometry/segment_polygon.h"
 
 namespace piet::core::batch {
 
@@ -19,6 +22,23 @@ constexpr uint8_t kBoundaryBit = 2;
 constexpr uint8_t kOutside = static_cast<uint8_t>(PointLocation::kOutside);
 constexpr uint8_t kBoundary = static_cast<uint8_t>(PointLocation::kBoundary);
 constexpr uint8_t kInside = static_cast<uint8_t>(PointLocation::kInside);
+
+geometry::BoundingBox ExtentOf(
+    const std::vector<const geometry::Polygon*>& polys) {
+  geometry::BoundingBox box;
+  for (const geometry::Polygon* p : polys) {
+    box.ExtendWith(p->Bounds());
+  }
+  // An empty set keeps a valid (never queried) grid extent.
+  return box.empty() ? geometry::BoundingBox(0, 0, 0, 0) : box;
+}
+
+// About one polygon per cell for evenly sized, evenly spread polygons.
+size_t CellsPerAxis(size_t polygons) {
+  return std::clamp<size_t>(
+      static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(polygons)))),
+      1, 256);
+}
 
 }  // namespace
 
@@ -220,6 +240,94 @@ bool PolygonBatcher::AnyLegIntersects(std::span<const double> xs,
     }
   }
   return false;
+}
+
+LegRefiner::LegRefiner(std::vector<const geometry::Polygon*> polys)
+    : polys_(std::move(polys)),
+      extent_(ExtentOf(polys_)),
+      grid_(extent_, CellsPerAxis(polys_.size())) {
+  for (size_t q = 0; q < polys_.size(); ++q) {
+    grid_.Insert(polys_[q]->Bounds(), static_cast<index::GridIndex::Id>(q));
+  }
+}
+
+size_t LegRefiner::Refine(std::span<const double> ts,
+                          std::span<const double> xs,
+                          std::span<const double> ys,
+                          LegScratch* scratch) const {
+  LegScratch& s = *scratch;
+  if (s.pieces.size() != polys_.size()) {
+    s.pieces.assign(polys_.size(), {});
+    s.distance.assign(polys_.size(), 0.0);
+    s.seen.assign(polys_.size(), 0);
+    s.hit.clear();
+  }
+  for (const uint32_t q : s.hit) {
+    s.pieces[q].clear();
+    s.distance[q] = 0.0;
+  }
+  s.hit.clear();
+  const size_t n = ts.size();
+  if (n == 0 || polys_.empty()) {
+    return 0;
+  }
+
+  if (n == 1) {
+    const Point p(xs[0], ys[0]);
+    grid_.VisitPoint(p, [&](index::GridIndex::Id id) {
+      const auto q = static_cast<uint32_t>(id);
+      if (polys_[q]->Contains(p)) {
+        s.pieces[q].emplace_back(temporal::TimePoint(ts[0]),
+                                 temporal::TimePoint(ts[0]));
+        s.hit.push_back(q);
+      }
+    });
+    std::sort(s.hit.begin(), s.hit.end());
+    return 0;
+  }
+
+  size_t refines = 0;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    const geometry::Segment leg(Point(xs[i], ys[i]),
+                                Point(xs[i + 1], ys[i + 1]));
+    const geometry::BoundingBox box = leg.Bounds();
+    if (!box.Intersects(extent_)) {
+      continue;
+    }
+    const uint64_t stamp = ++s.stamp;
+    const double t0 = ts[i];
+    const temporal::Duration span = ts[i + 1] - ts[i];
+    double leg_len = -1.0;  // Computed on the leg's first inside piece.
+    grid_.VisitBox(box, [&](index::GridIndex::Id id) {
+      const auto q = static_cast<uint32_t>(id);
+      if (s.seen[q] == stamp) {
+        return;
+      }
+      s.seen[q] = stamp;
+      ++refines;
+      const std::vector<geometry::ParamInterval> ivs =
+          geometry::SegmentInsideIntervals(leg, *polys_[q]);
+      if (ivs.empty()) {
+        return;
+      }
+      std::vector<temporal::Interval>& pieces = s.pieces[q];
+      if (pieces.empty()) {
+        s.hit.push_back(q);
+      }
+      if (leg_len < 0.0) {
+        leg_len = Distance(leg.a, leg.b);
+      }
+      for (const geometry::ParamInterval& iv : ivs) {
+        pieces.emplace_back(temporal::TimePoint(t0 + iv.t0 * span),
+                            temporal::TimePoint(t0 + iv.t1 * span));
+        if (leg_len != 0.0) {
+          s.distance[q] += leg_len * iv.Length();
+        }
+      }
+    });
+  }
+  std::sort(s.hit.begin(), s.hit.end());
+  return refines;
 }
 
 }  // namespace piet::core::batch

@@ -7,6 +7,9 @@
 
 #include "geometry/box.h"
 #include "geometry/polygon.h"
+#include "index/grid.h"
+#include "moving/moft_columns.h"
+#include "temporal/interval.h"
 
 namespace piet::core::batch {
 
@@ -72,6 +75,65 @@ class PolygonBatcher {
   std::vector<double> ax_, ay_, bx_, by_;
   RingRange shell_;
   std::vector<RingRange> holes_;
+};
+
+/// Per-worker state of LegRefiner::Refine: per-polygon accumulators and
+/// the polygons the last refined object touched. Keep one per worker chunk,
+/// like BatchScratch, and use it with a single refiner; once warm, a
+/// refine allocates only what SegmentInsideIntervals returns.
+struct LegScratch {
+  /// Per polygon: the object's inside time pieces, in leg order. Their
+  /// IntervalSet is moving::InsideIntervals of that polygon.
+  std::vector<std::vector<temporal::Interval>> pieces;
+  /// Per polygon: distance travelled inside, summed in leg order exactly
+  /// like moving::DistanceTravelledInside.
+  std::vector<double> distance;
+  /// Polygons with at least one piece, ascending after Refine.
+  std::vector<uint32_t> hit;
+  /// Per polygon: stamp of the last leg that refined it (deduplicates a
+  /// polygon bucketed in several grid cells the leg's box overlaps).
+  std::vector<uint64_t> seen;
+  uint64_t stamp = 0;
+};
+
+/// Leg-major trajectory refine (the Sec. 5 "intersect trajectory segments
+/// with those geometries" step) for a fixed set of polygons. Built once per
+/// query over the qualifying polygons, it buckets their boxes in a uniform
+/// grid; each object's legs are then walked once and every leg is refined
+/// exactly only against the polygons whose box meets the leg's box. A
+/// skipped pair is one SegmentInsideIntervals would reject by its own
+/// bounds test, and each polygon's pieces and distance sum are produced in
+/// the same leg order as the per-polygon moving::InsideIntervals /
+/// DistanceTravelledInside loops, so every result is bit-identical to them.
+class LegRefiner {
+ public:
+  /// Every polygon must outlive the refiner. Index q of `polys` is the
+  /// polygon index used in LegScratch.
+  explicit LegRefiner(std::vector<const geometry::Polygon*> polys);
+
+  /// Refines one object's linearly interpolated trajectory: samples
+  /// (ts[i], xs[i], ys[i]) with strictly increasing time, typically an
+  /// object span of the sealed MOFT columns. Fills `scratch` (see
+  /// LegScratch); a single-sample object is inside a polygon at its one
+  /// instant iff the polygon contains the sample. Returns the number of
+  /// exact (leg, polygon) SegmentInsideIntervals calls.
+  size_t Refine(std::span<const double> ts, std::span<const double> xs,
+                std::span<const double> ys, LegScratch* scratch) const;
+
+  /// Refine over one object span of the sealed columns (time strictly
+  /// increasing within a span).
+  size_t Refine(const moving::ObjectSpan& span, LegScratch* scratch) const {
+    const moving::MoftColumns& c = *span.columns();
+    const size_t b = span.offset();
+    const size_t n = span.size();
+    return Refine({c.t.data() + b, n}, {c.x.data() + b, n},
+                  {c.y.data() + b, n}, scratch);
+  }
+
+ private:
+  std::vector<const geometry::Polygon*> polys_;
+  geometry::BoundingBox extent_;
+  index::GridIndex grid_;
 };
 
 }  // namespace piet::core::batch

@@ -6,7 +6,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <span>
 #include <sstream>
 
 #include "analysis/lint/query_lint.h"
@@ -19,8 +18,6 @@
 #include "obs/metrics.h"
 #include "core/region.h"
 #include "geometry/segment_polygon.h"
-#include "moving/traj_ops.h"
-#include "moving/trajectory.h"
 #include "temporal/time_dimension.h"
 
 namespace piet::core::pietql {
@@ -28,10 +25,8 @@ namespace piet::core::pietql {
 using gis::GeometryId;
 using gis::GeometryKind;
 using gis::Layer;
-using moving::LinearTrajectory;
 using moving::Moft;
 using moving::ObjectId;
-using moving::TrajectorySample;
 using olap::FactTable;
 using temporal::Interval;
 using temporal::IntervalSet;
@@ -211,6 +206,8 @@ WantedPolygons ResolveWanted(const Layer& layer,
 /// tuple sequence matches the serial loop for any thread count.
 struct TupleChunk {
   std::vector<std::pair<ObjectId, double>> tuples;
+  size_t legs_tested = 0;  ///< PASSES THROUGH: legs walked by the refiner.
+  size_t leg_refines = 0;  ///< PASSES THROUGH: exact (leg, polygon) refines.
   Status status;
 };
 
@@ -736,22 +733,13 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   if (passes_through) {
     // Trajectory semantics: each maximal inside interval contributes a
     // tuple stamped at its entry time. The qualifying polygons are
-    // resolved once (ascending id, as the old std::set iterated); each
-    // object's LinearTrajectory construction + InsideIntervals runs on
-    // the pool.
+    // resolved once (ascending id, as the old std::set iterated) into one
+    // leg-major refiner; each object's legs are refined on the pool, and
+    // its tuples are emitted in ascending polygon order.
     const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
-    // On the rewrite path, each (span, polygon) pair gets an exact batch
-    // prefilter first: a piecewise-linear trajectory shares a point with a
-    // closed polygon iff one of its legs does (a single-sample object: iff
-    // the point is contained), so spans whose legs all miss skip the
-    // InsideIntervals interval construction entirely.
-    std::vector<batch::PolygonBatcher> batchers;
-    if (rewrite_on) {
-      batchers.reserve(wanted.polys.size());
-      for (const geometry::Polygon* p : wanted.polys) {
-        batchers.emplace_back(p);
-      }
-    }
+    const batch::LegRefiner refiner(wanted.polys);
+    size_t legs_tested = 0;
+    size_t leg_refines = 0;
     if (!mo_zero) {
     // Materialize the columns only on a live scan: a short-circuited
     // (mo_zero) query must not rematerialize a cold tier just to skip it.
@@ -760,16 +748,12 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     parallel::OrderedReduce<TupleChunk>(
         threads, cols.spans.size(),
         [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
+          batch::LegScratch scratch;
           chunk->status = [&]() -> Status {
             for (size_t i = begin; i < end; ++i) {
               const moving::ObjectSpan span(&cols, cols.spans[i]);
               ObjectId oid = span.oid();
-              PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                                    TrajectorySample::FromSpan(span));
-              PIET_ASSIGN_OR_RETURN(
-                  LinearTrajectory traj,
-                  LinearTrajectory::FromSample(std::move(sample)));
-              Interval domain = traj.TimeDomain();
+              const Interval domain(span.front().t, span.back().t);
               IntervalSet time_ok;
               if (when.unconstrained()) {
                 time_ok = IntervalSet({domain});
@@ -781,26 +765,10 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
               if (time_ok.empty()) {
                 continue;
               }
-              const size_t sb = cols.spans[i].begin;
-              const size_t se = cols.spans[i].end;
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                if (rewrite_on) {
-                  if (se - sb >= 2) {
-                    if (!batchers[qi].AnyLegIntersects(
-                            std::span<const double>(cols.x.data() + sb,
-                                                    se - sb),
-                            std::span<const double>(cols.y.data() + sb,
-                                                    se - sb))) {
-                      continue;
-                    }
-                  } else if (se - sb == 1 &&
-                             !wanted.polys[qi]->Contains(geometry::Point(
-                                 cols.x[sb], cols.y[sb]))) {
-                    continue;
-                  }
-                }
-                IntervalSet inside =
-                    moving::InsideIntervals(traj, *wanted.polys[qi]);
+              chunk->legs_tested += span.size() - 1;
+              chunk->leg_refines += refiner.Refine(span, &scratch);
+              for (const uint32_t qi : scratch.hit) {
+                IntervalSet inside(scratch.pieces[qi]);
                 IntervalSet matched = inside.Intersect(time_ok);
                 for (const Interval& iv : matched.intervals()) {
                   chunk->tuples.emplace_back(oid, iv.begin.seconds);
@@ -810,8 +778,14 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
             return Status::OK();
           }();
         },
-        merge_tuples);
+        [&](TupleChunk&& chunk) {
+          legs_tested += chunk.legs_tested;
+          leg_refines += chunk.leg_refines;
+          merge_tuples(std::move(chunk));
+        });
     }
+    intersect_span.Attr("legs_tested", static_cast<uint64_t>(legs_tested));
+    intersect_span.Attr("leg_refines", static_cast<uint64_t>(leg_refines));
   } else if (near_cond != nullptr) {
     // Sample-proximity semantics: tuples within `radius` of any node of
     // the named layer.

@@ -22,8 +22,11 @@ size_t GridIndex::CellOf(double v, double lo, double inv_step) const {
   if (idx < 0.0) {
     return 0;
   }
-  size_t i = static_cast<size_t>(idx);
-  return std::min(i, n_ - 1);
+  // Also catches +inf and NaN, whose integer conversion is undefined.
+  if (!(idx < static_cast<double>(n_))) {
+    return n_ - 1;
+  }
+  return static_cast<size_t>(idx);
 }
 
 void GridIndex::CellRange(const BoundingBox& box, size_t* x0, size_t* x1,

@@ -37,6 +37,24 @@ class GridIndex {
     }
   }
 
+  /// Allocation-free box query: invokes `fn(id)` for every entry whose box
+  /// intersects `query`. An entry bucketed in several of the visited cells
+  /// is reported once per such cell; callers deduplicate.
+  template <typename Fn>
+  void VisitBox(const geometry::BoundingBox& query, Fn&& fn) const {
+    size_t x0, x1, y0, y1;
+    CellRange(query, &x0, &x1, &y0, &y1);
+    for (size_t y = y0; y <= y1; ++y) {
+      for (size_t x = x0; x <= x1; ++x) {
+        for (const Slot& s : cells_[y * n_ + x]) {
+          if (s.box.Intersects(query)) {
+            fn(s.id);
+          }
+        }
+      }
+    }
+  }
+
   /// Candidate ids whose box intersects `query`.
   std::vector<Id> Search(const geometry::BoundingBox& query) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -94,6 +95,14 @@ Status Moft::Add(ObjectId oid, TimePoint t, geometry::Point pos) {
   if (read_only_) {
     return Status::InvalidArgument(
         "Moft opened from a block file is read-only");
+  }
+  // NaN defeats the duplicate index (NaN != NaN) and the seal's strict
+  // (oid, t) order; non-finite coordinates break every geometric kernel.
+  if (!std::isfinite(t.seconds) || !std::isfinite(pos.x) ||
+      !std::isfinite(pos.y)) {
+    return Status::InvalidArgument(
+        "object " + std::to_string(oid) +
+        ": sample time and position must be finite");
   }
   auto [it, inserted] = index_.try_emplace(SampleKey{oid, t.seconds}, pos);
   if (!inserted) {
@@ -615,8 +624,18 @@ Result<Moft> Moft::ReadCsv(std::istream& in) {
     PIET_ASSIGN_OR_RETURN(double t, parse_double(fields[1]));
     PIET_ASSIGN_OR_RETURN(double x, parse_double(fields[2]));
     PIET_ASSIGN_OR_RETURN(double y, parse_double(fields[3]));
-    PIET_RETURN_NOT_OK(moft.Add(static_cast<ObjectId>(oid_d), TimePoint(t),
-                                geometry::Point(x, y)));
+    // from_chars accepts "nan"/"inf"; the id must fit the int64 ObjectId
+    // before the cast ([-2^63, 2^63), which also rejects NaN).
+    if (!(oid_d >= -0x1p63 && oid_d < 0x1p63)) {
+      return Status::ParseError("line " + std::to_string(lineno) +
+                                ": bad object id '" + fields[0] + "'");
+    }
+    Status added = moft.Add(static_cast<ObjectId>(oid_d), TimePoint(t),
+                            geometry::Point(x, y));
+    if (!added.ok()) {
+      return Status(added.code(),
+                    "line " + std::to_string(lineno) + ": " + added.message());
+    }
   }
   return moft;
 }

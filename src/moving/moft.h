@@ -75,7 +75,8 @@ class Moft {
 
   /// Appends an observation. Out-of-order inserts are fine (sorted at the
   /// next seal); a second observation of the same object at the same
-  /// instant must agree on the position.
+  /// instant must agree on the position. Non-finite t, x or y is
+  /// InvalidArgument.
   Status Add(ObjectId oid, temporal::TimePoint t, geometry::Point pos);
 
   size_t num_samples() const { return size_; }

@@ -14,6 +14,7 @@
 #include "gis/layer.h"
 #include "gis/schema.h"
 #include "moving/moft.h"
+#include "moving_test_util.h"
 #include "moving/trajectory.h"
 #include "workload/scenario.h"
 
@@ -168,13 +169,12 @@ TEST(ModelCheckTest, SampleStreamViolationsFire) {
 }
 
 TEST(ModelCheckTest, NonFiniteCoordsFireOnRealMoft) {
-  // Moft::Add enforces ordering and duplicates, but NaN positions get
-  // through — exactly the corruption CheckMoft must catch.
-  moving::Moft moft;
-  ASSERT_TRUE(moft.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(moft.Add(1, temporal::TimePoint(1.0),
-                       {std::numeric_limits<double>::quiet_NaN(), 2.0})
-                  .ok());
+  // Moft::Add refuses NaN positions, but a block file bypasses it —
+  // exactly the corruption CheckMoft must catch.
+  Result<moving::Moft> opened = moving::MoftFromBlockFile(
+      moving::NanPositionColumns(), "piet_model_check_nan.pietblk");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const moving::Moft& moft = opened.ValueOrDie();
 
   ModelChecker checker;
   DiagnosticList out;

@@ -10,6 +10,7 @@
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
 #include "moving/moft.h"
+#include "moving_test_util.h"
 #include "workload/scenario.h"
 
 namespace piet::analysis {
@@ -194,11 +195,11 @@ TEST_F(QueryCheckTest, StrictModeAcceptsCleanQueries) {
 // --- Database load-path wiring ---
 
 TEST_F(QueryCheckTest, StrictLoadRejectsCorruptMoft) {
-  moving::Moft bad;
-  ASSERT_TRUE(bad.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(bad.Add(1, temporal::TimePoint(1.0),
-                      {std::numeric_limits<double>::quiet_NaN(), 0})
-                  .ok());
+  // Moft::Add refuses NaN positions; a block file bypasses it.
+  Result<moving::Moft> bad_file = moving::MoftFromBlockFile(
+      moving::NanPositionColumns(), "piet_query_check_nan.pietblk");
+  ASSERT_TRUE(bad_file.ok()) << bad_file.status().ToString();
+  moving::Moft bad = std::move(bad_file).ValueOrDie();
 
   scenario_.db->set_check_mode(CheckMode::kStrict);
   Status status = scenario_.db->AddMoft("bad", std::move(bad));
@@ -207,11 +208,10 @@ TEST_F(QueryCheckTest, StrictLoadRejectsCorruptMoft) {
   EXPECT_TRUE(scenario_.db->GetMoft("bad").status().IsNotFound());
 
   // kWarn records the finding but loads the MOFT.
-  moving::Moft bad2;
-  ASSERT_TRUE(bad2.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(bad2.Add(1, temporal::TimePoint(1.0),
-                       {std::numeric_limits<double>::quiet_NaN(), 0})
-                  .ok());
+  Result<moving::Moft> bad2_file = moving::MoftFromBlockFile(
+      moving::NanPositionColumns(), "piet_query_check_nan2.pietblk");
+  ASSERT_TRUE(bad2_file.ok()) << bad2_file.status().ToString();
+  moving::Moft bad2 = std::move(bad2_file).ValueOrDie();
   scenario_.db->set_check_mode(CheckMode::kWarn);
   ASSERT_TRUE(scenario_.db->AddMoft("bad", std::move(bad2)).ok());
   EXPECT_TRUE(

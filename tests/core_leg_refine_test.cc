@@ -1,0 +1,626 @@
+// The leg-major trajectory refine (batch::LegRefiner) against the
+// polygon-major reference it replaces: for every polygon of a set, the
+// per-polygon moving::InsideIntervals / DistanceTravelledInside over the
+// same trajectory. Endpoints and distances must be ==-equal, not merely
+// close — the kernel only skips (leg, polygon) pairs SegmentInsideIntervals
+// rejects by its own bounds test, in the same leg order.
+//
+// The second half is an operator-level oracle: the four LIT front ends
+// (TrajectoryRegion, TrajectoryAggregates, ObjectsAlwaysWithin with
+// trajectory semantics, Piet-QL PASSES THROUGH) on a seeded non-convex
+// city, at 1 and 4 threads over raw and compressed storage, against a
+// reference written here from the public per-polygon kernels.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <numbers>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "core/engine.h"
+#include "core/geometry/batch.h"
+#include "core/pietql/evaluator.h"
+#include "geometry/polygon.h"
+#include "moving/block_store.h"
+#include "moving/moft.h"
+#include "moving/traj_ops.h"
+#include "moving/trajectory.h"
+#include "temporal/calendar.h"
+#include "workload/city.h"
+#include "workload/trajectories.h"
+
+namespace piet {
+namespace {
+
+using core::batch::LegRefiner;
+using core::batch::LegScratch;
+using geometry::BoundingBox;
+using geometry::Point;
+using geometry::Polygon;
+using geometry::Ring;
+using moving::LinearTrajectory;
+using moving::TimedPoint;
+using moving::TrajectorySample;
+using temporal::Interval;
+using temporal::IntervalSet;
+using temporal::TimePoint;
+
+// ---------------------------------------------------------------------------
+// Kernel property test
+
+Polygon MakePolygon(std::vector<Point> shell,
+                    std::vector<std::vector<Point>> holes = {}) {
+  std::vector<Ring> hole_rings;
+  for (std::vector<Point>& h : holes) {
+    hole_rings.push_back(Ring::Create(std::move(h)).ValueOrDie());
+  }
+  return Polygon::Create(Ring::Create(std::move(shell)).ValueOrDie(),
+                         std::move(hole_rings))
+      .ValueOrDie();
+}
+
+Polygon Rect(double x0, double y0, double x1, double y1) {
+  return MakePolygon({{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}});
+}
+
+/// A star-shaped (hence simple, usually non-convex) polygon around `c`.
+Polygon Star(Random* rng, Point c, double r, int n) {
+  std::vector<Point> v;
+  for (int i = 0; i < n; ++i) {
+    const double a = 2.0 * std::numbers::pi * i / n;
+    const double rr = r * rng->UniformDouble(0.35, 1.0);
+    v.emplace_back(c.x + rr * std::cos(a), c.y + rr * std::sin(a));
+  }
+  return MakePolygon(std::move(v));
+}
+
+struct PolygonSet {
+  std::string name;
+  std::vector<Polygon> polys;
+};
+
+std::vector<PolygonSet> PolygonSets(Random* rng) {
+  std::vector<PolygonSet> sets;
+  // City-like grid of unit blocks sharing edges, with an L-shaped pair.
+  PolygonSet grid{"shared_edges", {}};
+  for (int y = 0; y < 6; ++y) {
+    for (int x = 0; x < 6; ++x) {
+      if ((x == 2 || x == 3) && (y == 2 || y == 3)) {
+        continue;
+      }
+      grid.polys.push_back(Rect(x, y, x + 1, y + 1));
+    }
+  }
+  grid.polys.push_back(
+      MakePolygon({{2, 2}, {4, 2}, {4, 3}, {3, 3}, {3, 4}, {2, 4}}));
+  grid.polys.push_back(Rect(3, 3, 4, 4));
+  sets.push_back(std::move(grid));
+
+  PolygonSet holes{"holes", {}};
+  holes.polys.push_back(MakePolygon({{0, 0}, {10, 0}, {10, 10}, {0, 10}},
+                                    {{{2, 2}, {4, 2}, {4, 4}, {2, 4}},
+                                     {{6, 6}, {8, 6}, {7, 8}}}));
+  holes.polys.push_back(
+      MakePolygon({{12, 0}, {20, 0}, {20, 8}, {12, 8}},
+                  {{{14, 2}, {18, 2}, {18, 6}, {16, 3}, {14, 6}}}));
+  holes.polys.push_back(Rect(3, 3, 7, 7));  // Overlaps the first's hole.
+  sets.push_back(std::move(holes));
+
+  sets.push_back({"single", {Star(rng, {5, 5}, 4, 9)}});
+  sets.push_back({"empty", {}});
+
+  // Every polygon has the same box, so every grid cell holds all of them.
+  PolygonSet one_cell{"one_cell", {}};
+  one_cell.polys.push_back(Rect(1, 1, 3, 3));
+  one_cell.polys.push_back(MakePolygon({{1, 1}, {3, 1}, {1, 3}}));
+  one_cell.polys.push_back(MakePolygon({{3, 3}, {1, 3}, {3, 1}}));
+  one_cell.polys.push_back(MakePolygon({{1, 1}, {3, 1}, {3, 3}, {1, 3}},
+                                       {{{1.5, 1.5}, {2.5, 1.5}, {2, 2.5}}}));
+  sets.push_back(std::move(one_cell));
+
+  PolygonSet random{"random_stars", {}};
+  for (int i = 0; i < 40; ++i) {
+    random.polys.push_back(Star(rng,
+                                {rng->UniformDouble(0, 50),
+                                 rng->UniformDouble(0, 50)},
+                                rng->UniformDouble(0.5, 6), 5 + i % 7));
+  }
+  sets.push_back(std::move(random));
+  return sets;
+}
+
+BoundingBox ExtentOf(const std::vector<Polygon>& polys) {
+  BoundingBox box;
+  for (const Polygon& p : polys) {
+    box.ExtendWith(p.Bounds());
+  }
+  return box.empty() ? BoundingBox(0, 0, 10, 10) : box;
+}
+
+/// Seeded trajectories that exercise the kernel's edge cases.
+std::vector<std::vector<TimedPoint>> Trajectories(
+    Random* rng, const std::vector<Polygon>& polys) {
+  const BoundingBox ext = ExtentOf(polys);
+  const double w = ext.width() > 0 ? ext.width() : 1.0;
+  const double h = ext.height() > 0 ? ext.height() : 1.0;
+  std::vector<std::vector<TimedPoint>> out;
+  double t = 1.6e9;  // Epoch-scale timestamps.
+  auto next_t = [&] {
+    t += rng->UniformDouble(0.5, 40.0);
+    return TimePoint(t);
+  };
+  auto random_point = [&](double margin) {
+    return Point(rng->UniformDouble(ext.min_x - margin * w,
+                                    ext.max_x + margin * w),
+                 rng->UniformDouble(ext.min_y - margin * h,
+                                    ext.max_y + margin * h));
+  };
+
+  // Random walks, partly outside the extent.
+  for (int k = 0; k < 12; ++k) {
+    std::vector<TimedPoint> tr;
+    Point p = random_point(0.2);
+    const int n = 2 + static_cast<int>(rng->Uniform(60));
+    for (int i = 0; i < n; ++i) {
+      tr.push_back({next_t(), p});
+      p = Point(p.x + rng->UniformDouble(-0.15, 0.15) * w,
+                p.y + rng->UniformDouble(-0.15, 0.15) * h);
+    }
+    out.push_back(std::move(tr));
+  }
+  // Single-sample objects, inside and outside.
+  for (int k = 0; k < 6; ++k) {
+    out.push_back({{next_t(), random_point(k % 2 == 0 ? 0.0 : 0.5)}});
+  }
+  // Stationary legs: repeated positions, including polygon vertices.
+  for (const Polygon& pg : polys) {
+    const Point v = pg.shell().vertices().front();
+    const Point c = pg.Bounds().Center();
+    out.push_back({{next_t(), v}, {next_t(), v}, {next_t(), c},
+                   {next_t(), c}, {next_t(), c}});
+    if (out.size() > 40) {
+      break;
+    }
+  }
+  // Legs lying on polygon box edges (shared edges of the grid set too).
+  for (const Polygon& pg : polys) {
+    const BoundingBox b = pg.Bounds();
+    out.push_back({{next_t(), {b.min_x, b.min_y}},
+                   {next_t(), {b.max_x, b.min_y}},
+                   {next_t(), {b.max_x, b.max_y}},
+                   {next_t(), {b.min_x, b.max_y}},
+                   {next_t(), {b.min_x, b.min_y}}});
+    if (out.size() > 80) {
+      break;
+    }
+  }
+  // Legs on candidate grid cell boundaries (k / m of the extent for every
+  // m the refiner might pick at these set sizes), both axes.
+  for (int m = 1; m <= 8; ++m) {
+    for (int k = 0; k <= m; ++k) {
+      const double x = ext.min_x + k * (ext.max_x - ext.min_x) / m;
+      const double y = ext.min_y + k * (ext.max_y - ext.min_y) / m;
+      out.push_back({{next_t(), {x, ext.min_y - 1}},
+                     {next_t(), {x, ext.max_y + 1}},
+                     {next_t(), {ext.max_x + 1, y}},
+                     {next_t(), {ext.min_x - 1, y}}});
+    }
+  }
+  // Legs entirely outside the extent (and one crossing over it).
+  out.push_back({{next_t(), {ext.max_x + 2 * w, ext.min_y}},
+                 {next_t(), {ext.max_x + 3 * w, ext.max_y}},
+                 {next_t(), {ext.max_x + 2 * w, ext.max_y + 5 * h}}});
+  out.push_back({{next_t(), {ext.min_x - w, ext.min_y - h}},
+                 {next_t(), {ext.max_x + w, ext.max_y + h}}});
+  return out;
+}
+
+void ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
+                               const std::vector<TimedPoint>& points,
+                               const LegRefiner& refiner, LegScratch* scratch,
+                               const std::string& tag) {
+  std::vector<double> ts, xs, ys;
+  for (const TimedPoint& tp : points) {
+    ts.push_back(tp.t.seconds);
+    xs.push_back(tp.pos.x);
+    ys.push_back(tp.pos.y);
+  }
+  const size_t refines = refiner.Refine(ts, xs, ys, scratch);
+  const LinearTrajectory traj =
+      LinearTrajectory::FromSample(
+          TrajectorySample::Create(points).ValueOrDie())
+          .ValueOrDie();
+
+  // Completeness of the grid probe: exactly one refine per (leg, polygon)
+  // pair whose boxes meet.
+  size_t box_pairs = 0;
+  for (const LinearTrajectory::Leg& leg : traj.Legs()) {
+    for (const Polygon& pg : polys) {
+      box_pairs += pg.Bounds().Intersects(leg.AsSegment().Bounds()) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(refines, box_pairs) << tag;
+
+  EXPECT_TRUE(std::is_sorted(scratch->hit.begin(), scratch->hit.end()))
+      << tag;
+  const std::set<uint32_t> hit(scratch->hit.begin(), scratch->hit.end());
+  EXPECT_EQ(hit.size(), scratch->hit.size()) << tag;
+  for (size_t q = 0; q < polys.size(); ++q) {
+    const IntervalSet expected = moving::InsideIntervals(traj, polys[q]);
+    const double expected_dist =
+        moving::DistanceTravelledInside(traj, polys[q]);
+    const std::string where = tag + " polygon " + std::to_string(q);
+    if (hit.count(static_cast<uint32_t>(q)) == 0) {
+      EXPECT_TRUE(expected.empty()) << where << ": " << expected.ToString();
+      EXPECT_EQ(expected_dist, 0.0) << where;
+      EXPECT_TRUE(scratch->pieces[q].empty()) << where;
+      continue;
+    }
+    const IntervalSet got(scratch->pieces[q]);
+    ASSERT_EQ(got.size(), expected.size()) << where;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.intervals()[i].begin.seconds,
+                expected.intervals()[i].begin.seconds)
+          << where;
+      EXPECT_EQ(got.intervals()[i].end.seconds,
+                expected.intervals()[i].end.seconds)
+          << where;
+    }
+    EXPECT_EQ(scratch->distance[q], expected_dist) << where;
+  }
+}
+
+TEST(LegRefinerTest, MatchesPolygonMajorKernelsBitForBit) {
+  Random rng(20261017);
+  for (const PolygonSet& set : PolygonSets(&rng)) {
+    std::vector<const Polygon*> ptrs;
+    for (const Polygon& p : set.polys) {
+      ptrs.push_back(&p);
+    }
+    const LegRefiner refiner(ptrs);
+    // One scratch across every trajectory of the set: the per-object
+    // reset must leave nothing behind.
+    LegScratch scratch;
+    const std::vector<std::vector<TimedPoint>> trajs =
+        Trajectories(&rng, set.polys);
+    for (size_t k = 0; k < trajs.size(); ++k) {
+      ExpectMatchesPolygonMajor(set.polys, trajs[k], refiner, &scratch,
+                                set.name + " trajectory " + std::to_string(k));
+    }
+  }
+}
+
+TEST(LegRefinerTest, SingleSampleUsesContainment) {
+  const Polygon sq = Rect(0, 0, 2, 2);
+  const Polygon far = Rect(5, 5, 6, 6);
+  const LegRefiner refiner({&sq, &far});
+  LegScratch scratch;
+  const std::vector<double> t = {7.0};
+  for (const Point p : {Point(1, 1), Point(2, 1), Point(0, 0)}) {
+    const std::vector<double> x = {p.x};
+    const std::vector<double> y = {p.y};
+    EXPECT_EQ(refiner.Refine(t, x, y, &scratch), 0u);
+    ASSERT_EQ(scratch.hit, std::vector<uint32_t>{0});
+    ASSERT_EQ(scratch.pieces[0].size(), 1u);
+    EXPECT_EQ(scratch.pieces[0][0], Interval(TimePoint(7), TimePoint(7)));
+    EXPECT_EQ(scratch.distance[0], 0.0);
+  }
+  const std::vector<double> x = {3.0};
+  const std::vector<double> y = {3.0};
+  refiner.Refine(t, x, y, &scratch);
+  EXPECT_TRUE(scratch.hit.empty());
+  EXPECT_TRUE(scratch.pieces[0].empty());
+}
+
+TEST(LegRefinerTest, NonFiniteCoordinatesAreSafe) {
+  // Moft::Add refuses these; the kernel must still not hit undefined
+  // behavior (the grid's cell cast) if handed them directly.
+  const Polygon sq = Rect(0, 0, 2, 2);
+  const LegRefiner refiner({&sq});
+  LegScratch scratch;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> t = {0, 1, 2, 3};
+  const std::vector<double> x = {nan, 1, inf, -inf};
+  const std::vector<double> y = {1, nan, 1, 1e308};
+  refiner.Refine(t, x, y, &scratch);
+  const std::vector<double> t1 = {0};
+  const std::vector<double> x1 = {nan};
+  const std::vector<double> y1 = {inf};
+  refiner.Refine(t1, x1, y1, &scratch);
+  EXPECT_TRUE(scratch.hit.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Operator-level oracle
+
+using core::GeometryPredicate;
+using core::QueryEngine;
+using core::TimePredicate;
+using moving::BlockOptions;
+using moving::Moft;
+using moving::MoftColumns;
+using moving::ObjectId;
+using moving::Sample;
+using olap::FactTable;
+using olap::Row;
+using workload::City;
+
+enum class Tier { kRaw, kCompressed };
+
+/// The city's trajectories plus a single-sample and a stationary object,
+/// packed as one raw sealed table or as small compressed blocks with the
+/// hot tier released.
+Moft Pack(const Moft& base, Tier tier) {
+  BlockOptions opts;
+  if (tier == Tier::kCompressed) {
+    opts.block_rows = 256;
+    opts.compress = true;
+  }
+  Moft out;
+  out.SetBlockOptions(opts);
+  const MoftColumns& cols = base.Columns();
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Sample s = cols.at(i);
+    EXPECT_TRUE(out.Add(s.oid, s.t, s.pos).ok());
+  }
+  EXPECT_TRUE(out.Add(900001, TimePoint(1200.0), {850.0, 850.0}).ok());
+  for (double t : {0.0, 600.0, 1800.0, 3000.0}) {
+    EXPECT_TRUE(out.Add(900002, TimePoint(t), {450.0, 1250.0}).ok());
+  }
+  (void)out.Columns();
+  if (tier == Tier::kCompressed) {
+    out.ReleaseHot();
+  }
+  return out;
+}
+
+std::shared_ptr<City> MakeCity(int threads, Tier tier) {
+  workload::CityConfig config;
+  config.seed = 1617;
+  config.grid_cols = 16;
+  config.grid_rows = 16;
+  config.nonconvex_fraction = 0.4;
+  config.low_income_fraction = 0.35;
+  auto city = std::make_shared<City>(
+      std::move(workload::GenerateCity(config)).ValueOrDie());
+  city->db->set_num_threads(threads);
+  workload::TrajectoryConfig traj;
+  traj.seed = 99;
+  traj.num_objects = 24;
+  traj.duration = 3600.0;
+  traj.sample_period = 40.0;
+  traj.speed = 14.0;
+  Moft base = workload::GenerateTrajectories(*city, traj).ValueOrDie();
+  EXPECT_TRUE(city->db->AddMoft("cars", Pack(base, tier)).ok());
+  return city;
+}
+
+/// Polygon-major reference over the public per-polygon kernels.
+class Reference {
+ public:
+  Reference(const City& city, const std::vector<gis::GeometryId>& ids)
+      : city_(city), ids_(ids) {
+    const gis::Layer* layer =
+        city.db->gis().GetLayer(city.neighborhoods_layer).ValueOrDie();
+    for (gis::GeometryId id : ids) {
+      polys_.push_back(layer->GetPolygon(id).ValueOrDie());
+    }
+    const Moft* moft = city.db->GetMoft("cars").ValueOrDie();
+    for (ObjectId oid : moft->ObjectIds()) {
+      objects_.emplace_back(
+          oid, LinearTrajectory::FromSample(
+                   TrajectorySample::FromMoft(*moft, oid).ValueOrDie())
+                   .ValueOrDie());
+    }
+  }
+
+  IntervalSet TimeOk(const TimePredicate& when,
+                     const LinearTrajectory& traj) const {
+    if (when.unconstrained()) {
+      return IntervalSet({traj.TimeDomain()});
+    }
+    return when.MatchingIntervals(city_.db->time_dimension(),
+                                  traj.TimeDomain())
+        .ValueOrDie();
+  }
+
+  std::vector<Row> TrajectoryRegion(const TimePredicate& when) const {
+    std::vector<Row> rows;
+    for (const auto& [oid, traj] : objects_) {
+      const IntervalSet time_ok = TimeOk(when, traj);
+      for (size_t q = 0; q < polys_.size(); ++q) {
+        const IntervalSet matched =
+            moving::InsideIntervals(traj, *polys_[q]).Intersect(time_ok);
+        for (const Interval& iv : matched.intervals()) {
+          rows.push_back({Value(oid), Value(ids_[q]), Value(iv.begin.seconds),
+                          Value(iv.end.seconds)});
+        }
+      }
+    }
+    return rows;
+  }
+
+  std::vector<Row> TrajectoryAggregates() const {
+    std::vector<Row> rows;
+    for (const auto& [oid, traj] : objects_) {
+      for (size_t q = 0; q < polys_.size(); ++q) {
+        const IntervalSet inside = moving::InsideIntervals(traj, *polys_[q]);
+        if (inside.empty()) {
+          continue;
+        }
+        rows.push_back(
+            {Value(oid), Value(ids_[q]),
+             Value(moving::DistanceTravelledInside(traj, *polys_[q])),
+             Value(inside.TotalLength()),
+             Value(static_cast<int64_t>(inside.size()))});
+      }
+    }
+    return rows;
+  }
+
+  std::vector<ObjectId> AlwaysWithin(const TimePredicate& when) const {
+    std::vector<ObjectId> out;
+    for (const auto& [oid, traj] : objects_) {
+      const IntervalSet required = TimeOk(when, traj);
+      if (required.empty()) {
+        continue;
+      }
+      IntervalSet inside_union;
+      for (const Polygon* pg : polys_) {
+        inside_union = inside_union.Union(moving::InsideIntervals(traj, *pg));
+      }
+      const IntervalSet covered = required.Intersect(inside_union);
+      if (covered.TotalLength() >= required.TotalLength() - 1e-9 &&
+          covered.size() == required.size()) {
+        out.push_back(oid);
+      }
+    }
+    return out;
+  }
+
+  /// PASSES THROUGH tuples: (oid, entry time) per maximal inside interval.
+  std::vector<std::pair<ObjectId, double>> PassesThrough(
+      const TimePredicate& when) const {
+    std::vector<std::pair<ObjectId, double>> tuples;
+    for (const auto& [oid, traj] : objects_) {
+      const IntervalSet time_ok = TimeOk(when, traj);
+      for (const Polygon* pg : polys_) {
+        const IntervalSet matched =
+            moving::InsideIntervals(traj, *pg).Intersect(time_ok);
+        for (const Interval& iv : matched.intervals()) {
+          tuples.emplace_back(oid, iv.begin.seconds);
+        }
+      }
+    }
+    return tuples;
+  }
+
+ private:
+  const City& city_;
+  std::vector<gis::GeometryId> ids_;
+  std::vector<const Polygon*> polys_;
+  std::vector<std::pair<ObjectId, LinearTrajectory>> objects_;
+};
+
+void ExpectRows(const Result<FactTable>& got, const std::vector<Row>& want,
+                const std::string& what) {
+  ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+  EXPECT_EQ(got.ValueOrDie().rows(), want) << what;
+}
+
+TEST(LegRefineOracleTest, LitOperatorsMatchPolygonMajorReference) {
+  const GeometryPredicate low =
+      GeometryPredicate::AttributeLess("income", 1500.0);
+  const TimePredicate any;
+  const TimePredicate window = TimePredicate().Window(
+      Interval(TimePoint(700.0), TimePoint(2500.0)));
+  const std::string kPasses =
+      "SELECT layer.neighborhoods; FROM SimCity; "
+      "WHERE ATTR(layer.neighborhoods, income) < 1500; "
+      "| SELECT COUNT(*) FROM cars WHERE PASSES THROUGH RESULT";
+  const std::string kPassesDistinct =
+      "SELECT layer.neighborhoods; FROM SimCity; "
+      "WHERE ATTR(layer.neighborhoods, income) < 1500; "
+      "| SELECT COUNT(DISTINCT OID) FROM cars WHERE PASSES THROUGH RESULT";
+  const std::string kPassesHourly =
+      "SELECT layer.neighborhoods; FROM SimCity; "
+      "WHERE ATTR(layer.neighborhoods, income) < 1500; "
+      "| SELECT RATE PER HOUR FROM cars WHERE PASSES THROUGH RESULT "
+      "AND T BETWEEN 700 AND 2500";
+
+  // Expected answers, computed once from the reference over a raw serial
+  // copy of the city (the geometric part is not under test here).
+  std::shared_ptr<City> ref_city = MakeCity(1, Tier::kRaw);
+  const std::vector<gis::GeometryId> ids =
+      QueryEngine(ref_city->db.get())
+          .QualifyingGeometries(ref_city->neighborhoods_layer, low)
+          .ValueOrDie();
+  ASSERT_GT(ids.size(), 10u);
+  const Reference ref(*ref_city, ids);
+  const std::vector<Row> want_region[2] = {ref.TrajectoryRegion(any),
+                                           ref.TrajectoryRegion(window)};
+  const std::vector<ObjectId> want_always[2] = {ref.AlwaysWithin(any),
+                                                ref.AlwaysWithin(window)};
+  const std::vector<Row> want_aggregates = ref.TrajectoryAggregates();
+  ASSERT_FALSE(want_region[1].empty());
+  ASSERT_FALSE(want_always[0].empty());
+
+  const auto tuples = ref.PassesThrough(any);
+  std::set<ObjectId> oids;
+  for (const auto& tp : tuples) {
+    oids.insert(tp.first);
+  }
+  std::set<std::pair<ObjectId, double>> pairs;
+  std::set<double> hours;
+  for (const auto& [oid, t] : ref.PassesThrough(window)) {
+    const double bucket = temporal::StartOfHour(TimePoint(t)).seconds;
+    pairs.emplace(oid, bucket);
+    hours.insert(bucket);
+  }
+  ASSERT_FALSE(hours.empty());
+  std::vector<gis::GeometryId> want_ids = ids;
+  std::sort(want_ids.begin(), want_ids.end());
+
+  for (Tier tier : {Tier::kRaw, Tier::kCompressed}) {
+    for (int threads : {1, 4}) {
+      const std::string tag =
+          std::string(tier == Tier::kRaw ? "raw" : "compressed") + "/t" +
+          std::to_string(threads);
+      std::shared_ptr<City> city = MakeCity(threads, tier);
+      QueryEngine engine(city->db.get());
+      engine.set_num_threads(threads);
+      for (int w = 0; w < 2; ++w) {
+        const TimePredicate& when = w == 0 ? any : window;
+        ExpectRows(engine.TrajectoryRegion("cars", city->neighborhoods_layer,
+                                           low, when),
+                   want_region[w], tag + " TrajectoryRegion");
+        EXPECT_GT(engine.stats().leg_refines, 0u) << tag;
+        EXPECT_LT(engine.stats().leg_refines,
+                  engine.stats().legs_tested * ids.size())
+            << tag;
+
+        Result<std::vector<ObjectId>> always = engine.ObjectsAlwaysWithin(
+            "cars", city->neighborhoods_layer, low, when, true);
+        ASSERT_TRUE(always.ok()) << tag;
+        EXPECT_EQ(always.ValueOrDie(), want_always[w])
+            << tag << " ObjectsAlwaysWithin";
+      }
+      ExpectRows(engine.TrajectoryAggregates("cars",
+                                             city->neighborhoods_layer, low),
+                 want_aggregates, tag + " TrajectoryAggregates");
+
+      core::pietql::Evaluator eval(city->db.get());
+      eval.set_num_threads(threads);
+      auto count = eval.EvaluateString(kPasses);
+      ASSERT_TRUE(count.ok()) << tag << ": " << count.status().ToString();
+      std::vector<gis::GeometryId> got_ids = count.ValueOrDie().geometry_ids;
+      std::sort(got_ids.begin(), got_ids.end());
+      EXPECT_EQ(got_ids, want_ids) << tag;
+      EXPECT_EQ(*count.ValueOrDie().scalar,
+                Value(static_cast<int64_t>(tuples.size())))
+          << tag << " PASSES THROUGH count";
+      auto distinct = eval.EvaluateString(kPassesDistinct);
+      ASSERT_TRUE(distinct.ok()) << tag;
+      EXPECT_EQ(*distinct.ValueOrDie().scalar,
+                Value(static_cast<int64_t>(oids.size())))
+          << tag << " PASSES THROUGH distinct";
+      auto hourly = eval.EvaluateString(kPassesHourly);
+      ASSERT_TRUE(hourly.ok()) << tag << ": " << hourly.status().ToString();
+      EXPECT_EQ(*hourly.ValueOrDie().scalar,
+                Value(static_cast<double>(pairs.size()) /
+                      static_cast<double>(hours.size())))
+          << tag << " PASSES THROUGH rate";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace piet

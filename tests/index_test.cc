@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "index/agg_rtree.h"
@@ -210,6 +212,41 @@ TEST(GridIndexTest, BoxSearchDeduplicates) {
   grid.Insert(BoundingBox(0, 0, 100, 100), 42);  // Spans every cell.
   auto hits = grid.Search(BoundingBox(20, 20, 80, 80));
   EXPECT_EQ(hits.size(), 1u);
+}
+
+TEST(GridIndexTest, VisitBoxCoversSearch) {
+  GridIndex grid(BoundingBox(0, 0, 100, 100), 10);
+  grid.Insert(BoundingBox(10, 10, 20, 20), 1);
+  grid.Insert(BoundingBox(15, 15, 30, 30), 2);
+  grid.Insert(BoundingBox(80, 80, 90, 90), 3);
+  grid.Insert(BoundingBox(30, 0, 40, 10), 4);  // Touches query edge x = 30.
+  const BoundingBox query(18, 12, 30, 25);
+  std::vector<GridIndex::Id> visited;
+  grid.VisitBox(query, [&](GridIndex::Id id) { visited.push_back(id); });
+  std::set<GridIndex::Id> got(visited.begin(), visited.end());
+  std::vector<GridIndex::Id> expected = grid.Search(query);
+  EXPECT_EQ(got, std::set<GridIndex::Id>(expected.begin(), expected.end()));
+  EXPECT_EQ(got, (std::set<GridIndex::Id>{1, 2}));
+  // An entry spanning several visited cells is reported once per cell.
+  EXPECT_GT(visited.size(), got.size());
+}
+
+TEST(GridIndexTest, NonFiniteQueriesClampToBorderCells) {
+  GridIndex grid(BoundingBox(0, 0, 10, 10), 4);
+  grid.Insert(BoundingBox(9, 9, 10, 10), 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(grid.SearchPoint({inf, inf}).empty());
+  EXPECT_TRUE(grid.SearchPoint({nan, 5}).empty());
+  size_t visits = 0;
+  grid.VisitBox(BoundingBox(-inf, -inf, inf, inf),
+                [&](GridIndex::Id) { ++visits; });
+  EXPECT_EQ(visits, 1u);
+  grid.VisitBox(BoundingBox(nan, nan, nan, nan),
+                [&](GridIndex::Id) { ++visits; });
+  grid.VisitBox(BoundingBox(1e308, 1e308, 1e308, 1e308),
+                [&](GridIndex::Id) { ++visits; });
+  EXPECT_EQ(visits, 1u);
 }
 
 TEST(AggregateRTreeTest, SingleRegionCounts) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "moving/moft.h"
 #include "moving/trajectory.h"
@@ -61,6 +63,41 @@ TEST(MoftTest, CsvErrors) {
   EXPECT_TRUE(Moft::ReadCsv(bad_number).status().IsParseError());
   std::istringstream with_comment("# comment\n\n1,2,3,4\n");
   EXPECT_TRUE(Moft::ReadCsv(with_comment).ok());
+}
+
+TEST(MoftTest, AddRejectsNonFiniteSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Moft moft;
+  EXPECT_TRUE(moft.Add(1, TimePoint(nan), {0, 0}).IsInvalidArgument());
+  // Two NaN-time samples of one object would both pass the duplicate
+  // index (NaN != NaN); neither gets in.
+  EXPECT_TRUE(moft.Add(1, TimePoint(nan), {1, 1}).IsInvalidArgument());
+  EXPECT_TRUE(moft.Add(1, TimePoint(inf), {0, 0}).IsInvalidArgument());
+  EXPECT_TRUE(moft.Add(1, TimePoint(0), {nan, 0}).IsInvalidArgument());
+  EXPECT_TRUE(moft.Add(1, TimePoint(0), {0, nan}).IsInvalidArgument());
+  EXPECT_TRUE(moft.Add(1, TimePoint(0), {inf, 0}).IsInvalidArgument());
+  EXPECT_TRUE(moft.Add(1, TimePoint(0), {0, -inf}).IsInvalidArgument());
+  EXPECT_EQ(moft.num_samples(), 0u);
+  ASSERT_TRUE(moft.Add(1, TimePoint(0), {0, 0}).ok());
+  EXPECT_EQ(moft.num_samples(), 1u);
+}
+
+TEST(MoftTest, CsvRejectsNonFiniteValuesWithLineNumber) {
+  for (const char* row : {"1,nan,3,4", "1,2,inf,4", "1,2,3,-inf", "nan,2,3,4",
+                          "1e300,2,3,4"}) {
+    std::istringstream in(std::string("# header\n1,1,0,0\n") + row + "\n");
+    Result<Moft> parsed = Moft::ReadCsv(in);
+    ASSERT_FALSE(parsed.ok()) << row;
+    EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
+        << row << ": " << parsed.status().message();
+  }
+  std::istringstream nan_time("1,nan,3,4\n");
+  EXPECT_TRUE(Moft::ReadCsv(nan_time).status().IsInvalidArgument());
+  std::istringstream conflict("1,2,3,4\n1,2,5,6\n");
+  Status dup = Moft::ReadCsv(conflict).status();
+  EXPECT_TRUE(dup.IsAlreadyExists());
+  EXPECT_NE(dup.message().find("line 2"), std::string::npos);
 }
 
 TEST(MoftTest, ToFactTableShape) {

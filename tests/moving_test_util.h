@@ -1,8 +1,12 @@
 #ifndef PIET_TESTS_MOVING_TEST_UTIL_H_
 #define PIET_TESTS_MOVING_TEST_UTIL_H_
 
+#include <filesystem>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "moving/block_store.h"
 #include "moving/moft.h"
 #include "moving/moft_columns.h"
 
@@ -20,6 +24,35 @@ inline std::vector<Sample> AllSamplesOf(const Moft& moft) {
     out.push_back(cols.at(i));
   }
   return out;
+}
+
+/// A read-only Moft mapped from a block file written straight from
+/// `cols` (sorted by (oid, t), spans built), bypassing Moft::Add's
+/// validation. Block files are the one way rows Add would refuse — e.g.
+/// non-finite coordinates — still reach a real Moft, which is what the
+/// load-time checkers guard. `name` names the temp file, which is unlinked
+/// once mapped.
+inline Result<Moft> MoftFromBlockFile(const MoftColumns& cols,
+                                      const std::string& name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, BlockOptions{}).Save(path));
+  Result<Moft> opened = Moft::Open(path);
+  std::filesystem::remove(path);
+  return opened;
+}
+
+/// One object (oid 1) sampled at t = 0 at the origin and at t = 1 at a
+/// NaN x coordinate.
+inline MoftColumns NanPositionColumns() {
+  MoftColumns cols;
+  cols.oid = {1, 1};
+  cols.t = {0.0, 1.0};
+  cols.x = {0.0, std::numeric_limits<double>::quiet_NaN()};
+  cols.y = {0.0, 2.0};
+  cols.spans = {MoftColumns::Span{1, 0, 2}};
+  cols.seal_epoch = 1;
+  return cols;
 }
 
 }  // namespace piet::moving
