@@ -83,31 +83,31 @@ bool CompareValues(const Value& lhs, pq::CompareOp op, const Value& rhs) {
   return false;
 }
 
-/// Static replay of Moft::SamplesBetween's zonemap walk over the closed
-/// window [t0, t1]: which blocks the time filter rejects wholesale, how
-/// many rows the admitted blocks hold (an upper bound on the window's row
-/// count), and how many rows live in blocks fully inside the window (every
-/// such row matches — the lower bound). An inverted window probes nothing
-/// and skips nothing, exactly like the runtime.
+/// Static replay of a block scan's zonemap filter over the catalog's
+/// block metas: which blocks it rejects wholesale, how many blocks and
+/// rows it admits (the rows an upper bound on the window's row count), and
+/// how many admitted rows live in blocks fully inside the filter's window
+/// (every such row matches — the lower bound). The runtime's own
+/// ZoneFilter::Admits decides, so an inverted window admits nothing.
 struct WindowRowMath {
   int64_t admitted_rows = 0;
+  int64_t admitted_blocks = 0;
   int64_t full_rows = 0;
   int64_t skipped_blocks = 0;
 };
 
-WindowRowMath ReplayZoneFilter(const MoftCatalogStats& stats, double t0,
-                               double t1) {
+WindowRowMath ReplayZoneFilter(const MoftCatalogStats& stats,
+                               const moving::ZoneFilter& filter) {
   WindowRowMath out;
-  if (t1 < t0) {
-    return out;
-  }
   for (const BlockMeta& m : stats.blocks) {
-    if (m.t_max < t0 || t1 < m.t_min) {
+    if (!filter.Admits(m)) {
       ++out.skipped_blocks;
       continue;
     }
+    ++out.admitted_blocks;
     out.admitted_rows += static_cast<int64_t>(m.rows());
-    if (t0 <= m.t_min && m.t_max <= t1) {
+    if (!filter.window || (filter.window->begin.seconds <= m.t_min &&
+                           m.t_max <= filter.window->end.seconds)) {
       out.full_rows += static_cast<int64_t>(m.rows());
     }
   }
@@ -382,10 +382,6 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const bool time_bottom = abstract.IsBottom();
 
   const bool win_path = catalog.rewrite_on && shape.window_only();
-  const WindowRowMath wm_last =
-      shape.window ? ReplayZoneFilter(st, shape.window->begin.seconds,
-                                      shape.window->end.seconds)
-                   : WindowRowMath{};
 
   // Upper bound on time-matching rows, via the zonemaps when the meet
   // abstraction carries an absolute window.
@@ -393,9 +389,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   if (time_bottom) {
     time_rows_hi = 0;
   } else if (abstract.window()) {
-    time_rows_hi = ReplayZoneFilter(st, abstract.window()->begin.seconds,
-                                    abstract.window()->end.seconds)
-                       .admitted_rows;
+    moving::ZoneFilter meet;
+    meet.window = abstract.window();
+    time_rows_hi = ReplayZoneFilter(st, meet).admitted_rows;
   }
 
   const bool overlay_covers =
@@ -409,17 +405,44 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   // back to the scan, so bounds must bracket both outcomes.
   const bool serve_possible = cache_eligible && !sub_hour;
 
-  // rows_scanned.
+  // Replay of the scan's zonemap filter (ScanZoneFilter): every branch
+  // walks the MOFT's blocks under the last window; the polygon-testing
+  // paths (PASSES THROUGH, INSIDE RESULT without the overlay
+  // classification) also skip blocks outside the wanted polygons' box. A
+  // storeless table is one unfiltered synthetic block. `over` is a
+  // superset of the runtime ids, so its box admits at least the runtime's
+  // blocks; only an exact region makes the replay exact.
+  const bool bbox_filter =
+      st.has_block_store &&
+      (passes_through || (inside_result && !overlay_covers));
+  moving::ZoneFilter scan_filter;
+  scan_filter.window = shape.window;
+  if (bbox_filter) {
+    geometry::BoundingBox box;
+    for (GeometryId id : over) {
+      auto pg = layer->GetPolygon(id);
+      if (pg.ok()) {
+        box.ExtendWith(pg.ValueOrDie()->Bounds());
+      }
+    }
+    scan_filter.bbox = box;
+  }
+  const WindowRowMath wm_last = ReplayZoneFilter(st, scan_filter);
+  const bool replay_exact = !bbox_filter || region_exact;
+
+  // rows_scanned: the pure-window fast path visits the window's rows, the
+  // other scans every row of the admitted blocks.
   if (!mo_zero) {
-    if (passes_through) {
-      est.rows_scanned = EstInterval{rows_n, rows_n};
-    } else if (win_path) {
+    if (win_path && !passes_through) {
       est.rows_scanned =
           EstInterval{wm_last.full_rows, wm_last.admitted_rows};
+    } else if (st.has_block_store) {
+      est.rows_scanned = EstInterval{wm_last.admitted_rows,
+                                     wm_last.admitted_rows};
     } else {
       est.rows_scanned = EstInterval{rows_n, rows_n};
     }
-    if (serve_possible) {
+    if (serve_possible || !replay_exact) {
       // Interior cells served from partials scan nothing.
       est.rows_scanned.lo = 0;
     }
@@ -429,14 +452,14 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   // path emits none of them, so every bound must include 0 then).
   if (st.has_block_store) {
     est.blocks = EstInterval{serve_possible ? 0 : n_blocks, n_blocks};
-    if (!mo_zero && win_path) {
+    if (!mo_zero) {
       est.blocks_skipped =
           EstInterval{serve_possible ? 0 : wm_last.skipped_blocks,
-                      wm_last.skipped_blocks};
+                      replay_exact ? wm_last.skipped_blocks : n_blocks};
     }
-    if (!mo_zero && !st.hot && (st.compressed || st.mapped)) {
-      // A cold tier re-materializes at most once within the query span.
-      est.blocks_decoded = EstInterval{0, n_blocks};
+    if (!mo_zero && (st.compressed || st.mapped)) {
+      // Each admitted cold block is decoded at most once per query.
+      est.blocks_decoded = EstInterval{0, wm_last.admitted_blocks};
     }
   }
 

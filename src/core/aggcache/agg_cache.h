@@ -163,9 +163,9 @@ class AggCacheEntry {
   void set_database_epoch(uint64_t e) { database_epoch_ = e; }
 
   /// The MOFT's storage epoch the partials were built at, stamped by
-  /// GeoOlapDatabase (mirrors SampleClassification::moft_storage_epoch):
-  /// ReleaseHot / SpillToDisk bump it without an AddMoft, and the cache
-  /// must not serve partials whose block set has been swapped.
+  /// GeoOlapDatabase: ReleaseHot / SpillToDisk bump it without an AddMoft,
+  /// and the cache must not serve partials whose block set has been
+  /// swapped.
   uint64_t moft_storage_epoch() const { return moft_storage_epoch_; }
   void set_moft_storage_epoch(uint64_t e) { moft_storage_epoch_ = e; }
 

@@ -30,7 +30,7 @@ GeoOlapDatabase::GeoOlapDatabase(GeoOlapDatabase&& other) noexcept
   classify_cache_ = std::move(other.classify_cache_);
   agg_cache_ = std::move(other.agg_cache_);
   // The moved-from database keeps valid-but-empty caches: its MOFTs are
-  // gone, so any surviving entry would hold dangling sample views.
+  // gone, so any surviving entry would describe tables it no longer has.
   other.classify_cache_.clear();
   other.agg_cache_.clear();
 }
@@ -330,30 +330,16 @@ Result<std::shared_ptr<const SampleClassification>>
 GeoOlapDatabase::ClassifySamples(const std::string& moft_name,
                                  const std::string& layer_name) const {
   auto key = std::make_pair(moft_name, layer_name);
-  PIET_ASSIGN_OR_RETURN(const moving::Moft* keyed_moft, GetMoft(moft_name));
-  // Same staleness contract as AggCache: the cached view borrows the
-  // MOFT's hot columns, which ReleaseHot / SpillToDisk can drop without
-  // an AddMoft-driven invalidation.
-  const uint64_t storage_epoch = keyed_moft->storage_epoch();
   {
     std::lock_guard<std::mutex> lock(classify_mu_);
     auto it = classify_cache_.find(key);
     if (it != classify_cache_.end()) {
-      if (it->second->samples.valid() &&
-          it->second->moft_storage_epoch == storage_epoch) {
-        if (obs::Enabled()) {
-          obs::MetricsRegistry::Global()
-              .GetCounter("db.classify.cache_hits")
-              .Add(1);
-        }
-        return it->second;
-      }
-      classify_cache_.erase(it);
       if (obs::Enabled()) {
         obs::MetricsRegistry::Global()
-            .GetCounter("db.classify.cache_stale_storage")
+            .GetCounter("db.classify.cache_hits")
             .Add(1);
       }
+      return it->second;
     }
   }
   if (obs::Enabled()) {
@@ -366,19 +352,25 @@ GeoOlapDatabase::ClassifySamples(const std::string& moft_name,
   PIET_ASSIGN_OR_RETURN(const gis::OverlayDb* ov, overlay());
   PIET_ASSIGN_OR_RETURN(size_t layer_idx, OverlayLayerIndex(layer_name));
 
-  auto classification = std::make_shared<SampleClassification>();
-  classification->samples = moft->Scan();
-  const moving::MoftColumns& cols = *classification->samples.columns();
+  // Gather the positions block by block: a cold tier decodes each block
+  // once and never materializes the whole table.
+  const moving::TableBlocks blocks = moft->Blocks();
   std::vector<geometry::Point> points;
-  points.reserve(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    points.emplace_back(cols.x[i], cols.y[i]);
-  }
+  points.reserve(blocks.total_rows());
+  moving::BlockIoStats io;
+  PIET_RETURN_NOT_OK(blocks.ForEachRowRange(
+      0, blocks.total_rows(), moving::ZoneFilter{}, &io,
+      [&](const moving::MoftColumns& data, size_t lb, size_t le) -> Status {
+        for (size_t i = lb; i < le; ++i) {
+          points.emplace_back(data.x[i], data.y[i]);
+        }
+        return Status::OK();
+      }));
+  auto classification = std::make_shared<SampleClassification>();
   classification->hits = ov->LocateBatch(points, layer_idx, num_threads_);
 
   std::lock_guard<std::mutex> lock(classify_mu_);
   classification->epoch = epoch_;
-  classification->moft_storage_epoch = moft->storage_epoch();
   // A concurrent query may have classified the same pair meanwhile; keep
   // the first stored entry so every caller shares one block.
   auto [it, inserted] =

@@ -26,25 +26,18 @@ class AggCacheEntry;
 }  // namespace aggcache
 
 /// The cached result of classifying every sample of one MOFT against one
-/// overlay layer: `samples` is a zero-copy view of the MOFT's sealed
-/// columns in (Oid, t) scan order, and `hits` holds, per column index, the
-/// containing geometry ids of the layer (hits.offsets[i] aligns with
-/// samples[i]). Predicate- and time-independent, so one classification
-/// serves every query over the same (MOFT, overlay) pair; the cache is
-/// dropped whenever the MOFT set or overlay changes, so the view can never
-/// outlive the columns it borrows.
+/// overlay layer: `hits` holds, per global row of the MOFT's (Oid, t) scan
+/// order, the containing geometry ids of the layer (hits.offsets[r] aligns
+/// with row r of every block walk). Predicate- and time-independent, so
+/// one classification serves every query over the same (MOFT, overlay)
+/// pair. A registered MOFT is immutable, so its global rows stay fixed
+/// whatever storage tier serves them (ReleaseHot, SpillToDisk); only
+/// AddMoft and BuildOverlay drop the cache.
 struct SampleClassification {
-  moving::SampleView samples;
   gis::BatchHits hits;
   /// The overlay epoch this classification was computed at (diagnostics;
   /// cached entries are dropped eagerly on invalidation).
   uint64_t epoch = 0;
-  /// The MOFT's storage epoch at classification time. The storage can
-  /// change underneath the registered MOFT without AddMoft being called
-  /// (ReleaseHot / SpillToDisk swap the block tier and bump this), so
-  /// serve paths re-key on (samples.valid(), storage epoch) and rebuild
-  /// stale entries instead of trusting the AddMoft-driven invalidation.
-  uint64_t moft_storage_epoch = 0;
 };
 
 /// The integrated GIS + OLAP + moving-objects database of the paper's

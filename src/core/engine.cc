@@ -21,7 +21,6 @@ using moving::MoftColumns;
 using moving::ObjectId;
 using moving::ObjectSpan;
 using moving::Sample;
-using moving::SampleView;
 using moving::TrajectorySample;
 using olap::FactTable;
 using olap::Row;
@@ -104,30 +103,6 @@ ResolvedPolygons ResolvePolygons(const Layer& layer,
     }
   }
   return out;
-}
-
-/// Zonemap predicate of one query: the time window (conjunctive with any
-/// rollup constraints, so rows outside it can never match) plus, when the
-/// query only produces rows for samples inside qualifying polygons, the
-/// union of their bounding boxes. Blocks the filter rules out are skipped
-/// wholesale — their rows are not scanned and not counted. With zero
-/// qualifying polygons the union box is empty and every block is skipped,
-/// matching the empty result the scan would produce.
-moving::ZoneFilter MakeZoneFilter(
-    const TimePredicate& when,
-    const std::vector<const geometry::Polygon*>* polys) {
-  moving::ZoneFilter filter;
-  if (when.window()) {
-    filter.window = *when.window();
-  }
-  if (polys != nullptr) {
-    geometry::BoundingBox box;
-    for (const geometry::Polygon* p : *polys) {
-      box.ExtendWith(p->Bounds());
-    }
-    filter.bbox = box;
-  }
-  return filter;
 }
 
 /// The per-object time windows every trajectory method starts from.
@@ -217,35 +192,33 @@ Result<olap::FactTable> QueryEngine::SamplesMatchingTime(
   PIET_ASSIGN_OR_RETURN(const Moft* moft, db_->GetMoft(moft_name));
   FactTable out = FactTable::Make({"Oid", "t", "x", "y"}, {});
 
+  const moving::TableBlocks blocks = moft->Blocks();
+  const moving::ZoneFilter filter = ScanZoneFilter(when);
   if (when.window_only()) {
-    // Pure time-window predicate: binary search on the sorted time column
-    // instead of probing every row. The matching rows come back as
-    // per-object column ranges already in (oid, t) order, so fanning out
-    // over ranges reproduces the serial row order exactly.
-    const temporal::Interval& w = *when.window();
-    const moving::SampleWindow window =
-        moft->SamplesBetween(w.begin, w.end, &stats_.blocks);
-    const std::vector<moving::SampleWindow::Range>& ranges = window.ranges();
-    const MoftColumns& cols = *window.columns();
+    // Pure time-window predicate: binary search on each object's sorted
+    // time column instead of probing every row, over the blocks the
+    // window admits. Fanning out over object spans visits the matching
+    // rows in (oid, t) order, the serial row order.
     PIET_RETURN_NOT_OK(ParallelAppend(
-        parallel::ResolveThreads(num_threads_), ranges.size(), &out, &stats_,
+        parallel::ResolveThreads(num_threads_), blocks.total_spans(), &out,
+        &stats_,
         [&](size_t begin, size_t end, std::vector<Row>* rows,
             EngineStats* stats) -> Status {
-          for (size_t r = begin; r < end; ++r) {
-            for (size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
-              ++stats->samples_scanned;
-              rows->push_back({Value(cols.oid[i]), Value(cols.t[i]),
-                               Value(cols.x[i]), Value(cols.y[i])});
-            }
-          }
-          return Status::OK();
+          return blocks.ForEachWindowRange(
+              begin, end, filter, &stats->blocks,
+              [&](const MoftColumns& data, size_t lo, size_t hi) -> Status {
+                for (size_t i = lo; i < hi; ++i) {
+                  ++stats->samples_scanned;
+                  rows->push_back({Value(data.oid[i]), Value(data.t[i]),
+                                   Value(data.x[i]), Value(data.y[i])});
+                }
+                return Status::OK();
+              });
         }));
     query_obs.set_rows_matched(out.num_rows());
     return out;
   }
 
-  const moving::TableBlocks blocks = moft->Blocks();
-  const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
   PIET_RETURN_NOT_OK(ParallelAppend(
       parallel::ResolveThreads(num_threads_), blocks.total_rows(), &out,
       &stats_,
@@ -351,44 +324,51 @@ Result<FactTable> QueryEngine::SampleRegion(const std::string& moft_name,
   const int threads = parallel::ResolveThreads(num_threads_);
   FactTable out = FactTable::Make({"Oid", "t", "geom"}, {});
 
+  const moving::TableBlocks blocks = moft->Blocks();
   if (strategy == Strategy::kOverlay) {
     // The Sec. 5 fast path: the (MOFT, overlay-layer) classification is
     // predicate- and time-independent, so it is computed once (batched
     // across the pool) and served from the database cache on every
-    // subsequent query over the same MOFT.
+    // subsequent query over the same MOFT. Its hits are indexed by global
+    // row; the scan reads (oid, t) from the blocks the time window admits.
     PIET_ASSIGN_OR_RETURN(
         std::shared_ptr<const SampleClassification> cls,
         db_->ClassifySamples(moft_name, layer_name));
-    const SampleView samples = cls->samples;
     const gis::BatchHits& hits = cls->hits;
+    const moving::ZoneFilter filter = ScanZoneFilter(when);
     PIET_RETURN_NOT_OK(ParallelAppend(
-        threads, samples.size(), &out, &stats_,
+        threads, blocks.total_rows(), &out, &stats_,
         [&](size_t begin, size_t end, std::vector<Row>* rows,
             EngineStats* stats) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const Sample s = samples[i];
-            ++stats->samples_scanned;
-            if (!when.Matches(db_->time_dimension(), s.t)) {
-              continue;
-            }
-            for (uint32_t j = hits.offsets[i]; j < hits.offsets[i + 1];
-                 ++j) {
-              GeometryId g = hits.ids[j];
-              if (ctx.wanted[static_cast<size_t>(g)]) {
-                rows->push_back(
-                    {Value(s.oid), Value(s.t.seconds), Value(g)});
-              }
-            }
-          }
-          return Status::OK();
+          return blocks.ForEachRowRange(
+              begin, end, filter, &stats->blocks,
+              [&](const MoftColumns& data, size_t lb, size_t le,
+                  size_t row_base) -> Status {
+                for (size_t i = lb; i < le; ++i) {
+                  ++stats->samples_scanned;
+                  if (!when.Matches(db_->time_dimension(),
+                                    TimePoint(data.t[i]))) {
+                    continue;
+                  }
+                  const size_t row = row_base + i;
+                  for (uint32_t j = hits.offsets[row];
+                       j < hits.offsets[row + 1]; ++j) {
+                    GeometryId g = hits.ids[j];
+                    if (ctx.wanted[static_cast<size_t>(g)]) {
+                      rows->push_back(
+                          {Value(data.oid[i]), Value(data.t[i]), Value(g)});
+                    }
+                  }
+                }
+                return Status::OK();
+              });
         }));
     query_obs.set_rows_matched(out.num_rows());
     return out;
   }
 
-  const moving::TableBlocks blocks = moft->Blocks();
   const moving::ZoneFilter filter =
-      MakeZoneFilter(when, &ctx.qualifying_polygons);
+      ScanZoneFilter(when, &ctx.qualifying_polygons);
   if (strategy == Strategy::kNaive) {
     // Batch point-in-polygon: gather each tile's time-passing samples into
     // dense coordinate columns and run the batch kernel once per
@@ -499,7 +479,7 @@ Result<FactTable> QueryEngine::SamplesOnPolylines(
   }
   layer->WarmIndex();
   const moving::TableBlocks blocks = moft->Blocks();
-  const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
+  const moving::ZoneFilter filter = ScanZoneFilter(when);
   FactTable out = FactTable::Make({"Oid", "t", "geom"}, {});
   PIET_RETURN_NOT_OK(ParallelAppend(
       parallel::ResolveThreads(num_threads_), blocks.total_rows(), &out,
@@ -552,7 +532,7 @@ Result<FactTable> QueryEngine::SamplesNearNodes(
   }
   layer->WarmIndex();
   const moving::TableBlocks blocks = moft->Blocks();
-  const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
+  const moving::ZoneFilter filter = ScanZoneFilter(when);
   FactTable out = FactTable::Make({"Oid", "t", "node"}, {});
   PIET_RETURN_NOT_OK(ParallelAppend(
       parallel::ResolveThreads(num_threads_), blocks.total_rows(), &out,
@@ -605,15 +585,8 @@ Result<FactTable> QueryEngine::SnapshotInRegion(const std::string& moft_name,
   // Objects never split across blocks and the LIT stays inside the convex
   // hull of its samples, so a block whose time zonemap misses `t` or whose
   // bbox misses every qualifying polygon contributes nothing.
-  moving::ZoneFilter filter;
-  filter.window = Interval(t, t);
-  {
-    geometry::BoundingBox box;
-    for (const geometry::Polygon* p : wanted.polys) {
-      box.ExtendWith(p->Bounds());
-    }
-    filter.bbox = box;
-  }
+  const moving::ZoneFilter filter =
+      ScanZoneFilter(TimePredicate().Window(Interval(t, t)), &wanted.polys);
 
   FactTable out = FactTable::Make({"Oid", "x", "y", "geom"}, {});
   PIET_RETURN_NOT_OK(ParallelAppend(
@@ -666,17 +639,7 @@ Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
                         QualifyingGeometries(layer_name, pred));
   const ResolvedPolygons wanted = ResolvePolygons(*layer, qualifying);
   const moving::TableBlocks blocks = moft->Blocks();
-  moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
-  {
-    // The LIT never leaves the convex hull of the block's samples, so a
-    // block whose bbox misses every qualifying polygon yields no
-    // inside-intervals for any of its objects.
-    geometry::BoundingBox box;
-    for (const geometry::Polygon* p : wanted.polys) {
-      box.ExtendWith(p->Bounds());
-    }
-    filter.bbox = box;
-  }
+  const moving::ZoneFilter filter = ScanZoneFilter(when, &wanted.polys);
 
   const batch::LegRefiner refiner(wanted.polys);
 
@@ -731,7 +694,7 @@ Result<FactTable> QueryEngine::TrajectoryNearNodes(
   }
   layer->WarmIndex();
   const moving::TableBlocks blocks = moft->Blocks();
-  const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
+  const moving::ZoneFilter filter = ScanZoneFilter(when);
 
   FactTable out = FactTable::Make({"Oid", "node", "enter", "leave"}, {});
   PIET_RETURN_NOT_OK(ParallelAppend(
@@ -803,14 +766,8 @@ Result<FactTable> QueryEngine::TrajectoryAggregates(
                         QualifyingGeometries(layer_name, pred));
   const ResolvedPolygons wanted = ResolvePolygons(*layer, qualifying);
   const moving::TableBlocks blocks = moft->Blocks();
-  moving::ZoneFilter filter;
-  {
-    geometry::BoundingBox box;
-    for (const geometry::Polygon* p : wanted.polys) {
-      box.ExtendWith(p->Bounds());
-    }
-    filter.bbox = box;
-  }
+  const moving::ZoneFilter filter =
+      ScanZoneFilter(TimePredicate(), &wanted.polys);
 
   const batch::LegRefiner refiner(wanted.polys);
 
@@ -931,7 +888,7 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
   // matching instant, so it is excluded either way ("any" stays false /
   // time_ok comes back empty). A bbox miss would also exclude it, but the
   // window is the conservative, obviously-safe choice here.
-  const moving::ZoneFilter filter = MakeZoneFilter(when, nullptr);
+  const moving::ZoneFilter filter = ScanZoneFilter(when);
   const batch::LegRefiner refiner(wanted.polys);
 
   struct IdChunk {

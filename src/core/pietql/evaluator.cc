@@ -206,22 +206,52 @@ WantedPolygons ResolveWanted(const Layer& layer,
 /// tuple sequence matches the serial loop for any thread count.
 struct TupleChunk {
   std::vector<std::pair<ObjectId, double>> tuples;
+  size_t rows_scanned = 0;
+  moving::BlockIoStats io;
   size_t legs_tested = 0;  ///< PASSES THROUGH: legs walked by the refiner.
   size_t leg_refines = 0;  ///< PASSES THROUGH: exact (leg, polygon) refines.
+  /// INSIDE RESULT batch path: tile buffers reused across the chunk's
+  /// blocks.
+  struct {
+    batch::BatchScratch scratch;
+    std::vector<uint8_t> hit;
+    std::vector<uint8_t> any;
+    std::vector<size_t> rows;
+    std::vector<double> tx;
+    std::vector<double> ty;
+  } batch;
   Status status;
 };
 
-/// Flattens a SampleWindow's per-object ranges into absolute row indices,
-/// ascending — the same (oid, t) order a filtered full scan visits.
-std::vector<size_t> WindowRows(const moving::SampleWindow& win) {
-  std::vector<size_t> rows;
-  rows.reserve(win.size());
-  for (const moving::SampleWindow::Range& r : win.ranges()) {
-    for (size_t row = r.begin; row < r.end; ++row) {
-      rows.push_back(row);
-    }
-  }
-  return rows;
+/// The time-filtered sample scan shared by the time-only, NEAR and INSIDE
+/// RESULT branches, over the blocks `filter` admits. With `window_rows`
+/// (the pure-window fast path) each object's window is binary-searched on
+/// its time column and every visited row already matches; otherwise every
+/// row of the admitted blocks is visited and `visit` applies the time
+/// test itself. visit(data, lo, hi, row_base, chunk) handles block-local
+/// rows [lo, hi), whose global rows start at row_base. rows_scanned counts
+/// the visited rows.
+template <typename Visit, typename Merge>
+void ScanTimeRows(const moving::TableBlocks& blocks, bool window_rows,
+                  const moving::ZoneFilter& filter, int threads,
+                  const Visit& visit, Merge&& merge) {
+  parallel::OrderedReduce<TupleChunk>(
+      threads, window_rows ? blocks.total_spans() : blocks.total_rows(),
+      [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
+        auto rows = [&](const moving::MoftColumns& data, size_t lo,
+                        size_t hi, size_t row_base) -> Status {
+          chunk->rows_scanned += hi - lo;
+          visit(data, lo, hi, row_base, chunk);
+          return Status::OK();
+        };
+        chunk->status =
+            window_rows
+                ? blocks.ForEachWindowRange(begin, end, filter, &chunk->io,
+                                            rows)
+                : blocks.ForEachRowRange(begin, end, filter, &chunk->io,
+                                         rows);
+      },
+      merge);
 }
 
 }  // namespace
@@ -693,14 +723,20 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       }
     }
   }
-  // Build the region C as (Oid, t) tuples. Each branch fans its loop out
-  // across the pool in deterministic chunks merged in chunk order, so the
-  // tuple sequence is identical to the serial loop for any thread count.
+  // Build the region C as (Oid, t) tuples. Every branch walks the MOFT's
+  // blocks under the query's zonemap filter, so a cold tier decodes each
+  // admitted block once and never materializes the whole table. Each
+  // branch fans its loop out across the pool in deterministic chunks
+  // merged in chunk order, so the tuple sequence is identical to the
+  // serial loop for any thread count.
   const int threads = parallel::ResolveThreads(num_threads_);
   std::vector<std::pair<ObjectId, double>> tuples;
   size_t rows_scanned = 0;
+  moving::BlockIoStats block_io;
   Status fanout_failed;
   auto merge_tuples = [&](TupleChunk&& chunk) {
+    rows_scanned += chunk.rows_scanned;
+    block_io += chunk.io;
     if (fanout_failed.ok() && !chunk.status.ok()) {
       fanout_failed = chunk.status;
     }
@@ -708,6 +744,10 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       tuples.insert(tuples.end(), chunk.tuples.begin(), chunk.tuples.end());
     }
   };
+  // The rewriter's window folding enables the pure-window fast path of the
+  // sample branches: one binary search per object instead of a per-row
+  // time test.
+  const bool window_rows = rewrite_on && when.window_only();
 
   // The span closes before aggregation so moft_intersect and aggregate
   // stay siblings in the tree.
@@ -719,16 +759,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // EXPLAIN ANALYZE names the rollup level that forced the scan.
     intersect_span.Attr("aggcache_fallback", subhour_level);
   }
-  // Block-store visibility: the window fast paths record zonemap skips
-  // into `block_io`; decode work (cold blocks rematerialized by Scan or
-  // pinned by block iteration) shows up as the delta of the global
-  // moft.block.decodes counter across the span.
-  moving::BlockIoStats block_io;
-  const int64_t decodes_before =
-      obs_on ? obs::MetricsRegistry::Global()
-                   .GetCounter("moft.block.decodes")
-                   .Value()
-             : 0;
+  const moving::TableBlocks blocks = moft->Blocks();
 
   if (passes_through) {
     // Trajectory semantics: each maximal inside interval contributes a
@@ -741,42 +772,40 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     size_t legs_tested = 0;
     size_t leg_refines = 0;
     if (!mo_zero) {
-    // Materialize the columns only on a live scan: a short-circuited
-    // (mo_zero) query must not rematerialize a cold tier just to skip it.
-    const moving::MoftColumns& cols = moft->Columns();
-    rows_scanned = cols.size();
+    const moving::ZoneFilter filter = ScanZoneFilter(when, &wanted.polys);
     parallel::OrderedReduce<TupleChunk>(
-        threads, cols.spans.size(),
+        threads, blocks.total_spans(),
         [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
           batch::LegScratch scratch;
-          chunk->status = [&]() -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              const moving::ObjectSpan span(&cols, cols.spans[i]);
-              ObjectId oid = span.oid();
-              const Interval domain(span.front().t, span.back().t);
-              IntervalSet time_ok;
-              if (when.unconstrained()) {
-                time_ok = IntervalSet({domain});
-              } else {
-                PIET_ASSIGN_OR_RETURN(
-                    time_ok,
-                    when.MatchingIntervals(db_->time_dimension(), domain));
-              }
-              if (time_ok.empty()) {
-                continue;
-              }
-              chunk->legs_tested += span.size() - 1;
-              chunk->leg_refines += refiner.Refine(span, &scratch);
-              for (const uint32_t qi : scratch.hit) {
-                IntervalSet inside(scratch.pieces[qi]);
-                IntervalSet matched = inside.Intersect(time_ok);
-                for (const Interval& iv : matched.intervals()) {
-                  chunk->tuples.emplace_back(oid, iv.begin.seconds);
+          chunk->status = blocks.ForEachSpan(
+              begin, end, filter, &chunk->io,
+              [&](const moving::MoftColumns& data,
+                  const moving::MoftColumns::Span& sp) -> Status {
+                const moving::ObjectSpan span(&data, sp);
+                chunk->rows_scanned += span.size();
+                const Interval domain(span.front().t, span.back().t);
+                IntervalSet time_ok;
+                if (when.unconstrained()) {
+                  time_ok = IntervalSet({domain});
+                } else {
+                  PIET_ASSIGN_OR_RETURN(
+                      time_ok,
+                      when.MatchingIntervals(db_->time_dimension(), domain));
                 }
-              }
-            }
-            return Status::OK();
-          }();
+                if (time_ok.empty()) {
+                  return Status::OK();
+                }
+                chunk->legs_tested += span.size() - 1;
+                chunk->leg_refines += refiner.Refine(span, &scratch);
+                for (const uint32_t qi : scratch.hit) {
+                  IntervalSet inside(scratch.pieces[qi]);
+                  IntervalSet matched = inside.Intersect(time_ok);
+                  for (const Interval& iv : matched.intervals()) {
+                    chunk->tuples.emplace_back(span.oid(), iv.begin.seconds);
+                  }
+                }
+                return Status::OK();
+              });
         },
         [&](TupleChunk&& chunk) {
           legs_tested += chunk.legs_tested;
@@ -798,35 +827,22 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     nodes->WarmIndex();
     double radius = near_cond->radius;
     if (!mo_zero) {
-    const moving::SampleView samples = moft->Scan();
-    const moving::MoftColumns& cols = *samples.columns();
-    // Rewrite fast path for a pure-window predicate: binary-search the
-    // closed window once per object (SamplesBetween) and scan only the
-    // admitted rows — every one already matches, so the per-row time test
-    // disappears. Row order stays the filtered (oid, t) scan order.
-    std::optional<std::vector<size_t>> win_rows;
-    if (rewrite_on && when.window_only() && samples.offset() == 0) {
-      win_rows = WindowRows(
-          moft->SamplesBetween(when.window()->begin, when.window()->end,
-                               &block_io));
-    }
-    const size_t scan_n = win_rows ? win_rows->size() : samples.size();
-    rows_scanned = scan_n;
-    parallel::OrderedReduce<TupleChunk>(
-        threads, scan_n,
-        [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
-          for (size_t i = begin; i < end; ++i) {
-            const moving::Sample s =
-                win_rows ? cols.at((*win_rows)[i]) : samples[i];
-            if (!win_rows && !when.Matches(db_->time_dimension(), s.t)) {
+    ScanTimeRows(
+        blocks, window_rows, ScanZoneFilter(when), threads,
+        [&](const moving::MoftColumns& data, size_t lo, size_t hi,
+            size_t /*row_base*/, TupleChunk* chunk) {
+          for (size_t i = lo; i < hi; ++i) {
+            if (!window_rows &&
+                !when.Matches(db_->time_dimension(), TimePoint(data.t[i]))) {
               continue;
             }
-            geometry::BoundingBox probe(s.pos.x - radius, s.pos.y - radius,
-                                        s.pos.x + radius, s.pos.y + radius);
+            const geometry::Point pos(data.x[i], data.y[i]);
+            geometry::BoundingBox probe(pos.x - radius, pos.y - radius,
+                                        pos.x + radius, pos.y + radius);
             for (GeometryId id : nodes->CandidatesInBox(probe)) {
               auto node = nodes->GetPoint(id);
-              if (node.ok() && Distance(node.ValueOrDie(), s.pos) <= radius) {
-                chunk->tuples.emplace_back(s.oid, s.t.seconds);
+              if (node.ok() && Distance(node.ValueOrDie(), pos) <= radius) {
+                chunk->tuples.emplace_back(data.oid[i], data.t[i]);
                 break;
               }
             }
@@ -838,9 +854,10 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
     // When the overlay covers the result layer, reuse the cached batched
     // classification (one point location per sample, shared across
-    // queries) and filter hits against the sorted wanted ids; otherwise
-    // test the resolved polygons directly. Both paths emit one tuple per
-    // sample, even on shared boundaries.
+    // queries, indexed by global row) and filter hits against the sorted
+    // wanted ids; otherwise test the resolved polygons directly, which
+    // also lets the scan skip blocks outside their box. Both paths emit
+    // one tuple per sample, even on shared boundaries.
     if (!mo_zero) {
     std::shared_ptr<const SampleClassification> cls;
     if (db_->HasOverlay() &&
@@ -848,45 +865,36 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       PIET_ASSIGN_OR_RETURN(
           cls, db_->ClassifySamples(mo.moft, result.result_layer));
     }
-    const moving::SampleView samples = cls ? cls->samples : moft->Scan();
-    const moving::MoftColumns& cols = *samples.columns();
-    // Rewrite fast path for a pure-window predicate: scan only the rows
-    // the window binary search admits. Classification hit offsets are
-    // indexed by whole-table row, which coincides with the absolute window
-    // rows only when the classified view starts at row 0 (it always does
-    // today; the offset guard keeps the fallback correct if that changes).
-    std::optional<std::vector<size_t>> win_rows;
-    if (rewrite_on && when.window_only() && samples.offset() == 0) {
-      win_rows = WindowRows(
-          moft->SamplesBetween(when.window()->begin, when.window()->end,
-                               &block_io));
-    }
-    const size_t scan_n = win_rows ? win_rows->size() : samples.size();
-    rows_scanned = scan_n;
+    const moving::ZoneFilter filter =
+        ScanZoneFilter(when, cls ? nullptr : &wanted.polys);
+    auto time_ok = [&](const moving::MoftColumns& data, size_t i) {
+      return window_rows ||
+             when.Matches(db_->time_dimension(), TimePoint(data.t[i]));
+    };
     if (cls || !rewrite_on) {
-      parallel::OrderedReduce<TupleChunk>(
-          threads, scan_n,
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
-            for (size_t i = begin; i < end; ++i) {
-              const size_t vi = win_rows ? (*win_rows)[i] : i;
-              const moving::Sample s = samples[vi];
-              if (!win_rows && !when.Matches(db_->time_dimension(), s.t)) {
+      ScanTimeRows(
+          blocks, window_rows, filter, threads,
+          [&](const moving::MoftColumns& data, size_t lo, size_t hi,
+              size_t row_base, TupleChunk* chunk) {
+            for (size_t i = lo; i < hi; ++i) {
+              if (!time_ok(data, i)) {
                 continue;
               }
               if (cls) {
-                for (uint32_t j = cls->hits.offsets[vi];
-                     j < cls->hits.offsets[vi + 1]; ++j) {
+                const size_t row = row_base + i;
+                for (uint32_t j = cls->hits.offsets[row];
+                     j < cls->hits.offsets[row + 1]; ++j) {
                   if (wanted.contains(cls->hits.ids[j])) {
-                    chunk->tuples.emplace_back(s.oid, s.t.seconds);
+                    chunk->tuples.emplace_back(data.oid[i], data.t[i]);
                     break;
                   }
                 }
                 continue;
               }
+              const geometry::Point pos(data.x[i], data.y[i]);
               for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                if (wanted.polys[qi]->Contains(s.pos)) {
-                  chunk->tuples.emplace_back(s.oid, s.t.seconds);
+                if (wanted.polys[qi]->Contains(pos)) {
+                  chunk->tuples.emplace_back(data.oid[i], data.t[i]);
                   break;
                 }
               }
@@ -904,33 +912,29 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       for (const geometry::Polygon* p : wanted.polys) {
         batchers.emplace_back(p);
       }
-      parallel::OrderedReduce<TupleChunk>(
-          threads, scan_n,
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
+      ScanTimeRows(
+          blocks, window_rows, filter, threads,
+          [&](const moving::MoftColumns& data, size_t lo, size_t hi,
+              size_t /*row_base*/, TupleChunk* chunk) {
             constexpr size_t kTileRows = 1024;
-            batch::BatchScratch scratch;
-            std::vector<uint8_t> hit;
-            std::vector<uint8_t> any;
-            std::vector<size_t> rows;
-            std::vector<double> tx;
-            std::vector<double> ty;
-            for (size_t base = begin; base < end; base += kTileRows) {
-              const size_t stop = std::min(end, base + kTileRows);
+            batch::BatchScratch& scratch = chunk->batch.scratch;
+            std::vector<uint8_t>& hit = chunk->batch.hit;
+            std::vector<uint8_t>& any = chunk->batch.any;
+            std::vector<size_t>& rows = chunk->batch.rows;
+            std::vector<double>& tx = chunk->batch.tx;
+            std::vector<double>& ty = chunk->batch.ty;
+            for (size_t base = lo; base < hi; base += kTileRows) {
+              const size_t stop = std::min(hi, base + kTileRows);
               rows.clear();
               tx.clear();
               ty.clear();
               for (size_t i = base; i < stop; ++i) {
-                const size_t row =
-                    win_rows ? (*win_rows)[i] : i + samples.offset();
-                if (!win_rows &&
-                    !when.Matches(db_->time_dimension(),
-                                  TimePoint(cols.t[row]))) {
+                if (!time_ok(data, i)) {
                   continue;
                 }
-                rows.push_back(row);
-                tx.push_back(cols.x[row]);
-                ty.push_back(cols.y[row]);
+                rows.push_back(i);
+                tx.push_back(data.x[i]);
+                ty.push_back(data.y[i]);
               }
               if (rows.empty()) {
                 continue;
@@ -944,8 +948,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
               }
               for (size_t k = 0; k < rows.size(); ++k) {
                 if (any[k] != 0) {
-                  chunk->tuples.emplace_back(cols.oid[rows[k]],
-                                             cols.t[rows[k]]);
+                  chunk->tuples.emplace_back(data.oid[rows[k]],
+                                             data.t[rows[k]]);
                 }
               }
             }
@@ -954,37 +958,21 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     }
     }
   } else if (!mo_zero) {
-    if (rewrite_on && when.window_only()) {
-      // The SamplesMatchingTime fast path the rewriter's window folding
-      // enables: one binary search per object instead of a full-table
-      // scan. The ranges stream out in (oid, t) order — identical tuples
-      // to the filtered scan.
+    if (window_rows) {
       intersect_span.Attr("fast_path", "samples_matching_time");
-      const moving::SampleWindow win = moft->SamplesBetween(
-          when.window()->begin, when.window()->end, &block_io);
-      const moving::MoftColumns* cols = win.columns();
-      rows_scanned = win.size();
-      for (const moving::SampleWindow::Range& r : win.ranges()) {
-        for (size_t row = r.begin; row < r.end; ++row) {
-          tuples.emplace_back(cols->oid[row], cols->t[row]);
-        }
-      }
-    } else {
-      const moving::SampleView samples = moft->Scan();
-      rows_scanned = samples.size();
-      parallel::OrderedReduce<TupleChunk>(
-          threads, samples.size(),
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
-            for (size_t i = begin; i < end; ++i) {
-              const moving::Sample s = samples[i];
-              if (when.Matches(db_->time_dimension(), s.t)) {
-                chunk->tuples.emplace_back(s.oid, s.t.seconds);
-              }
-            }
-          },
-          merge_tuples);
     }
+    ScanTimeRows(
+        blocks, window_rows, ScanZoneFilter(when), threads,
+        [&](const moving::MoftColumns& data, size_t lo, size_t hi,
+            size_t /*row_base*/, TupleChunk* chunk) {
+          for (size_t i = lo; i < hi; ++i) {
+            if (window_rows ||
+                when.Matches(db_->time_dimension(), TimePoint(data.t[i]))) {
+              chunk->tuples.emplace_back(data.oid[i], data.t[i]);
+            }
+          }
+        },
+        merge_tuples);
   }
   if (mo_zero) {
     // rw-empty-time / rw-contradictory-spatial: the rewriter proved the
@@ -998,15 +986,14 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   intersect_span.Attr("rows_scanned", static_cast<uint64_t>(rows_scanned));
   intersect_span.Attr("tuples", static_cast<uint64_t>(tuples.size()));
   if (const moving::MoftBlockStore* store = moft->block_store()) {
+    // The query's own block I/O: zonemap skips and the cold blocks its
+    // walks decoded (each at most once).
     intersect_span.Attr("blocks", static_cast<uint64_t>(store->num_blocks()));
     intersect_span.Attr("blocks_skipped",
                         static_cast<uint64_t>(block_io.blocks_skipped));
+    intersect_span.Attr("blocks_decoded",
+                        static_cast<uint64_t>(block_io.blocks_decoded));
     if (obs_on) {
-      const int64_t decoded = obs::MetricsRegistry::Global()
-                                  .GetCounter("moft.block.decodes")
-                                  .Value() -
-                              decodes_before;
-      intersect_span.Attr("blocks_decoded", static_cast<uint64_t>(decoded));
       obs::MetricsRegistry::Global()
           .GetCounter("pietql.blocks_skipped")
           .Add(static_cast<int64_t>(block_io.blocks_skipped));

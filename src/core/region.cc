@@ -297,4 +297,19 @@ const std::string& TimePredicate::sub_hour_rollup_level() const {
   return kNone;
 }
 
+moving::ZoneFilter ScanZoneFilter(
+    const TimePredicate& when,
+    const std::vector<const geometry::Polygon*>* polys) {
+  moving::ZoneFilter filter;
+  filter.window = when.window();
+  if (polys != nullptr) {
+    geometry::BoundingBox box;
+    for (const geometry::Polygon* p : *polys) {
+      box.ExtendWith(p->Bounds());
+    }
+    filter.bbox = box;
+  }
+  return filter;
+}
+
 }  // namespace piet::core

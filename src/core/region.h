@@ -12,6 +12,7 @@
 #include "gis/density.h"
 #include "gis/instance.h"
 #include "gis/layer.h"
+#include "moving/block_store.h"
 #include "temporal/interval.h"
 #include "temporal/time_dimension.h"
 
@@ -137,6 +138,18 @@ class TimePredicate {
   std::optional<temporal::Interval> window_;
   std::optional<std::pair<int, int>> hour_range_;
 };
+
+/// Zonemap predicate of one block scan under `when`: its time window
+/// (conjunctive with any rollup constraints, so rows outside it can never
+/// match) plus, when `polys` is given, the union of their bounding boxes —
+/// for scans that only produce rows for samples inside those polygons or
+/// LIT pieces through them (the LIT never leaves the convex hull of its
+/// block's samples). Blocks the filter rules out are skipped wholesale.
+/// With zero polygons the union box is empty and every block is skipped,
+/// matching the empty result the scan would produce.
+moving::ZoneFilter ScanZoneFilter(
+    const TimePredicate& when,
+    const std::vector<const geometry::Polygon*>* polys = nullptr);
 
 }  // namespace piet::core
 

@@ -272,7 +272,7 @@ int64_t MoftBlockStore::live_pins() const {
   return pool_->live_pins.load(std::memory_order_relaxed);
 }
 
-MoftBlockStore::Pin MoftBlockStore::PinBlock(size_t b) const {
+Result<MoftBlockStore::Pin> MoftBlockStore::PinBlock(size_t b) const {
   const Block& block = *blocks_[b];
   pool_->live_pins.fetch_add(1, std::memory_order_relaxed);
   Pin pin;
@@ -282,23 +282,15 @@ MoftBlockStore::Pin MoftBlockStore::PinBlock(size_t b) const {
     return pin;
   }
   pin.scratch_ = AcquireScratch();
-  // Decode failures cannot happen on payloads this process encoded or a
-  // Save/Open round trip verified; an empty buffer (all sizes 0) is the
-  // contained failure mode for a corrupted mapped file.
-  Status decoded = blockcodec::DecodeBlock(block.PayloadView(),
-                                           pin.scratch_.get());
-  if (!decoded.ok()) {
-    pin.scratch_->oid.clear();
-    pin.scratch_->t.clear();
-    pin.scratch_->x.clear();
-    pin.scratch_->y.clear();
-    pin.scratch_->spans.clear();
-  }
   pin.decoded_ = true;
   pin.data_ = pin.scratch_.get();
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global().GetCounter("moft.block.decodes").Add(1);
   }
+  // Open checks only the directory and each payload's row count, so a
+  // corrupted mapped file surfaces here. The failed pin unpins on return.
+  PIET_RETURN_NOT_OK(blockcodec::DecodeBlock(block.PayloadView(),
+                                             pin.scratch_.get()));
   return pin;
 }
 
@@ -315,8 +307,11 @@ void MoftBlockStore::MaterializeInto(MoftColumns* out) const {
   out->y.reserve(total_rows_);
   out->spans.reserve(total_spans_);
   for (size_t b = 0; b < blocks_.size(); ++b) {
-    Pin pin = PinBlock(b);
-    const MoftColumns& data = pin.data();
+    Result<Pin> pin = PinBlock(b);
+    if (!pin.ok()) {
+      continue;
+    }
+    const MoftColumns& data = pin.ValueOrDie().data();
     const size_t base = out->oid.size();
     out->oid.insert(out->oid.end(), data.oid.begin(), data.oid.end());
     out->t.insert(out->t.end(), data.t.begin(), data.t.end());
@@ -328,6 +323,40 @@ void MoftBlockStore::MaterializeInto(MoftColumns* out) const {
     }
   }
   out->seal_epoch = epoch;
+}
+
+TableBlocks::TableBlocks(const MoftColumns* hot, const MoftBlockStore* store)
+    : hot_(hot), store_(store) {
+  if (store_ != nullptr) {
+    slots_ = std::make_unique<Slot[]>(store_->num_blocks());
+  }
+}
+
+Result<const MoftColumns*> TableBlocks::Acquire(size_t b,
+                                                BlockIoStats* io) const {
+  Slot& slot = slots_[b];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (!slot.pinned) {
+    PIET_ASSIGN_OR_RETURN(slot.pin, store_->PinBlock(b));
+    slot.pinned = true;
+    const BlockMeta& m = store_->meta(b);
+    slot.left[static_cast<int>(Unit::kRows)] = m.rows();
+    slot.left[static_cast<int>(Unit::kSpans)] = m.span_end - m.span_begin;
+    ++io->blocks_pinned;
+    io->blocks_decoded += slot.pin.decoded() ? 1 : 0;
+  }
+  return &slot.pin.data();
+}
+
+void TableBlocks::Release(size_t b, Unit unit, size_t n) const {
+  Slot& slot = slots_[b];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  size_t& left = slot.left[static_cast<int>(unit)];
+  left -= n < left ? n : left;
+  if (left == 0) {
+    slot.pin = MoftBlockStore::Pin();
+    slot.pinned = false;
+  }
 }
 
 Status MoftBlockStore::Save(const std::string& path) const {

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -71,8 +72,11 @@ struct ZoneFilter {
   std::optional<temporal::Interval> window;
   std::optional<geometry::BoundingBox> bbox;
 
+  /// An inverted window (end < begin) matches no instant and admits no
+  /// block.
   bool Admits(const BlockMeta& m) const {
-    if (window && (m.t_max < window->begin.seconds ||
+    if (window && (window->end < window->begin ||
+                   m.t_max < window->begin.seconds ||
                    window->end.seconds < m.t_min)) {
       return false;
     }
@@ -87,9 +91,9 @@ struct ZoneFilter {
 /// Chunk-local I/O accounting of one block-iterating scan; merged into
 /// EngineStats / obs counters by the consumer.
 struct BlockIoStats {
-  size_t blocks_pinned = 0;
+  size_t blocks_pinned = 0;   ///< Blocks pinned (once per block per scan).
   size_t blocks_decoded = 0;  ///< Pins that ran the codec (cold blocks).
-  size_t blocks_skipped = 0;  ///< Blocks a ZoneFilter ruled out.
+  size_t blocks_skipped = 0;  ///< Blocks a ZoneFilter ruled out (once each).
 
   BlockIoStats& operator+=(const BlockIoStats& o) {
     blocks_pinned += o.blocks_pinned;
@@ -176,10 +180,15 @@ class MoftBlockStore {
   size_t BlockOfRow(size_t row) const;
   size_t BlockOfSpan(size_t span) const;
 
-  Pin PinBlock(size_t b) const;
+  /// Pins block b: zero-copy for raw blocks, a decode into pooled scratch
+  /// otherwise. A payload that fails to decode (a corrupted file) returns
+  /// the codec's error instead of a pin.
+  Result<Pin> PinBlock(size_t b) const;
 
   /// Decodes every block into one contiguous whole-table columns object
-  /// (global rows and spans). Preserves out->seal_epoch.
+  /// (global rows and spans). Preserves out->seal_epoch. The whole-table
+  /// views have no error channel, so a block that fails to decode
+  /// contributes no rows here; block walks (TableBlocks) report it.
   void MaterializeInto(MoftColumns* out) const;
 
   /// On-disk round trip: a directory of zonemaps plus one codec payload
@@ -234,13 +243,22 @@ class MoftBlockStore {
 /// storage is disabled, the whole-table columns presented as one synthetic
 /// block. Query fan-outs iterate ranges of global rows/spans through this
 /// facade; blocks a ZoneFilter rules out are skipped wholesale (and their
-/// rows never scanned), cold blocks are pinned (decoded) only while the
-/// callback runs. Borrows the Moft's storage — must not outlive it or
-/// span a reseal.
+/// rows never scanned).
+///
+/// One TableBlocks serves one scan. Its chunks share one pin per admitted
+/// block: the first chunk that reaches a block pins (decodes) it, later
+/// chunks borrow the same columns, and the pin goes back to the store —
+/// its scratch buffer to the pool — once the chunks have consumed every
+/// row (row walks) or span (span walks) of the block. A fan-out over the
+/// whole table therefore decodes each admitted block at most once, and
+/// its decoded scratch stays bounded by the blocks in flight. Pins a scan
+/// left unfinished (an early error, a partial range) are released with
+/// the TableBlocks. A block that fails to decode fails every walk that
+/// reaches it with the codec's Status. Borrows the Moft's storage — must
+/// not outlive it or span a reseal.
 class TableBlocks {
  public:
-  TableBlocks(const MoftColumns* hot, const MoftBlockStore* store)
-      : hot_(hot), store_(store) {}
+  TableBlocks(const MoftColumns* hot, const MoftBlockStore* store);
 
   size_t total_rows() const {
     return store_ != nullptr ? store_->total_rows() : hot_->size();
@@ -256,16 +274,14 @@ class TableBlocks {
   /// intersecting global rows [begin, end), ascending. `data` is the
   /// block's columns with rows re-based at 0; chunk boundaries are in
   /// global row coordinates, so the concatenation over all chunks visits
-  /// exactly the serial row sequence. fn returns Status; the first
+  /// exactly the serial row sequence. fn may take a fourth argument, the
+  /// global row of the block's local row 0. fn returns Status; the first
   /// failure stops the walk.
   template <typename Fn>
   Status ForEachRowRange(size_t begin, size_t end, const ZoneFilter& filter,
                          BlockIoStats* io, Fn&& fn) const {
     if (store_ == nullptr) {
-      if (begin < end) {
-        return fn(*hot_, begin, end);
-      }
-      return Status::OK();
+      return begin < end ? Call(fn, *hot_, begin, end, 0) : Status::OK();
     }
     for (size_t b = begin < end ? store_->BlockOfRow(begin) : num_blocks();
          b < store_->num_blocks() && store_->meta(b).row_begin < end; ++b) {
@@ -276,13 +292,16 @@ class TableBlocks {
         continue;
       }
       if (!filter.Admits(m)) {
-        ++io->blocks_skipped;
+        // Counted by the walk holding the block's first row, so a block
+        // split across chunks counts once.
+        io->blocks_skipped += gb == m.row_begin ? 1 : 0;
         continue;
       }
-      MoftBlockStore::Pin pin = store_->PinBlock(b);
-      ++io->blocks_pinned;
-      io->blocks_decoded += pin.decoded() ? 1 : 0;
-      PIET_RETURN_NOT_OK(fn(pin.data(), gb - m.row_begin, ge - m.row_begin));
+      PIET_ASSIGN_OR_RETURN(const MoftColumns* data, Acquire(b, io));
+      Status st = Call(fn, *data, gb - m.row_begin, ge - m.row_begin,
+                       m.row_begin);
+      Release(b, Unit::kRows, ge - gb);
+      PIET_RETURN_NOT_OK(st);
     }
     return Status::OK();
   }
@@ -295,11 +314,75 @@ class TableBlocks {
   Status ForEachSpan(size_t span_begin, size_t span_end,
                      const ZoneFilter& filter, BlockIoStats* io,
                      Fn&& fn) const {
+    return WalkSpans(span_begin, span_end, filter, io,
+                     [&](const MoftColumns& data, size_t sb, size_t se,
+                         size_t /*row_base*/) -> Status {
+                       for (size_t s = sb; s < se; ++s) {
+                         PIET_RETURN_NOT_OK(fn(data, data.spans[s]));
+                       }
+                       return Status::OK();
+                     });
+  }
+
+  /// The time-window probe: for each object span in [span_begin, span_end)
+  /// of an admitted block, binary-searches the closed window
+  /// `*filter.window` on the span's time column and calls
+  /// fn(data, lo, hi) with the block-local rows [lo, hi) inside it
+  /// (skipping objects with none). Every visited row matches the window;
+  /// rows come out in (oid, t) order. Like ForEachRowRange, fn may take the
+  /// block's global row base as a fourth argument. `filter.window` must be
+  /// set; an inverted window visits nothing.
+  template <typename Fn>
+  Status ForEachWindowRange(size_t span_begin, size_t span_end,
+                            const ZoneFilter& filter, BlockIoStats* io,
+                            Fn&& fn) const {
+    const double t0 = filter.window->begin.seconds;
+    const double t1 = filter.window->end.seconds;
+    return WalkSpans(
+        span_begin, span_end, filter, io,
+        [&](const MoftColumns& data, size_t sb, size_t se,
+            size_t row_base) -> Status {
+          for (size_t s = sb; s < se; ++s) {
+            const auto [lo, hi] = WindowRowsOf(data, data.spans[s], t0, t1);
+            if (lo < hi) {
+              PIET_RETURN_NOT_OK(Call(fn, data, lo, hi, row_base));
+            }
+          }
+          return Status::OK();
+        });
+  }
+
+ private:
+  enum class Unit { kRows, kSpans };
+
+  /// One block's shared pin (see the class comment).
+  struct Slot {
+    std::mutex mu;
+    MoftBlockStore::Pin pin;
+    bool pinned = false;
+    size_t left[2] = {0, 0};  ///< Rows / spans not yet consumed.
+  };
+
+  template <typename Fn>
+  static Status Call(Fn& fn, const MoftColumns& data, size_t lo, size_t hi,
+                     size_t row_base) {
+    if constexpr (std::is_invocable_v<Fn&, const MoftColumns&, size_t,
+                                      size_t, size_t>) {
+      return fn(data, lo, hi, row_base);
+    } else {
+      return fn(data, lo, hi);
+    }
+  }
+
+  /// Calls fn(data, local_span_begin, local_span_end, row_base) once per
+  /// admitted block intersecting global spans [span_begin, span_end).
+  template <typename Fn>
+  Status WalkSpans(size_t span_begin, size_t span_end,
+                   const ZoneFilter& filter, BlockIoStats* io,
+                   Fn&& fn) const {
     if (store_ == nullptr) {
-      for (size_t s = span_begin; s < span_end; ++s) {
-        PIET_RETURN_NOT_OK(fn(*hot_, hot_->spans[s]));
-      }
-      return Status::OK();
+      return span_begin < span_end ? fn(*hot_, span_begin, span_end, 0)
+                                   : Status::OK();
     }
     for (size_t b = span_begin < span_end ? store_->BlockOfSpan(span_begin)
                                           : num_blocks();
@@ -312,23 +395,27 @@ class TableBlocks {
         continue;
       }
       if (!filter.Admits(m)) {
-        ++io->blocks_skipped;
+        io->blocks_skipped += sb == m.span_begin ? 1 : 0;
         continue;
       }
-      MoftBlockStore::Pin pin = store_->PinBlock(b);
-      ++io->blocks_pinned;
-      io->blocks_decoded += pin.decoded() ? 1 : 0;
-      const MoftColumns& data = pin.data();
-      for (size_t s = sb; s < se; ++s) {
-        PIET_RETURN_NOT_OK(fn(data, data.spans[s - m.span_begin]));
-      }
+      PIET_ASSIGN_OR_RETURN(const MoftColumns* data, Acquire(b, io));
+      Status st = fn(*data, sb - m.span_begin, se - m.span_begin,
+                     m.row_begin);
+      Release(b, Unit::kSpans, se - sb);
+      PIET_RETURN_NOT_OK(st);
     }
     return Status::OK();
   }
 
- private:
+  /// Pins block b unless a chunk already holds it; the pinning call
+  /// accounts the pin (and decode) in `io`.
+  Result<const MoftColumns*> Acquire(size_t b, BlockIoStats* io) const;
+  /// Marks `n` rows or spans of block b consumed; the last ones unpin it.
+  void Release(size_t b, Unit unit, size_t n) const;
+
   const MoftColumns* hot_;
   const MoftBlockStore* store_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace piet::moving

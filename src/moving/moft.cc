@@ -347,15 +347,11 @@ SampleWindow Moft::SamplesBetween(TimePoint t0, TimePoint t1,
       store = store_ ? &*store_ : nullptr;
     }
     auto probe_span = [&](const MoftColumns::Span& span) {
-      const double* tb = cols.t.data() + span.begin;
-      const double* te = cols.t.data() + span.end;
-      const double* lo = std::lower_bound(tb, te, t0.seconds);
-      const double* hi = std::upper_bound(lo, te, t1.seconds);
-      if (lo == hi) {
+      const auto [begin, end] =
+          WindowRowsOf(cols, span, t0.seconds, t1.seconds);
+      if (begin == end) {
         return;
       }
-      size_t begin = span.begin + static_cast<size_t>(lo - tb);
-      size_t end = span.begin + static_cast<size_t>(hi - tb);
       ranges.push_back(SampleWindow::Range{begin, end, total});
       total += end - begin;
     };
@@ -520,7 +516,6 @@ MoftCatalogStats Moft::CatalogStats() const {
     st.has_block_store = true;
     st.compressed = store_->compressed();
     st.mapped = store_->mapped();
-    st.hot = hot_valid_;
     st.stored_bytes = store_->stored_bytes();
     st.raw_bytes = store_->raw_bytes();
     st.blocks.reserve(st.num_blocks);
@@ -532,7 +527,6 @@ MoftCatalogStats Moft::CatalogStats() const {
   st.rows = cols_.size();
   st.spans = cols_.spans.size();
   st.num_blocks = 1;  // TableBlocks presents one synthetic block.
-  st.hot = true;
   st.stored_bytes = cols_.size() * 4 * sizeof(double);
   st.raw_bytes = st.stored_bytes;
   if (cols_.size() > 0) {

@@ -40,10 +40,10 @@ namespace piet::moving {
 /// Block storage: when BlockOptions are enabled (PIET_BLOCK_ROWS /
 /// PIET_COMPRESS / PIET_SIMPLIFY_EPS, or SetBlockOptions), sealing also
 /// builds a MoftBlockStore of span-aligned immutable chunks with per-block
-/// zonemaps. Block-iterating consumers go through Blocks() and never need
-/// the whole table in RAM; the whole-table view API above is served by a
-/// hot tier materialized from the blocks on demand (and releasable with
-/// ReleaseHot). Save/Open round-trip the blocks through an mmap-backed
+/// zonemaps. Block-iterating consumers — every query path — go through
+/// Blocks() and never need the whole table in RAM; the whole-table view
+/// API above is served by a hot tier materialized from the blocks on
+/// demand (and releasable with ReleaseHot). Save/Open round-trip the blocks through an mmap-backed
 /// on-disk format so a MOFT larger than RAM spills and pages per block.
 
 /// Catalog-level storage statistics exported to the static query
@@ -58,7 +58,6 @@ struct MoftCatalogStats {
   bool has_block_store = false;
   bool compressed = false;  ///< Blocks are codec-encoded in memory.
   bool mapped = false;      ///< Blocks page from an mmap-backed file.
-  bool hot = true;          ///< Whole-table hot tier is materialized.
   size_t stored_bytes = 0;  ///< Sealed storage footprint (payload bytes).
   size_t raw_bytes = 0;     ///< Equivalent raw SoA footprint (32 B/row).
   std::vector<BlockMeta> blocks;
@@ -113,11 +112,12 @@ class Moft {
   uint64_t seal_epoch() const;
 
   /// Monotone storage-generation counter: bumps on every seal, ReleaseHot
-  /// and SpillToDisk (Open starts at 1). Anything caching derived state
-  /// should key on (seal_epoch, storage_epoch).
+  /// and SpillToDisk (Open starts at 1). Anything caching state that
+  /// borrows the hot columns should key on (seal_epoch, storage_epoch);
+  /// state indexed by global row only needs the seal.
   uint64_t storage_epoch() const;
 
-  /// Per-block access to the sealed storage for block-iterating scans
+  /// Per-block access to the sealed storage for one block-iterating scan
   /// (seals first when dirty, but does NOT materialize the hot tier).
   /// Without a block store this presents the columns as one synthetic
   /// block. Borrows the Moft; invalidated by the next mutation + seal.

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.h"
@@ -58,6 +59,20 @@ struct MoftColumns {
                   geometry::Point(x[i], y[i])};
   }
 };
+
+/// Rows [lo, hi) of `span` with t in the closed window [t0, t1]: one
+/// lower_bound/upper_bound on the span's (strictly increasing) time
+/// column. Empty when t1 < t0 or nothing falls inside.
+inline std::pair<size_t, size_t> WindowRowsOf(const MoftColumns& cols,
+                                              const MoftColumns::Span& span,
+                                              double t0, double t1) {
+  const double* tb = cols.t.data() + span.begin;
+  const double* te = cols.t.data() + span.end;
+  const double* lo = std::lower_bound(tb, te, t0);
+  const double* hi = std::upper_bound(lo, te, t1);
+  return {span.begin + static_cast<size_t>(lo - tb),
+          span.begin + static_cast<size_t>(hi - tb)};
+}
 
 /// Zero-copy view of a contiguous row range of sealed columns. Rows
 /// materialize as Sample values on access; nothing is copied up front.
@@ -256,12 +271,9 @@ class ObjectSpan : public SampleView {
     if (cols_ == nullptr || empty() || t1 < t0) {
       return SampleView(cols_, begin_, begin_);
     }
-    const double* tb = cols_->t.data() + begin_;
-    const double* te = cols_->t.data() + end_;
-    const double* lo = std::lower_bound(tb, te, t0.seconds);
-    const double* hi = std::upper_bound(lo, te, t1.seconds);
-    size_t b = begin_ + static_cast<size_t>(lo - tb);
-    size_t e = begin_ + static_cast<size_t>(hi - tb);
+    const auto [b, e] =
+        WindowRowsOf(*cols_, MoftColumns::Span{oid_, begin_, end_},
+                     t0.seconds, t1.seconds);
     return SampleView(cols_, b, e);
   }
 

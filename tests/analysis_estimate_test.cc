@@ -272,10 +272,29 @@ constexpr const char* kInsideCount =
     "SELECT layer.Ln; FROM PietSchema; WHERE ATTR(layer.Ln, income) < 1500 "
     "| SELECT COUNT(DISTINCT OID) FROM FMbus WHERE INSIDE RESULT";
 
-TEST(ExplainEstimateTest, GoldenOverFigure1) {
+// The Figure 1 database with FMbus registered under explicit storage (no
+// block store), so the golden does not follow PIET_BLOCK_ROWS /
+// PIET_COMPRESS from the environment.
+std::unique_ptr<core::GeoOlapDatabase> Figure1WithoutBlocks() {
   auto scenario = workload::BuildFigure1Scenario();
-  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  core::pietql::Evaluator eval(scenario.ValueOrDie().db.get());
+  EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const core::GeoOlapDatabase& src = *scenario.ValueOrDie().db;
+  auto db = std::make_unique<core::GeoOlapDatabase>(src.gis());
+  const moving::MoftColumns& cols =
+      src.GetMoft("FMbus").ValueOrDie()->Columns();
+  moving::Moft fmbus;
+  fmbus.SetBlockOptions(moving::BlockOptions{});
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const moving::Sample s = cols.at(i);
+    EXPECT_TRUE(fmbus.Add(s.oid, s.t, s.pos).ok());
+  }
+  EXPECT_TRUE(db->AddMoft("FMbus", std::move(fmbus)).ok());
+  return db;
+}
+
+TEST(ExplainEstimateTest, GoldenOverFigure1) {
+  const std::unique_ptr<core::GeoOlapDatabase> db = Figure1WithoutBlocks();
+  core::pietql::Evaluator eval(db.get());
   eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
   eval.set_estimate_mode(EstimateMode::kOn);

@@ -162,13 +162,14 @@ TEST_F(DatabaseTest, MoveTransfersClassificationCache) {
   EXPECT_EQ(moved.overlay_epoch(), epoch);
 
   // Move-then-use: the cached classification is served (same shared
-  // block, no recomputation) and its sample view still reads the moved
-  // MOFT's columns.
+  // block, no recomputation) and still holds one hit list per row of the
+  // moved MOFT.
   auto after = moved.ClassifySamples("FMbus", "Ln");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie().get(), before.ValueOrDie().get());
   const auto* moft = moved.GetMoft("FMbus").ValueOrDie();
-  EXPECT_EQ(after.ValueOrDie()->samples.size(), moft->num_samples());
+  EXPECT_EQ(after.ValueOrDie()->hits.offsets.size(),
+            moft->num_samples() + 1);
 
   // Queries against the moved-to database answer as before the move.
   QueryEngine engine(&moved);

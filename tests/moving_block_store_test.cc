@@ -291,7 +291,7 @@ TEST(BlockStoreTest, RawPinsAreZeroCopyCompressedPinsDecode) {
   const MoftBlockStore* raw_store = raw.block_store();
   ASSERT_NE(raw_store, nullptr);
   EXPECT_FALSE(raw_store->compressed());
-  MoftBlockStore::Pin pin = raw_store->PinBlock(0);
+  MoftBlockStore::Pin pin = raw_store->PinBlock(0).ValueOrDie();
   EXPECT_FALSE(pin.decoded());
 
   Moft packed = MakeMoft(4, 10, Blocked(15, /*compress=*/true));
@@ -300,7 +300,7 @@ TEST(BlockStoreTest, RawPinsAreZeroCopyCompressedPinsDecode) {
   EXPECT_TRUE(packed_store->compressed());
   EXPECT_LT(packed_store->stored_bytes(), packed_store->raw_bytes());
   for (size_t b = 0; b < packed_store->num_blocks(); ++b) {
-    MoftBlockStore::Pin p = packed_store->PinBlock(b);
+    MoftBlockStore::Pin p = packed_store->PinBlock(b).ValueOrDie();
     EXPECT_TRUE(p.decoded());
     const BlockMeta& m = packed_store->meta(b);
     ASSERT_EQ(p.data().size(), m.rows());

@@ -1,7 +1,9 @@
 #ifndef PIET_TESTS_MOVING_TEST_UTIL_H_
 #define PIET_TESTS_MOVING_TEST_UTIL_H_
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -37,6 +39,36 @@ inline Result<Moft> MoftFromBlockFile(const MoftColumns& cols,
   const std::string path =
       (std::filesystem::temp_directory_path() / name).string();
   PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, BlockOptions{}).Save(path));
+  Result<Moft> opened = Moft::Open(path);
+  std::filesystem::remove(path);
+  return opened;
+}
+
+/// Like MoftFromBlockFile with `opts` blocking, but the first block's
+/// span directory is garbled before the file is mapped back. Open checks
+/// only the file directory and each payload's row count, so it accepts the
+/// file; the block fails when a scan decodes it.
+inline Result<Moft> MoftFromGarbledBlockFile(const MoftColumns& cols,
+                                             const BlockOptions& opts,
+                                             const std::string& name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, opts).Save(path));
+  {
+    // File layout: a 40-byte header, then one directory entry per block
+    // whose first field is the block's u64 payload offset. A payload
+    // starts with its u32 row and span counts, then the span directory.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    uint64_t payload = 0;
+    file.seekg(40);
+    file.read(reinterpret_cast<char*>(&payload), sizeof(payload));
+    file.seekp(static_cast<std::streamoff>(payload + 8));
+    const std::string garbage(16, '\xff');  // An unterminated varint.
+    file.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+    if (!file) {
+      return Status::IoError("cannot garble '" + path + "'");
+    }
+  }
   Result<Moft> opened = Moft::Open(path);
   std::filesystem::remove(path);
   return opened;

@@ -470,7 +470,7 @@ TEST(ClassificationCacheTest, CachesAndInvalidates) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(db->classification_cache_size(), 1u);
   EXPECT_EQ(a.ValueOrDie()->epoch, epoch0);
-  EXPECT_EQ(a.ValueOrDie()->samples.size() + 1,
+  EXPECT_EQ(db->GetMoft("cars").ValueOrDie()->num_samples() + 1,
             a.ValueOrDie()->hits.offsets.size());
 
   // Repeat is served from cache: same shared block, same size.
