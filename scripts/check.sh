@@ -48,6 +48,19 @@ if grep -rEn "ResourceEstimate[[:space:]]*[{(]" \
   exit 1
 fi
 
+# Both front ends lower their MOFT scans onto one operator, core::BlockScan
+# (src/core/scan.h): it owns the zonemap filter, the chunked fan-out and
+# its ordered merge, first-error-wins Status and the scan accounting. The
+# engine and the Piet-QL evaluator supply per-row / per-object work only,
+# so neither may fan out or walk blocks itself.
+if grep -nE "(OrderedReduce|ParallelFor|ForEach(RowRange|Span|SpanRange|WindowRange))\b" \
+     src/core/engine.cc src/core/pietql/evaluator.cc; then
+  echo "error: QueryEngine and the Piet-QL evaluator scan through" \
+       "core::BlockScan (src/core/scan.h), never the block walks or" \
+       "the parallel loops directly" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

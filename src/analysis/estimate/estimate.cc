@@ -116,10 +116,11 @@ WindowRowMath ReplayZoneFilter(const MoftCatalogStats& stats,
 
 /// The time predicate's shape, mirroring TimePredicate's construction in
 /// the evaluator: every TIME.<level> equality is a rollup constraint and
-/// the LAST T BETWEEN wins (Window replaces, it does not intersect).
+/// the T BETWEEN clauses are a conjunction (Window intersects).
 struct TimeShape {
   std::vector<const pq::MoCondition*> rollups;
-  std::optional<Interval> window;  // Last T BETWEEN; may be inverted.
+  /// Intersection of every T BETWEEN; may be inverted (matches nothing).
+  std::optional<Interval> window;
 
   bool window_only() const { return rollups.empty() && window.has_value(); }
   bool unconstrained() const { return rollups.empty() && !window; }
@@ -131,7 +132,12 @@ TimeShape SplitTimeShape(const pq::MoQuery& mo) {
     if (cond.kind == pq::MoCondition::Kind::kTimeEquals) {
       shape.rollups.push_back(&cond);
     } else if (cond.kind == pq::MoCondition::Kind::kTimeBetween) {
-      shape.window = Interval(TimePoint(cond.t0), TimePoint(cond.t1));
+      Interval w(TimePoint(cond.t0), TimePoint(cond.t1));
+      if (shape.window) {
+        w = Interval(std::max(shape.window->begin, w.begin),
+                     std::min(shape.window->end, w.end));
+      }
+      shape.window = w;
     }
   }
   return shape;
@@ -368,10 +374,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     sub_hour = true;
   }
 
-  // The meet of every folded time constraint. Soundness note: only the
-  // LAST window feeds MeetWindow (runtime replacement semantics); each
-  // rollup equality is a conjunct, so intersecting their folded windows is
-  // sound. Bottom proves no tuple can match.
+  // The meet of every folded time constraint: the windows and each rollup
+  // equality are conjuncts, so intersecting their folded windows is sound.
+  // Bottom proves no tuple can match.
   lint::TimeAbstract abstract;
   if (shape.window) {
     abstract.MeetWindow(*shape.window);
@@ -381,7 +386,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   }
   const bool time_bottom = abstract.IsBottom();
 
-  const bool win_path = catalog.rewrite_on && shape.window_only();
+  // The sample scans take the time-window probe exactly when the plan's
+  // predicate is a pure window (BlockScan::Samples).
+  const bool win_path = shape.window_only();
 
   // Upper bound on time-matching rows, via the zonemaps when the meet
   // abstraction carries an absolute window.
@@ -406,7 +413,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const bool serve_possible = cache_eligible && !sub_hour;
 
   // Replay of the scan's zonemap filter (ScanZoneFilter): every branch
-  // walks the MOFT's blocks under the last window; the polygon-testing
+  // walks the MOFT's blocks under the window; the polygon-testing
   // paths (PASSES THROUGH, INSIDE RESULT without the overlay
   // classification) also skip blocks outside the wanted polygons' box. A
   // storeless table is one unfiltered synthetic block. `over` is a
@@ -430,8 +437,8 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const WindowRowMath wm_last = ReplayZoneFilter(st, scan_filter);
   const bool replay_exact = !bbox_filter || region_exact;
 
-  // rows_scanned: the pure-window fast path visits the window's rows, the
-  // other scans every row of the admitted blocks.
+  // rows_scanned: the window probe visits the window's rows, the other
+  // scans every row of the admitted blocks.
   if (!mo_zero) {
     if (win_path && !passes_through) {
       est.rows_scanned =
@@ -469,7 +476,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
       if (shape.unconstrained()) {
         est.tuples = EstInterval{rows_n, rows_n};
       } else if (win_path) {
-        // The fast path emits exactly the scanned rows as tuples.
+        // The window probe emits exactly the scanned rows as tuples.
         est.tuples = EstInterval{wm_last.full_rows, wm_last.admitted_rows};
       } else {
         est.tuples = EstInterval{0, time_rows_hi};

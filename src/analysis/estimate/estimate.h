@@ -45,9 +45,8 @@ struct EstInterval {
 /// What the estimator may look at: schema instance (layer element counts,
 /// attribute tables, R-tree candidates), the optional overlay (cache
 /// coverage), per-MOFT storage statistics (rows, per-block zonemaps,
-/// tier), and the evaluator's mode flags, which decide which runtime paths
-/// are reachable (window fast path needs the rewriter; cache serving needs
-/// the aggregate cache).
+/// tier), and the evaluator's mode flags: whether the plan is rewritten
+/// before it runs, and whether the aggregate cache may serve it.
 struct Catalog {
   const gis::GisDimensionInstance* gis = nullptr;
   const gis::OverlayDb* overlay = nullptr;

@@ -305,10 +305,9 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
   plan->geo_clauses_after = geo.where.size();
 }
 
-/// Rewrites the moving-object part in place. The evaluator's time
-/// semantics are: rollup-equality clauses accumulate, but a later
-/// T BETWEEN *replaces* an earlier one (TimePredicate::Window). All proofs
-/// here follow those semantics, not plain conjunction reading.
+/// Rewrites the moving-object part in place. The mo WHERE is a
+/// conjunction: rollup-equality clauses accumulate and T BETWEEN windows
+/// intersect (TimePredicate::Window).
 void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   if (!plan->query.mo) {
     return;
@@ -381,8 +380,10 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
     }
   }
 
-  // A later T BETWEEN replaces an earlier one, so every window but the
-  // last is dead weight.
+  // The T BETWEEN clauses are a conjunction: fold them into their
+  // intersection. When one window is that intersection the others are
+  // implied by it and dropped; otherwise the first window's slot carries
+  // the intersection (possibly inverted, which rw-empty-time then proves).
   std::vector<size_t> windows;
   for (size_t i = 0; i < items.size(); ++i) {
     if (!items[i].drop &&
@@ -390,18 +391,46 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
       windows.push_back(i);
     }
   }
-  for (size_t w = 0; w + 1 < windows.size(); ++w) {
-    Item& item = items[windows[w]];
-    item.drop = true;
-    plan->applied.push_back(
-        {"rw-drop-redundant-clause", MoEntity(item.orig),
-         "shadowed by the later T BETWEEN in clause " +
-             std::to_string(items[windows.back()].orig + 1) +
-             " (the last window wins); dropped"});
-  }
-  std::optional<size_t> last_window;
+  std::optional<size_t> window_slot;
   if (!windows.empty()) {
-    last_window = windows.back();
+    double lo = items[windows.front()].cond.t0;
+    double hi = items[windows.front()].cond.t1;
+    for (size_t w : windows) {
+      lo = std::max(lo, items[w].cond.t0);
+      hi = std::min(hi, items[w].cond.t1);
+    }
+    for (size_t w : windows) {
+      if (items[w].cond.t0 == lo && items[w].cond.t1 == hi) {
+        window_slot = w;
+        break;
+      }
+    }
+    const bool implied = window_slot.has_value();
+    if (!implied) {
+      window_slot = windows.front();
+      plan->applied.push_back(
+          {"rw-fold-time-window", "mo WHERE",
+           "merged " + std::to_string(windows.size()) +
+               " T BETWEEN windows into T BETWEEN " + FormatNumber(lo) +
+               " AND " + FormatNumber(hi)});
+    }
+    const std::string kept =
+        "the T BETWEEN in clause " +
+        std::to_string(items[*window_slot].orig + 1) + "; dropped";
+    for (size_t w : windows) {
+      if (w != *window_slot) {
+        items[w].drop = true;
+        plan->applied.push_back(
+            implied ? AppliedRewrite{"rw-drop-redundant-clause",
+                                     MoEntity(items[w].orig),
+                                     "implied by " + kept}
+                    : AppliedRewrite{"rw-fold-time-window",
+                                     MoEntity(items[w].orig),
+                                     "folded into " + kept});
+      }
+    }
+    items[*window_slot].cond.t0 = lo;
+    items[*window_slot].cond.t1 = hi;
   }
 
   // Constant-fold absolute rollup equalities into one T BETWEEN window,
@@ -440,12 +469,12 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
       }
       size_t insert_at = foldable.front();
       size_t merged = foldable.size();
-      if (last_window) {
-        const pietql::MoCondition& w = items[*last_window].cond;
+      if (window_slot) {
+        const pietql::MoCondition& w = items[*window_slot].cond;
         lo = std::max(lo, w.t0);
         hi = std::min(hi, w.t1);
-        insert_at = std::min(insert_at, *last_window);
-        items[*last_window].drop = true;
+        insert_at = std::min(insert_at, *window_slot);
+        items[*window_slot].drop = true;
         ++merged;
       }
       for (size_t k = 0; k < foldable.size(); ++k) {
@@ -486,8 +515,7 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   mo.where = std::move(rewritten);
   plan->mo_clauses_after = mo.where.size();
 
-  // Empty-time proof, under evaluator semantics: after the rewrites above
-  // at most one T BETWEEN remains, so a straight conjunction fold is
+  // Empty-time proof: the mo WHERE is a conjunction, so a straight fold is
   // faithful. Unfoldable clauses only shrink the concrete set further, so
   // bottom still proves it empty.
   lint::TimeAbstract acc;

@@ -75,14 +75,16 @@ struct RewritePlan {
 ///                             region -> zero-tuple short circuit
 ///   rw-drop-redundant-clause  exact geo ATTR clause implied by the flowed
 ///                             candidate set; TIME.all = 'all'; a T BETWEEN
-///                             shadowed by a later one (last window wins)
+///                             implied by another (one window is the
+///                             intersection of all)
 ///   rw-empty-region           geo WHERE conjunction provably selects no
 ///                             geometry -> constant empty id list
 ///   rw-empty-time             mo time conjunction provably matches no
 ///                             instant -> zero-tuple short circuit
 ///   rw-fold-time-window       absolute TIME.<level> = literal constraints
-///                             fold into a single T BETWEEN window, enabling
-///                             the sorted-time binary-search fast path
+///                             and several T BETWEEN windows fold into a
+///                             single T BETWEEN window, enabling the
+///                             sorted-time window probe
 ///   rw-select-reorder         surviving geo clauses reordered cheapest /
 ///                             most selective first (ATTR before spatial,
 ///                             ascending estimated selectivity)

@@ -10,6 +10,7 @@
 #include "core/aggcache/agg_cache.h"
 #include "core/database.h"
 #include "core/region.h"
+#include "core/scan.h"
 #include "moving/block_store.h"
 #include "moving/trajectory.h"
 #include "olap/fact_table.h"
@@ -30,32 +31,9 @@ enum class Strategy {
 
 std::string_view StrategyToString(Strategy s);
 
-/// Work counters for one engine call (benchmark instrumentation). Parallel
-/// paths accumulate one instance per chunk and sum them in chunk order, so
-/// the totals are thread-count independent — block skip decisions are
-/// per-block zonemap tests and the chunk plan depends only on n, never on
-/// the thread count.
-struct EngineStats {
-  size_t samples_scanned = 0;  ///< MOFT rows visited.
-  size_t point_tests = 0;      ///< Exact point-in-polygon tests.
-  size_t legs_tested = 0;      ///< Trajectory legs geometrically processed.
-  /// Exact (leg, polygon) refines of the leg-major kernel — the pairs whose
-  /// boxes meet, out of legs_tested × qualifying polygons.
-  size_t leg_refines = 0;
-  /// Block I/O of the scan: pins, codec decodes, zonemap skips. All zero
-  /// when the MOFT has no block store (the synthetic single block is
-  /// never pinned or skipped).
-  moving::BlockIoStats blocks;
-
-  EngineStats& operator+=(const EngineStats& other) {
-    samples_scanned += other.samples_scanned;
-    point_tests += other.point_tests;
-    legs_tested += other.legs_tested;
-    leg_refines += other.leg_refines;
-    blocks += other.blocks;
-    return *this;
-  }
-};
+/// Work counters for one engine call (benchmark instrumentation): the
+/// counters of the call's block scan.
+using EngineStats = ScanStats;
 
 /// Evaluates the paper's spatio-temporal aggregate queries against a
 /// GeoOlapDatabase. Each method produces the *region C* as a finite
@@ -197,26 +175,10 @@ class QueryEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  /// Per-query context resolved once before the sample loop.
-  struct LocateContext {
-    const gis::Layer* layer = nullptr;
-    Strategy strategy = Strategy::kNaive;
-    std::vector<gis::GeometryId> qualifying;
-    std::vector<const geometry::Polygon*> qualifying_polygons;
-    std::vector<char> wanted;  // Dense membership bitmap by geometry id.
-    const gis::OverlayDb* overlay = nullptr;
-    size_t overlay_layer = 0;
-  };
-
-  Result<LocateContext> MakeLocateContext(const std::string& layer_name,
-                                          const GeometryPredicate& pred,
-                                          Strategy strategy) const;
-
-  /// Sample -> containing qualifying polygons; writes into `hits` and
-  /// counts work into `stats` (chunk-local under the fan-outs).
-  void LocateSample(const LocateContext& ctx, geometry::Point p,
-                    std::vector<gis::GeometryId>* hits,
-                    EngineStats* stats) const;
+  /// The polygons of `layer` (named `layer_name`) satisfying `pred`.
+  Result<ResolvedPolygons> QualifyingPolygons(
+      const gis::Layer& layer, const std::string& layer_name,
+      const GeometryPredicate& pred) const;
 
   /// Wanted bitmap + cache entry shared by the two serve paths; nullopt
   /// when serving is not possible and the caller must fall back.

@@ -1,6 +1,8 @@
 #ifndef PIET_CORE_GEOMETRY_BATCH_H_
 #define PIET_CORE_GEOMETRY_BATCH_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -75,6 +77,87 @@ class PolygonBatcher {
   std::vector<double> ax_, ay_, bx_, by_;
   RingRange shell_;
   std::vector<RingRange> holes_;
+};
+
+/// Reusable buffers of PolygonSetBatcher::ForEachHit (one per worker
+/// chunk, like BatchScratch).
+struct TileScratch {
+  BatchScratch batch;
+  std::vector<size_t> rows;    ///< The tile's rows.
+  std::vector<double> x;       ///< The tile's sample x coordinates.
+  std::vector<double> y;       ///< The tile's sample y coordinates.
+  std::vector<uint8_t> one;    ///< One polygon's verdicts over the tile.
+  std::vector<uint8_t> hits;   ///< Polygon-major verdicts of the tile.
+};
+
+/// Batch point-in-polygon of sample rows against a fixed polygon set: the
+/// tile kernel of both front ends' INSIDE scans without overlay coverage
+/// (engine Strategy::kNaive, Piet-QL INSIDE RESULT). The rows are gathered
+/// into dense coordinate tiles and each polygon's PolygonBatcher runs once
+/// per tile, so every verdict is bit-identical to Polygon::Contains.
+class PolygonSetBatcher {
+ public:
+  /// Every polygon must outlive the batcher; index q of `polys` is the
+  /// polygon index ForEachHit reports.
+  explicit PolygonSetBatcher(
+      const std::vector<const geometry::Polygon*>& polys) {
+    batchers_.reserve(polys.size());
+    for (const geometry::Polygon* p : polys) {
+      batchers_.emplace_back(p);
+    }
+  }
+
+  /// Calls hit(i, q) for every row i of the ascending runs `runs` (rows
+  /// of `cols`) and, per row, every polygon q containing its sample,
+  /// ascending. Returns the point tests: rows × polygons (the kernel has
+  /// no early exit).
+  template <typename Hit>
+  size_t ForEachHit(const moving::MoftColumns& cols,
+                    std::span<const moving::RowRun> runs, TileScratch* s,
+                    Hit&& hit) const {
+    constexpr size_t kTileRows = 1024;
+    const size_t np = batchers_.size();
+    size_t tests = 0;
+    auto flush = [&] {
+      const size_t m = s->rows.size();
+      s->hits.resize(np * m);
+      for (size_t q = 0; q < np; ++q) {
+        batchers_[q].ContainsBatch(s->x, s->y, &s->batch, &s->one);
+        std::copy(s->one.begin(), s->one.end(), s->hits.begin() + q * m);
+      }
+      for (size_t k = 0; k < m; ++k) {
+        for (size_t q = 0; q < np; ++q) {
+          if (s->hits[q * m + k] != 0) {
+            hit(s->rows[k], q);
+          }
+        }
+      }
+      tests += np * m;
+      s->rows.clear();
+      s->x.clear();
+      s->y.clear();
+    };
+    s->rows.clear();
+    s->x.clear();
+    s->y.clear();
+    for (const auto& [lo, hi] : runs) {
+      for (size_t i = lo; i < hi; ++i) {
+        s->rows.push_back(i);
+        s->x.push_back(cols.x[i]);
+        s->y.push_back(cols.y[i]);
+        if (s->rows.size() == kTileRows) {
+          flush();
+        }
+      }
+    }
+    if (!s->rows.empty()) {
+      flush();
+    }
+    return tests;
+  }
+
+ private:
+  std::vector<PolygonBatcher> batchers_;
 };
 
 /// Per-worker state of LegRefiner::Refine: per-polygon accumulators and

@@ -10,13 +10,13 @@
 
 #include "analysis/lint/query_lint.h"
 #include "analysis/query_check.h"
-#include "common/parallel.h"
 #include "core/geometry/batch.h"
 #include "core/pietql/parser.h"
 #include "core/pietql/printer.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "core/region.h"
+#include "core/scan.h"
 #include "geometry/segment_polygon.h"
 #include "temporal/time_dimension.h"
 
@@ -170,88 +170,6 @@ bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
       return lhs == rhs;
   }
   return false;
-}
-
-/// The qualifying result-layer geometries with their polygons resolved
-/// once, before the per-object loops: ids ascending (the order the old
-/// std::set iterated in), polygons index-aligned.
-struct WantedPolygons {
-  std::vector<GeometryId> ids;
-  std::vector<const geometry::Polygon*> polys;
-
-  bool contains(GeometryId id) const {
-    return std::binary_search(ids.begin(), ids.end(), id);
-  }
-};
-
-WantedPolygons ResolveWanted(const Layer& layer,
-                             const std::vector<GeometryId>& geometry_ids) {
-  std::vector<GeometryId> sorted(geometry_ids);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  WantedPolygons out;
-  out.ids.reserve(sorted.size());
-  out.polys.reserve(sorted.size());
-  for (GeometryId id : sorted) {
-    auto pg = layer.GetPolygon(id);
-    if (pg.ok()) {
-      out.ids.push_back(id);
-      out.polys.push_back(pg.ValueOrDie());
-    }
-  }
-  return out;
-}
-
-/// One (Oid, t) tuple list per chunk, merged in chunk order so the final
-/// tuple sequence matches the serial loop for any thread count.
-struct TupleChunk {
-  std::vector<std::pair<ObjectId, double>> tuples;
-  size_t rows_scanned = 0;
-  moving::BlockIoStats io;
-  size_t legs_tested = 0;  ///< PASSES THROUGH: legs walked by the refiner.
-  size_t leg_refines = 0;  ///< PASSES THROUGH: exact (leg, polygon) refines.
-  /// INSIDE RESULT batch path: tile buffers reused across the chunk's
-  /// blocks.
-  struct {
-    batch::BatchScratch scratch;
-    std::vector<uint8_t> hit;
-    std::vector<uint8_t> any;
-    std::vector<size_t> rows;
-    std::vector<double> tx;
-    std::vector<double> ty;
-  } batch;
-  Status status;
-};
-
-/// The time-filtered sample scan shared by the time-only, NEAR and INSIDE
-/// RESULT branches, over the blocks `filter` admits. With `window_rows`
-/// (the pure-window fast path) each object's window is binary-searched on
-/// its time column and every visited row already matches; otherwise every
-/// row of the admitted blocks is visited and `visit` applies the time
-/// test itself. visit(data, lo, hi, row_base, chunk) handles block-local
-/// rows [lo, hi), whose global rows start at row_base. rows_scanned counts
-/// the visited rows.
-template <typename Visit, typename Merge>
-void ScanTimeRows(const moving::TableBlocks& blocks, bool window_rows,
-                  const moving::ZoneFilter& filter, int threads,
-                  const Visit& visit, Merge&& merge) {
-  parallel::OrderedReduce<TupleChunk>(
-      threads, window_rows ? blocks.total_spans() : blocks.total_rows(),
-      [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
-        auto rows = [&](const moving::MoftColumns& data, size_t lo,
-                        size_t hi, size_t row_base) -> Status {
-          chunk->rows_scanned += hi - lo;
-          visit(data, lo, hi, row_base, chunk);
-          return Status::OK();
-        };
-        chunk->status =
-            window_rows
-                ? blocks.ForEachWindowRange(begin, end, filter, &chunk->io,
-                                            rows)
-                : blocks.ForEachRowRange(begin, end, filter, &chunk->io,
-                                         rows);
-      },
-      merge);
 }
 
 }  // namespace
@@ -592,15 +510,14 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   // The rewrite stage sits between analyze and geo_filter: kOn applies the
   // lint dataflow's fix-its to a copy of the query and the pipeline below
   // evaluates the rewritten plan (results bit-identical by construction);
-  // kOff evaluates exactly the query given, byte-identical to the
-  // pre-rewriter pipeline. Analysis above always sees the ORIGINAL query.
-  const bool rewrite_on =
-      rewrite_mode_ == analysis::rewrite::RewriteMode::kOn;
+  // kOff evaluates exactly the query given. The mode decides only which
+  // plan runs: the executor below never reads it. Analysis above always
+  // sees the ORIGINAL query.
   const Query* active = &query;
   Query rewritten_query;
   bool geo_zero = false;
   bool mo_zero = false;
-  if (rewrite_on) {
+  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
     analysis::rewrite::RewritePlan plan =
         RewriteStage(query, trace, obs_on, &result);
     geo_zero = plan.geo_zero;
@@ -709,45 +626,24 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     Result<std::shared_ptr<const aggcache::AggCacheEntry>> entry =
         db_->AggCache(mo.moft, result.result_layer);
     if (entry.ok()) {
-      const WantedPolygons wp = ResolveWanted(*layer, result.geometry_ids);
-      std::vector<uint8_t> wanted(layer->size(), 0);
-      for (GeometryId id : wp.ids) {
-        wanted[static_cast<size_t>(id)] = 1;
-      }
       std::optional<aggcache::RegionAggregate> served =
-          entry.ValueOrDie()->RegionAggregates(wanted, when,
-                                               db_->time_dimension());
+          entry.ValueOrDie()->RegionAggregates(
+              ResolvePolygons(*layer, result.geometry_ids)
+                  .Bitmap(layer->size()),
+              when, db_->time_dimension());
       if (served.has_value()) {
         return ServeAggregateFromCache(mo, *served, std::move(result), trace,
                                        obs_on);
       }
     }
   }
-  // Build the region C as (Oid, t) tuples. Every branch walks the MOFT's
-  // blocks under the query's zonemap filter, so a cold tier decodes each
-  // admitted block once and never materializes the whole table. Each
-  // branch fans its loop out across the pool in deterministic chunks
-  // merged in chunk order, so the tuple sequence is identical to the
-  // serial loop for any thread count.
-  const int threads = parallel::ResolveThreads(num_threads_);
-  std::vector<std::pair<ObjectId, double>> tuples;
-  size_t rows_scanned = 0;
-  moving::BlockIoStats block_io;
-  Status fanout_failed;
-  auto merge_tuples = [&](TupleChunk&& chunk) {
-    rows_scanned += chunk.rows_scanned;
-    block_io += chunk.io;
-    if (fanout_failed.ok() && !chunk.status.ok()) {
-      fanout_failed = chunk.status;
-    }
-    if (fanout_failed.ok()) {
-      tuples.insert(tuples.end(), chunk.tuples.begin(), chunk.tuples.end());
-    }
-  };
-  // The rewriter's window folding enables the pure-window fast path of the
-  // sample branches: one binary search per object instead of a per-row
-  // time test.
-  const bool window_rows = rewrite_on && when.window_only();
+  // Build the region C as (Oid, t) tuples. Every branch is one BlockScan
+  // (core/scan.h) over the MOFT's blocks under the query's zonemap filter:
+  // a cold tier decodes each admitted block at most once, and the chunked
+  // fan-out merges in chunk order, so the tuple sequence is the serial
+  // loop's for any thread count.
+  using Tuple = std::pair<ObjectId, double>;
+  std::vector<Tuple> tuples;
 
   // The span closes before aggregation so moft_intersect and aggregate
   // stay siblings in the tree.
@@ -759,244 +655,149 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // EXPLAIN ANALYZE names the rollup level that forced the scan.
     intersect_span.Attr("aggcache_fallback", subhour_level);
   }
-  const moving::TableBlocks blocks = moft->Blocks();
-
-  if (passes_through) {
-    // Trajectory semantics: each maximal inside interval contributes a
-    // tuple stamped at its entry time. The qualifying polygons are
-    // resolved once (ascending id, as the old std::set iterated) into one
-    // leg-major refiner; each object's legs are refined on the pool, and
-    // its tuples are emitted in ascending polygon order.
-    const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
-    const batch::LegRefiner refiner(wanted.polys);
-    size_t legs_tested = 0;
-    size_t leg_refines = 0;
-    if (!mo_zero) {
-    const moving::ZoneFilter filter = ScanZoneFilter(when, &wanted.polys);
-    parallel::OrderedReduce<TupleChunk>(
-        threads, blocks.total_spans(),
-        [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
-          batch::LegScratch scratch;
-          chunk->status = blocks.ForEachSpan(
-              begin, end, filter, &chunk->io,
-              [&](const moving::MoftColumns& data,
-                  const moving::MoftColumns::Span& sp) -> Status {
-                const moving::ObjectSpan span(&data, sp);
-                chunk->rows_scanned += span.size();
-                const Interval domain(span.front().t, span.back().t);
-                IntervalSet time_ok;
-                if (when.unconstrained()) {
-                  time_ok = IntervalSet({domain});
-                } else {
-                  PIET_ASSIGN_OR_RETURN(
-                      time_ok,
-                      when.MatchingIntervals(db_->time_dimension(), domain));
-                }
-                if (time_ok.empty()) {
-                  return Status::OK();
-                }
-                chunk->legs_tested += span.size() - 1;
-                chunk->leg_refines += refiner.Refine(span, &scratch);
-                for (const uint32_t qi : scratch.hit) {
-                  IntervalSet inside(scratch.pieces[qi]);
-                  IntervalSet matched = inside.Intersect(time_ok);
-                  for (const Interval& iv : matched.intervals()) {
-                    chunk->tuples.emplace_back(span.oid(), iv.begin.seconds);
-                  }
-                }
-                return Status::OK();
-              });
-        },
-        [&](TupleChunk&& chunk) {
-          legs_tested += chunk.legs_tested;
-          leg_refines += chunk.leg_refines;
-          merge_tuples(std::move(chunk));
-        });
-    }
-    intersect_span.Attr("legs_tested", static_cast<uint64_t>(legs_tested));
-    intersect_span.Attr("leg_refines", static_cast<uint64_t>(leg_refines));
-  } else if (near_cond != nullptr) {
-    // Sample-proximity semantics: tuples within `radius` of any node of
-    // the named layer.
-    PIET_ASSIGN_OR_RETURN(const Layer* nodes,
-                          db_->gis().GetLayer(near_cond->near_layer));
+  // Argument validation precedes every scan, so a short circuit never
+  // masks an error.
+  const Layer* nodes = nullptr;
+  if (near_cond != nullptr) {
+    PIET_ASSIGN_OR_RETURN(nodes, db_->gis().GetLayer(near_cond->near_layer));
     if (nodes->kind() != GeometryKind::kNode &&
         nodes->kind() != GeometryKind::kPoint) {
       return Status::InvalidArgument("NEAR needs a point/node layer");
     }
     nodes->WarmIndex();
-    double radius = near_cond->radius;
-    if (!mo_zero) {
-    ScanTimeRows(
-        blocks, window_rows, ScanZoneFilter(when), threads,
-        [&](const moving::MoftColumns& data, size_t lo, size_t hi,
-            size_t /*row_base*/, TupleChunk* chunk) {
-          for (size_t i = lo; i < hi; ++i) {
-            if (!window_rows &&
-                !when.Matches(db_->time_dimension(), TimePoint(data.t[i]))) {
-              continue;
+  }
+  // INSIDE RESULT reuses the cached batched classification when the
+  // overlay covers the result layer (one point location per sample,
+  // shared across queries, indexed by global row); otherwise it tests the
+  // wanted polygons with the batch tile kernel. Both emit one tuple per
+  // sample, even on shared boundaries.
+  std::shared_ptr<const SampleClassification> cls;
+  if (inside_result && !mo_zero && db_->HasOverlay() &&
+      db_->OverlayLayerIndex(result.result_layer).ok()) {
+    PIET_ASSIGN_OR_RETURN(
+        cls, db_->ClassifySamples(mo.moft, result.result_layer));
+  }
+  const ResolvedPolygons wanted =
+      passes_through || inside_result
+          ? ResolvePolygons(*layer, result.geometry_ids)
+          : ResolvedPolygons{};
+  // The polygon-testing branches also skip blocks outside the wanted
+  // polygons' box.
+  const bool tests_polygons = passes_through || (inside_result && !cls);
+  BlockScan scan(*moft, when, tests_polygons ? &wanted.polys : nullptr,
+                 num_threads_);
+  const temporal::TimeDimension& dim = db_->time_dimension();
+  auto emit = [](auto& c, const SampleRows& b, size_t i) {
+    c.out.emplace_back(b.data.oid[i], b.data.t[i]);
+  };
+  Status scanned;
+  if (mo_zero) {
+    // rw-empty-time / rw-contradictory-spatial: the rewriter proved the
+    // region empty, so the scan is skipped.
+    intersect_span.Attr("short_circuit", "empty_region_c");
+  } else if (passes_through) {
+    // Trajectory semantics: each maximal inside interval contributes a
+    // tuple stamped at its entry time. One leg-major refiner over the
+    // wanted polygons refines each object's legs; its tuples come out in
+    // ascending polygon order.
+    const batch::LegRefiner refiner(wanted.polys);
+    scanned = scan.Spans<Tuple, batch::LegScratch>(
+        &tuples, [&](const moving::ObjectSpan& span, auto& c) -> Status {
+          PIET_ASSIGN_OR_RETURN(
+              IntervalSet time_ok,
+              when.MatchingIntervals(
+                  dim, Interval(span.front().t, span.back().t)));
+          if (time_ok.empty()) {
+            return Status::OK();
+          }
+          c.stats.legs_tested += span.size() - 1;
+          c.stats.leg_refines += refiner.Refine(span, &c.scratch);
+          for (const uint32_t qi : c.scratch.hit) {
+            const IntervalSet matched =
+                IntervalSet(c.scratch.pieces[qi]).Intersect(time_ok);
+            for (const Interval& iv : matched.intervals()) {
+              c.out.emplace_back(span.oid(), iv.begin.seconds);
             }
-            const geometry::Point pos(data.x[i], data.y[i]);
+          }
+          return Status::OK();
+        });
+  } else if (near_cond != nullptr) {
+    // Sample-proximity semantics: tuples within `radius` of any node of
+    // the named layer.
+    const double radius = near_cond->radius;
+    scanned = scan.Samples<Tuple>(
+        dim, &tuples, [&](const SampleRows& b, auto& c) {
+          b.ForEach([&](size_t i) {
+            const geometry::Point pos(b.data.x[i], b.data.y[i]);
             geometry::BoundingBox probe(pos.x - radius, pos.y - radius,
                                         pos.x + radius, pos.y + radius);
             for (GeometryId id : nodes->CandidatesInBox(probe)) {
               auto node = nodes->GetPoint(id);
               if (node.ok() && Distance(node.ValueOrDie(), pos) <= radius) {
-                chunk->tuples.emplace_back(data.oid[i], data.t[i]);
+                emit(c, b, i);
                 break;
               }
             }
-          }
-        },
-        merge_tuples);
-    }
+          });
+        });
+  } else if (cls) {
+    const std::vector<uint8_t> member = wanted.Bitmap(layer->size());
+    scanned = scan.Samples<Tuple>(
+        dim, &tuples, [&](const SampleRows& b, auto& c) {
+          b.ForEach([&](size_t i) {
+            const size_t row = b.row_base + i;
+            for (uint32_t j = cls->hits.offsets[row];
+                 j < cls->hits.offsets[row + 1]; ++j) {
+              if (member[static_cast<size_t>(cls->hits.ids[j])]) {
+                emit(c, b, i);
+                break;
+              }
+            }
+          });
+        });
   } else if (inside_result) {
-    const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
-    // When the overlay covers the result layer, reuse the cached batched
-    // classification (one point location per sample, shared across
-    // queries, indexed by global row) and filter hits against the sorted
-    // wanted ids; otherwise test the resolved polygons directly, which
-    // also lets the scan skip blocks outside their box. Both paths emit
-    // one tuple per sample, even on shared boundaries.
-    if (!mo_zero) {
-    std::shared_ptr<const SampleClassification> cls;
-    if (db_->HasOverlay() &&
-        db_->OverlayLayerIndex(result.result_layer).ok()) {
-      PIET_ASSIGN_OR_RETURN(
-          cls, db_->ClassifySamples(mo.moft, result.result_layer));
-    }
-    const moving::ZoneFilter filter =
-        ScanZoneFilter(when, cls ? nullptr : &wanted.polys);
-    auto time_ok = [&](const moving::MoftColumns& data, size_t i) {
-      return window_rows ||
-             when.Matches(db_->time_dimension(), TimePoint(data.t[i]));
-    };
-    if (cls || !rewrite_on) {
-      ScanTimeRows(
-          blocks, window_rows, filter, threads,
-          [&](const moving::MoftColumns& data, size_t lo, size_t hi,
-              size_t row_base, TupleChunk* chunk) {
-            for (size_t i = lo; i < hi; ++i) {
-              if (!time_ok(data, i)) {
-                continue;
-              }
-              if (cls) {
-                const size_t row = row_base + i;
-                for (uint32_t j = cls->hits.offsets[row];
-                     j < cls->hits.offsets[row + 1]; ++j) {
-                  if (wanted.contains(cls->hits.ids[j])) {
-                    chunk->tuples.emplace_back(data.oid[i], data.t[i]);
-                    break;
-                  }
+    const batch::PolygonSetBatcher batcher(wanted.polys);
+    scanned = scan.Samples<Tuple, batch::TileScratch>(
+        dim, &tuples, [&](const SampleRows& b, auto& c) {
+          size_t last = b.data.size();  // No row yet.
+          c.stats.point_tests += batcher.ForEachHit(
+              b.data, b.runs, &c.scratch, [&](size_t i, size_t /*q*/) {
+                if (i != last) {
+                  emit(c, b, i);
+                  last = i;
                 }
-                continue;
-              }
-              const geometry::Point pos(data.x[i], data.y[i]);
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                if (wanted.polys[qi]->Contains(pos)) {
-                  chunk->tuples.emplace_back(data.oid[i], data.t[i]);
-                  break;
-                }
-              }
-            }
-          },
-          merge_tuples);
-    } else {
-      // Rewrite batch path (no overlay classification): gather each tile's
-      // time-passing samples into dense coordinate columns and run the
-      // batch point-in-polygon kernel once per wanted polygon. Any-hit
-      // across polygons equals the scalar break-on-first-polygon, and each
-      // kernel verdict is bit-identical to Polygon::Contains.
-      std::vector<batch::PolygonBatcher> batchers;
-      batchers.reserve(wanted.polys.size());
-      for (const geometry::Polygon* p : wanted.polys) {
-        batchers.emplace_back(p);
-      }
-      ScanTimeRows(
-          blocks, window_rows, filter, threads,
-          [&](const moving::MoftColumns& data, size_t lo, size_t hi,
-              size_t /*row_base*/, TupleChunk* chunk) {
-            constexpr size_t kTileRows = 1024;
-            batch::BatchScratch& scratch = chunk->batch.scratch;
-            std::vector<uint8_t>& hit = chunk->batch.hit;
-            std::vector<uint8_t>& any = chunk->batch.any;
-            std::vector<size_t>& rows = chunk->batch.rows;
-            std::vector<double>& tx = chunk->batch.tx;
-            std::vector<double>& ty = chunk->batch.ty;
-            for (size_t base = lo; base < hi; base += kTileRows) {
-              const size_t stop = std::min(hi, base + kTileRows);
-              rows.clear();
-              tx.clear();
-              ty.clear();
-              for (size_t i = base; i < stop; ++i) {
-                if (!time_ok(data, i)) {
-                  continue;
-                }
-                rows.push_back(i);
-                tx.push_back(data.x[i]);
-                ty.push_back(data.y[i]);
-              }
-              if (rows.empty()) {
-                continue;
-              }
-              any.assign(rows.size(), 0);
-              for (const batch::PolygonBatcher& b : batchers) {
-                b.ContainsBatch(tx, ty, &scratch, &hit);
-                for (size_t k = 0; k < rows.size(); ++k) {
-                  any[k] = static_cast<uint8_t>(any[k] | hit[k]);
-                }
-              }
-              for (size_t k = 0; k < rows.size(); ++k) {
-                if (any[k] != 0) {
-                  chunk->tuples.emplace_back(data.oid[rows[k]],
-                                             data.t[rows[k]]);
-                }
-              }
-            }
-          },
-          merge_tuples);
-    }
-    }
-  } else if (!mo_zero) {
-    if (window_rows) {
-      intersect_span.Attr("fast_path", "samples_matching_time");
-    }
-    ScanTimeRows(
-        blocks, window_rows, ScanZoneFilter(when), threads,
-        [&](const moving::MoftColumns& data, size_t lo, size_t hi,
-            size_t /*row_base*/, TupleChunk* chunk) {
-          for (size_t i = lo; i < hi; ++i) {
-            if (window_rows ||
-                when.Matches(db_->time_dimension(), TimePoint(data.t[i]))) {
-              chunk->tuples.emplace_back(data.oid[i], data.t[i]);
-            }
-          }
-        },
-        merge_tuples);
+              });
+        });
+  } else {
+    scanned = scan.Samples<Tuple>(
+        dim, &tuples, [&](const SampleRows& b, auto& c) {
+          b.ForEach([&](size_t i) { emit(c, b, i); });
+        });
   }
-  if (mo_zero) {
-    // rw-empty-time / rw-contradictory-spatial: the rewriter proved the
-    // region empty, so the scans above were skipped (all argument
-    // validation still ran — it precedes the scans on every branch).
-    intersect_span.Attr("short_circuit", "empty_region_c");
+  PIET_RETURN_NOT_OK(scanned);
+  const ScanStats& st = scan.stats();
+  if (passes_through) {
+    intersect_span.Attr("legs_tested", static_cast<uint64_t>(st.legs_tested));
+    intersect_span.Attr("leg_refines", static_cast<uint64_t>(st.leg_refines));
   }
-  if (!fanout_failed.ok()) {
-    return fanout_failed;
+  if (!mo_zero && !passes_through && when.window_only()) {
+    intersect_span.Attr("fast_path", "window_probe");
   }
-  intersect_span.Attr("rows_scanned", static_cast<uint64_t>(rows_scanned));
+  intersect_span.Attr("rows_scanned",
+                      static_cast<uint64_t>(st.samples_scanned));
   intersect_span.Attr("tuples", static_cast<uint64_t>(tuples.size()));
   if (const moving::MoftBlockStore* store = moft->block_store()) {
     // The query's own block I/O: zonemap skips and the cold blocks its
-    // walks decoded (each at most once).
+    // scan decoded (each at most once).
     intersect_span.Attr("blocks", static_cast<uint64_t>(store->num_blocks()));
     intersect_span.Attr("blocks_skipped",
-                        static_cast<uint64_t>(block_io.blocks_skipped));
+                        static_cast<uint64_t>(st.blocks.blocks_skipped));
     intersect_span.Attr("blocks_decoded",
-                        static_cast<uint64_t>(block_io.blocks_decoded));
+                        static_cast<uint64_t>(st.blocks.blocks_decoded));
     if (obs_on) {
       obs::MetricsRegistry::Global()
           .GetCounter("pietql.blocks_skipped")
-          .Add(static_cast<int64_t>(block_io.blocks_skipped));
+          .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
     }
   }
   }  // intersect_span

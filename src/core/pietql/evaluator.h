@@ -83,10 +83,10 @@ class Evaluator {
 
   /// The static plan rewriter (analysis::rewrite). kOn rewrites the query
   /// between analyze and geo_filter — dead-clause elimination, time-window
-  /// folding, zero-row short circuits, selectivity ordering — and routes
-  /// the moving-object scans through the batch geometry kernels. Results
-  /// are bit-identical to kOff; kOff evaluates exactly the given AST.
-  /// Defaults to the PIET_REWRITE environment knob.
+  /// folding, zero-row short circuits, selectivity ordering; kOff
+  /// evaluates exactly the given AST. The mode changes the plan only: both
+  /// plans run on the same executor (core::BlockScan), and results are
+  /// bit-identical. Defaults to the PIET_REWRITE environment knob.
   void set_rewrite_mode(analysis::rewrite::RewriteMode mode) {
     rewrite_mode_ = mode;
   }
@@ -129,8 +129,8 @@ class Evaluator {
     return budget_;
   }
 
-  /// Worker threads for the moving-object branches (INSIDE RESULT, NEAR,
-  /// PASSES THROUGH): > 0 is explicit, 0 (default) resolves through the
+  /// Worker threads for the moving-object branches (time-only, INSIDE
+  /// RESULT, NEAR, PASSES THROUGH): > 0 is explicit, 0 (default) resolves through the
   /// PIET_THREADS environment variable. Results are bit-identical to
   /// `threads = 1` for every thread count.
   void set_num_threads(int n) { num_threads_ = n; }

@@ -190,6 +190,11 @@ TimePredicate& TimePredicate::RollupEquals(std::string level, Value member) {
 }
 
 TimePredicate& TimePredicate::Window(temporal::Interval window) {
+  if (window_) {
+    window = temporal::Interval(
+        std::max(window_->begin, window.begin),
+        std::min(window_->end, window.end));
+  }
   window_ = window;
   return *this;
 }
@@ -202,6 +207,9 @@ TimePredicate& TimePredicate::HourRange(int h0, int h1) {
 Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
     const temporal::TimeDimension& dim,
     const temporal::Interval& domain) const {
+  if (unconstrained()) {
+    return temporal::IntervalSet({domain});
+  }
   for (const auto& [level, member] : rollup_equals_) {
     if (level == "timeId" || level == "minute") {
       return Status::InvalidArgument(
@@ -310,6 +318,32 @@ moving::ZoneFilter ScanZoneFilter(
     filter.bbox = box;
   }
   return filter;
+}
+
+std::vector<uint8_t> ResolvedPolygons::Bitmap(size_t layer_size) const {
+  std::vector<uint8_t> out(layer_size, 0);
+  for (gis::GeometryId id : ids) {
+    out[static_cast<size_t>(id)] = 1;
+  }
+  return out;
+}
+
+ResolvedPolygons ResolvePolygons(const gis::Layer& layer,
+                                 const std::vector<gis::GeometryId>& ids) {
+  std::vector<gis::GeometryId> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  ResolvedPolygons out;
+  out.ids.reserve(sorted.size());
+  out.polys.reserve(sorted.size());
+  for (gis::GeometryId id : sorted) {
+    auto pg = layer.GetPolygon(id);
+    if (pg.ok()) {
+      out.ids.push_back(id);
+      out.polys.push_back(pg.ValueOrDie());
+    }
+  }
+  return out;
 }
 
 }  // namespace piet::core

@@ -1,6 +1,7 @@
 #ifndef PIET_CORE_REGION_H_
 #define PIET_CORE_REGION_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -85,7 +86,9 @@ class TimePredicate {
 
   /// Adds R^level_timeId(t) == member.
   TimePredicate& RollupEquals(std::string level, Value member);
-  /// Restricts t to [window.begin, window.end].
+  /// Restricts t to [window.begin, window.end], conjunctively: a second
+  /// window intersects the first. Disjoint windows leave an inverted
+  /// window, which matches no instant.
   TimePredicate& Window(temporal::Interval window);
   /// Restricts hour-of-day to [h0, h1] inclusive (paper's query 7:
   /// 8:00-10:00).
@@ -99,7 +102,8 @@ class TimePredicate {
   /// set. Valid when every rollup constraint is at hour granularity or
   /// coarser (hour, timeOfDay, dayOfWeek, typeOfDay, day, month, year): the
   /// predicate is then piecewise-constant between hour boundaries.
-  /// Constraints on `timeId` or `minute` are rejected.
+  /// Constraints on `timeId` or `minute` are rejected. An unconstrained
+  /// predicate yields `domain` itself.
   Result<temporal::IntervalSet> MatchingIntervals(
       const temporal::TimeDimension& dim,
       const temporal::Interval& domain) const;
@@ -150,6 +154,21 @@ class TimePredicate {
 moving::ZoneFilter ScanZoneFilter(
     const TimePredicate& when,
     const std::vector<const geometry::Polygon*>* polys = nullptr);
+
+/// Geometry ids with their polygons resolved once, before any fan-out:
+/// ids ascending and unique, polygons index-aligned, so worker chunks
+/// index flat arrays instead of re-running the layer lookup per sample.
+struct ResolvedPolygons {
+  std::vector<gis::GeometryId> ids;
+  std::vector<const geometry::Polygon*> polys;
+
+  /// Dense membership bitmap over a layer of `layer_size` geometries.
+  std::vector<uint8_t> Bitmap(size_t layer_size) const;
+};
+
+/// The polygons of `layer` among `ids` (ids without a polygon dropped).
+ResolvedPolygons ResolvePolygons(const gis::Layer& layer,
+                                 const std::vector<gis::GeometryId>& ids);
 
 }  // namespace piet::core
 

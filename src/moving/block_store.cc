@@ -422,15 +422,14 @@ Result<MoftBlockStore> MoftBlockStore::Open(const std::string& path) {
       header.version != kVersion) {
     return Status::ParseError("'" + path + "': not a PIETBLK1 file");
   }
-  const size_t dir_bytes = header.num_blocks * sizeof(DirEntry);
-  if (file->size() < sizeof(FileHeader) + dir_bytes) {
+  // Overflow-safe: compare counts, never a product or sum that can wrap.
+  if (header.num_blocks >
+      (file->size() - sizeof(FileHeader)) / sizeof(DirEntry)) {
     return Status::ParseError("'" + path + "': truncated block directory");
   }
 
   MoftBlockStore store;
   store.compressed_ = true;
-  store.total_rows_ = header.total_rows;
-  store.total_spans_ = header.total_spans;
   store.mapped_file_ = file;
   store.blocks_.reserve(header.num_blocks);
   for (size_t b = 0; b < header.num_blocks; ++b) {
@@ -440,9 +439,21 @@ Result<MoftBlockStore> MoftBlockStore::Open(const std::string& path) {
                            sizeof(DirEntry))
                     .data(),
                 sizeof(DirEntry));
-    if (entry.payload_offset + entry.payload_size > file->size()) {
+    if (entry.payload_offset > file->size() ||
+        entry.payload_size > file->size() - entry.payload_offset) {
       return Status::ParseError("'" + path + "': block payload out of range");
     }
+    // BlockOfRow/BlockOfSpan binary-search the directory, so the blocks
+    // must tile the rows and spans contiguously, in ascending order.
+    if (entry.row_begin != store.total_rows_ ||
+        entry.row_end < entry.row_begin ||
+        entry.span_begin != store.total_spans_ ||
+        entry.span_end < entry.span_begin) {
+      return Status::ParseError("'" + path +
+                                "': block directory out of order");
+    }
+    store.total_rows_ = entry.row_end;
+    store.total_spans_ = entry.span_end;
     auto block = std::make_unique<Block>();
     block->meta = BlockMeta{entry.row_begin, entry.row_end, entry.span_begin,
                             entry.span_end, entry.oid_min, entry.oid_max,
@@ -456,6 +467,11 @@ Result<MoftBlockStore> MoftBlockStore::Open(const std::string& path) {
     }
     store.stored_bytes_ += entry.payload_size;
     store.blocks_.push_back(std::move(block));
+  }
+  if (store.total_rows_ != header.total_rows ||
+      store.total_spans_ != header.total_spans) {
+    return Status::ParseError("'" + path +
+                              "': block directory does not cover the table");
   }
   return store;
 }

@@ -314,72 +314,25 @@ class TableBlocks {
   Status ForEachSpan(size_t span_begin, size_t span_end,
                      const ZoneFilter& filter, BlockIoStats* io,
                      Fn&& fn) const {
-    return WalkSpans(span_begin, span_end, filter, io,
-                     [&](const MoftColumns& data, size_t sb, size_t se,
-                         size_t /*row_base*/) -> Status {
-                       for (size_t s = sb; s < se; ++s) {
-                         PIET_RETURN_NOT_OK(fn(data, data.spans[s]));
-                       }
-                       return Status::OK();
-                     });
-  }
-
-  /// The time-window probe: for each object span in [span_begin, span_end)
-  /// of an admitted block, binary-searches the closed window
-  /// `*filter.window` on the span's time column and calls
-  /// fn(data, lo, hi) with the block-local rows [lo, hi) inside it
-  /// (skipping objects with none). Every visited row matches the window;
-  /// rows come out in (oid, t) order. Like ForEachRowRange, fn may take the
-  /// block's global row base as a fourth argument. `filter.window` must be
-  /// set; an inverted window visits nothing.
-  template <typename Fn>
-  Status ForEachWindowRange(size_t span_begin, size_t span_end,
-                            const ZoneFilter& filter, BlockIoStats* io,
-                            Fn&& fn) const {
-    const double t0 = filter.window->begin.seconds;
-    const double t1 = filter.window->end.seconds;
-    return WalkSpans(
-        span_begin, span_end, filter, io,
-        [&](const MoftColumns& data, size_t sb, size_t se,
-            size_t row_base) -> Status {
-          for (size_t s = sb; s < se; ++s) {
-            const auto [lo, hi] = WindowRowsOf(data, data.spans[s], t0, t1);
-            if (lo < hi) {
-              PIET_RETURN_NOT_OK(Call(fn, data, lo, hi, row_base));
-            }
-          }
-          return Status::OK();
-        });
-  }
-
- private:
-  enum class Unit { kRows, kSpans };
-
-  /// One block's shared pin (see the class comment).
-  struct Slot {
-    std::mutex mu;
-    MoftBlockStore::Pin pin;
-    bool pinned = false;
-    size_t left[2] = {0, 0};  ///< Rows / spans not yet consumed.
-  };
-
-  template <typename Fn>
-  static Status Call(Fn& fn, const MoftColumns& data, size_t lo, size_t hi,
-                     size_t row_base) {
-    if constexpr (std::is_invocable_v<Fn&, const MoftColumns&, size_t,
-                                      size_t, size_t>) {
-      return fn(data, lo, hi, row_base);
-    } else {
-      return fn(data, lo, hi);
-    }
+    return ForEachSpanRange(span_begin, span_end, filter, io,
+                            [&](const MoftColumns& data, size_t sb,
+                                size_t se, size_t /*row_base*/) -> Status {
+                              for (size_t s = sb; s < se; ++s) {
+                                PIET_RETURN_NOT_OK(fn(data, data.spans[s]));
+                              }
+                              return Status::OK();
+                            });
   }
 
   /// Calls fn(data, local_span_begin, local_span_end, row_base) once per
-  /// admitted block intersecting global spans [span_begin, span_end).
+  /// admitted block intersecting global spans [span_begin, span_end),
+  /// ascending: the block-local spans [local_span_begin, local_span_end)
+  /// of `data`, whose global rows start at row_base. fn returns Status;
+  /// the first failure stops the walk.
   template <typename Fn>
-  Status WalkSpans(size_t span_begin, size_t span_end,
-                   const ZoneFilter& filter, BlockIoStats* io,
-                   Fn&& fn) const {
+  Status ForEachSpanRange(size_t span_begin, size_t span_end,
+                          const ZoneFilter& filter, BlockIoStats* io,
+                          Fn&& fn) const {
     if (store_ == nullptr) {
       return span_begin < span_end ? fn(*hot_, span_begin, span_end, 0)
                                    : Status::OK();
@@ -405,6 +358,28 @@ class TableBlocks {
       PIET_RETURN_NOT_OK(st);
     }
     return Status::OK();
+  }
+
+ private:
+  enum class Unit { kRows, kSpans };
+
+  /// One block's shared pin (see the class comment).
+  struct Slot {
+    std::mutex mu;
+    MoftBlockStore::Pin pin;
+    bool pinned = false;
+    size_t left[2] = {0, 0};  ///< Rows / spans not yet consumed.
+  };
+
+  template <typename Fn>
+  static Status Call(Fn& fn, const MoftColumns& data, size_t lo, size_t hi,
+                     size_t row_base) {
+    if constexpr (std::is_invocable_v<Fn&, const MoftColumns&, size_t,
+                                      size_t, size_t>) {
+      return fn(data, lo, hi, row_base);
+    } else {
+      return fn(data, lo, hi);
+    }
   }
 
   /// Pins block b unless a chunk already holds it; the pinning call

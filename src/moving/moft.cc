@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -470,8 +471,12 @@ Status Moft::SpillToDisk() const {
       opts.compress = true;
       PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols_, opts).Save(path));
     }
-    PIET_ASSIGN_OR_RETURN(MoftBlockStore mapped, MoftBlockStore::Open(path));
-    store_.emplace(std::move(mapped));
+    Result<MoftBlockStore> mapped = MoftBlockStore::Open(path);
+    // The mapping keeps the spilled bytes alive, and nothing reopens the
+    // file by name, so it goes now instead of outliving the process.
+    std::remove(path.c_str());
+    PIET_RETURN_NOT_OK(mapped.status());
+    store_.emplace(std::move(mapped).ValueOrDie());
     ++storage_epoch_;
     if (obs::Enabled()) {
       obs::MetricsRegistry::Global().GetCounter("moft.spills").Add(1);

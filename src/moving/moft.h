@@ -149,7 +149,9 @@ class Moft {
   /// Save into `block_options().spill_dir` (PIET_SPILL_DIR, defaulting to
   /// the system temp dir), swap storage to the mmap-backed file and
   /// release the hot columns: the table's resident cost drops to the
-  /// pages of the blocks queries actually touch.
+  /// pages of the blocks queries actually touch. The file is unlinked once
+  /// mapped (the mapping keeps its bytes), so spills leave nothing behind
+  /// in the directory.
   Status SpillToDisk() const;
 
   /// Point-in-time storage-tier accounting of one MOFT, for the telemetry

@@ -60,10 +60,13 @@ struct MoftColumns {
   }
 };
 
+/// A run [first, second) of consecutive rows.
+using RowRun = std::pair<size_t, size_t>;
+
 /// Rows [lo, hi) of `span` with t in the closed window [t0, t1]: one
 /// lower_bound/upper_bound on the span's (strictly increasing) time
 /// column. Empty when t1 < t0 or nothing falls inside.
-inline std::pair<size_t, size_t> WindowRowsOf(const MoftColumns& cols,
+inline RowRun WindowRowsOf(const MoftColumns& cols,
                                               const MoftColumns::Span& span,
                                               double t0, double t1) {
   const double* tb = cols.t.data() + span.begin;

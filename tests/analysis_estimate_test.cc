@@ -183,47 +183,53 @@ TEST(EstimateSoundnessTest, FlightCountersLandInsideStaticIntervals) {
   obs::SetEnabled(true);
   const std::vector<std::string> queries = MakeQueries(7);
   for (Tier tier : {Tier::kRaw, Tier::kCompressed, Tier::kSpilled}) {
-    std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
-    core::pietql::Evaluator eval(db.get());
-    eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
-    eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
-    eval.set_estimate_mode(EstimateMode::kOn);
-    eval.set_admission_budget(AdmissionBudget{});
-    for (int threads : {1, 4}) {
-      eval.set_num_threads(threads);
-      MetricsRegistry::Global().Reset();
-      FlightRecorder::Options opts;
-      opts.capacity = queries.size() + 8;
-      FlightRecorder::Global().Configure(opts);
-      for (const std::string& q : queries) {
-        (void)eval.EvaluateString(q);
-      }
-      const std::vector<QueryRecord> flight =
-          FlightRecorder::Global().Snapshot();
-      ASSERT_EQ(flight.size(), queries.size());
-      size_t checked = 0;
-      for (const QueryRecord& rec : flight) {
-        if (!rec.error.empty()) {
-          continue;
+    for (auto rewrite : {analysis::rewrite::RewriteMode::kOff,
+                         analysis::rewrite::RewriteMode::kOn}) {
+      std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
+      core::pietql::Evaluator eval(db.get());
+      eval.set_rewrite_mode(rewrite);
+      eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
+      eval.set_estimate_mode(EstimateMode::kOn);
+      eval.set_admission_budget(AdmissionBudget{});
+      const std::string arm =
+          std::string(TierName(tier)) + "/rewrite=" +
+          (rewrite == analysis::rewrite::RewriteMode::kOn ? "on" : "off");
+      for (int threads : {1, 4}) {
+        eval.set_num_threads(threads);
+        MetricsRegistry::Global().Reset();
+        FlightRecorder::Options opts;
+        opts.capacity = queries.size() + 8;
+        FlightRecorder::Global().Configure(opts);
+        for (const std::string& q : queries) {
+          (void)eval.EvaluateString(q);
         }
-        ASSERT_TRUE(rec.has_estimate)
-            << TierName(tier) << "/" << threads << ": " << rec.text;
-        EXPECT_EQ(rec.EstimateViolation(), "")
-            << TierName(tier) << "/" << threads << ": " << rec.text;
-        ++checked;
+        const std::vector<QueryRecord> flight =
+            FlightRecorder::Global().Snapshot();
+        ASSERT_EQ(flight.size(), queries.size());
+        size_t checked = 0;
+        for (const QueryRecord& rec : flight) {
+          if (!rec.error.empty()) {
+            continue;
+          }
+          ASSERT_TRUE(rec.has_estimate)
+              << arm << "/" << threads << ": " << rec.text;
+          EXPECT_EQ(rec.EstimateViolation(), "")
+              << arm << "/" << threads << ": " << rec.text;
+          ++checked;
+        }
+        // The generator must not degenerate into all-error queries.
+        EXPECT_GE(checked, queries.size() / 2);
+        const obs::MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+        auto counter = [&snap](const std::string& name) {
+          auto it = snap.counters.find(name);
+          return it == snap.counters.end() ? int64_t{0} : it->second;
+        };
+        EXPECT_EQ(counter("pietql.estimate.violations"), 0)
+            << arm << "/" << threads;
+        EXPECT_EQ(counter("pietql.estimate.checked"),
+                  static_cast<int64_t>(checked))
+            << arm << "/" << threads;
       }
-      // The generator must not degenerate into all-error queries.
-      EXPECT_GE(checked, queries.size() / 2);
-      const obs::MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-      auto counter = [&snap](const std::string& name) {
-        auto it = snap.counters.find(name);
-        return it == snap.counters.end() ? int64_t{0} : it->second;
-      };
-      EXPECT_EQ(counter("pietql.estimate.violations"), 0)
-          << TierName(tier) << "/" << threads;
-      EXPECT_EQ(counter("pietql.estimate.checked"),
-                static_cast<int64_t>(checked))
-          << TierName(tier) << "/" << threads;
     }
   }
 }

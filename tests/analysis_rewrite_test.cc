@@ -487,10 +487,15 @@ TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
         // Window-only time scan: the SamplesBetween fast path.
         "SELECT layer." + n + "; FROM SimCity; "
         "| SELECT COUNT(*) FROM cars WHERE T BETWEEN 600 AND 1200",
-        // Shadowed window dropped, then the same fast path.
+        // An implied window dropped, then the same window probe.
         "SELECT layer." + n + "; FROM SimCity; "
         "| SELECT COUNT(*) FROM cars "
         "WHERE T BETWEEN 0 AND 3000 AND T BETWEEN 600 AND 1200",
+        // The same two windows in the other order: the WHERE is a
+        // conjunction, so the order does not matter.
+        "SELECT layer." + n + "; FROM SimCity; "
+        "| SELECT COUNT(*) FROM cars "
+        "WHERE T BETWEEN 600 AND 1200 AND T BETWEEN 0 AND 3000",
         // INSIDE + window: batch point-in-polygon over the sealed columns.
         "SELECT layer." + n + "; FROM SimCity; "
         "WHERE ATTR(layer." + n + ", income) < 1500 "
@@ -520,6 +525,19 @@ TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
     for (const std::string& q : queries) {
       ExpectSameOutcome(off.EvaluateString(q), on.EvaluateString(q),
                         q + " threads=" + std::to_string(threads));
+    }
+    // Both orders of the two windows count the single window's samples.
+    for (const Evaluator* eval : {&off, &on}) {
+      auto count = [eval](const std::string& q) {
+        auto r = eval->EvaluateString(q);
+        EXPECT_TRUE(r.ok() && r.ValueOrDie().scalar) << q;
+        return r.ok() && r.ValueOrDie().scalar
+                   ? r.ValueOrDie().scalar->ToString()
+                   : std::string();
+      };
+      const std::string single = count(queries[0]);
+      EXPECT_EQ(count(queries[1]), single);
+      EXPECT_EQ(count(queries[2]), single);
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -394,6 +395,47 @@ TEST(BlockStoreTest, OpenRejectsGarbageAndMissingFiles) {
   EXPECT_FALSE(MoftBlockStore::Open(path).ok());
 }
 
+TEST(BlockStoreTest, OpenRejectsCraftedHeadersWithParseError) {
+  // File layout: a 40-byte header (magic, version, compressed, total_rows,
+  // total_spans, num_blocks), then one 112-byte directory entry per block:
+  // payload_offset, payload_size, row_begin, row_end, span_begin,
+  // span_end, then the zonemap.
+  constexpr size_t kNumBlocks = 32;
+  constexpr size_t kDir = 40;
+  constexpr size_t kEntry = 112;
+  struct Mutation {
+    const char* what;
+    size_t offset;
+    uint64_t value;
+  };
+  const Mutation mutations[] = {
+      {"num_blocks wraps the directory size", kNumBlocks, uint64_t{1} << 61},
+      {"payload offset wraps the range check", kDir, ~uint64_t{0} - 10},
+      {"payload size wraps the range check", kDir + 8, ~uint64_t{0}},
+      {"block 1 rows overlap block 0", kDir + kEntry + 16, 0},
+      {"block 1 spans overlap block 0", kDir + kEntry + 32, 0},
+      {"block 0 rows end before they begin", kDir + 24, 0},
+      {"header rows exceed the directory", 16, 1u << 20},
+  };
+  Moft moft = MakeMoft(9, 14, Blocked(30, /*compress=*/true));
+  ASSERT_GE(moft.block_store()->num_blocks(), 2u);
+  for (const Mutation& m : mutations) {
+    const std::string path = ::testing::TempDir() + "/block_crafted.pietblk";
+    ASSERT_TRUE(moft.Save(path).ok());
+    {
+      FILE* f = fopen(path.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(fseek(f, static_cast<long>(m.offset), SEEK_SET), 0);
+      ASSERT_EQ(fwrite(&m.value, sizeof(m.value), 1, f), 1u);
+      fclose(f);
+    }
+    auto opened = Moft::Open(path);
+    EXPECT_TRUE(opened.status().IsParseError())
+        << m.what << ": " << opened.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(BlockStoreTest, FuzzSaveOpenRoundTripsRandomMofts) {
   // Random MOFT -> save -> open -> bit-compare every column (the Release
   // CI job runs this as the round-trip fuzz gate).
@@ -540,6 +582,29 @@ TEST(MoftBlockTest, SpillToDiskKeepsAnswersAndRefusesNothing) {
   // index is intact.
   EXPECT_TRUE(moft.Add(777, TimePoint(0.0), geometry::Point(1, 1)).ok());
   EXPECT_EQ(moft.num_samples(), 46u);
+}
+
+TEST(MoftBlockTest, SpillToDiskLeavesNoFileBehind) {
+  BlockOptions opts = Blocked(10, /*compress=*/true);
+  opts.spill_dir = ::testing::TempDir() + "/spill_leak";
+  std::filesystem::remove_all(opts.spill_dir);
+  ASSERT_TRUE(std::filesystem::create_directory(opts.spill_dir));
+  Moft moft = MakeMoft(5, 9, opts);
+  const std::vector<Sample> want = AllSamplesOf(moft);
+  const std::vector<Row> want_window = CollectWindow(moft, 110.0, 230.0);
+
+  ASSERT_TRUE(moft.SpillToDisk().ok());
+  ASSERT_TRUE(moft.SpillToDisk().ok());
+  EXPECT_TRUE(std::filesystem::is_empty(opts.spill_dir));
+  EXPECT_TRUE(moft.block_store()->mapped());
+  EXPECT_EQ(CollectWindow(moft, 110.0, 230.0), want_window);
+  EXPECT_EQ(AllSamplesOf(moft), want);
+
+  moft.ReleaseHot();
+  const Moft copy = moft;  // Rematerializes from the unlinked mapping.
+  EXPECT_EQ(AllSamplesOf(copy), want);
+  EXPECT_EQ(CollectWindow(copy, 110.0, 230.0), want_window);
+  std::filesystem::remove_all(opts.spill_dir);
 }
 
 TEST(MoftBlockTest, OpenedMoftIsReadOnly) {
