@@ -61,6 +61,18 @@ if grep -nE "(OrderedReduce|ParallelFor|ForEach(RowRange|Span|SpanRange|WindowRa
   exit 1
 fi
 
+# Every per-object LIT operator clips the object to its time predicate
+# through one helper, core::ClipToTime (src/core/scan.h): it computes
+# time_ok with TimePredicate::MatchingIntervals and keeps only the legs
+# that meet it. No other code under src/ may call MatchingIntervals, so
+# no operator computes time_ok by hand and skips the clip.
+if grep -rn "MatchingIntervals(" src/ \
+     | grep -vE '^src/core/(region\.(h|cc)|scan\.h):'; then
+  echo "error: time_ok is computed only by core::ClipToTime" \
+       "(src/core/scan.h); operators clip through it" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -314,8 +314,10 @@ Result<FactTable> QueryEngine::SnapshotInRegion(const std::string& moft_name,
   FactTable out = FactTable::Make({"Oid", "x", "y", "geom"}, {});
   const Status scanned = scan.Spans<Row>(
       &out, [&](const ObjectSpan& span, auto& c) -> Status {
-        PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                              TrajectorySample::FromSpan(span));
+        // The (at most 3) samples around t: PositionAt picks the same leg.
+        PIET_ASSIGN_OR_RETURN(
+            TrajectorySample sample,
+            TrajectorySample::FromSpan(span.LegsMeeting(t, t)));
         PIET_ASSIGN_OR_RETURN(LinearTrajectory traj,
                               LinearTrajectory::FromSample(std::move(sample)));
         std::optional<geometry::Point> pos = traj.PositionAt(t);
@@ -352,18 +354,16 @@ Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
   FactTable out = FactTable::Make({"Oid", "geom", "enter", "leave"}, {});
   const Status scanned = scan.Spans<Row, batch::LegScratch>(
       &out, [&](const ObjectSpan& span, auto& c) -> Status {
-        PIET_ASSIGN_OR_RETURN(
-            IntervalSet time_ok,
-            when.MatchingIntervals(db_->time_dimension(),
-                                   Interval(span.front().t, span.back().t)));
-        if (time_ok.empty()) {
+        PIET_ASSIGN_OR_RETURN(const TimeClip clip,
+                              ClipToTime(when, db_->time_dimension(), span));
+        if (clip.time_ok.empty()) {
           return Status::OK();
         }
-        c.stats.legs_tested += span.size() - 1;
-        c.stats.leg_refines += refiner.Refine(span, &c.scratch);
+        c.stats.legs_tested += clip.span.size() - 1;
+        c.stats.leg_refines += refiner.Refine(clip.span, &c.scratch);
         for (const uint32_t qi : c.scratch.hit) {
           const IntervalSet matched =
-              IntervalSet(c.scratch.pieces[qi]).Intersect(time_ok);
+              IntervalSet(c.scratch.pieces[qi]).Intersect(clip.time_ok);
           for (const Interval& iv : matched.intervals()) {
             c.out.push_back({Value(span.oid()), Value(wanted.ids[qi]),
                              Value(iv.begin.seconds), Value(iv.end.seconds)});
@@ -390,18 +390,17 @@ Result<FactTable> QueryEngine::TrajectoryNearNodes(
   FactTable out = FactTable::Make({"Oid", "node", "enter", "leave"}, {});
   const Status scanned = scan.Spans<Row>(
       &out, [&](const ObjectSpan& span, auto& c) -> Status {
-        PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                              TrajectorySample::FromSpan(span));
-        PIET_ASSIGN_OR_RETURN(LinearTrajectory traj,
-                              LinearTrajectory::FromSample(std::move(sample)));
-        PIET_ASSIGN_OR_RETURN(
-            IntervalSet time_ok,
-            when.MatchingIntervals(db_->time_dimension(), traj.TimeDomain()));
-        if (time_ok.empty()) {
+        PIET_ASSIGN_OR_RETURN(const TimeClip clip,
+                              ClipToTime(when, db_->time_dimension(), span));
+        if (clip.time_ok.empty()) {
           return Status::OK();
         }
-        c.stats.legs_tested += traj.Legs().size();
-        // Candidate nodes: those within radius of the trajectory's bounds.
+        PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
+                              TrajectorySample::FromSpan(clip.span));
+        PIET_ASSIGN_OR_RETURN(LinearTrajectory traj,
+                              LinearTrajectory::FromSample(std::move(sample)));
+        c.stats.legs_tested += clip.span.size() - 1;
+        // Candidate nodes: those within radius of the clipped samples.
         geometry::BoundingBox probe;
         for (const moving::TimedPoint& tp : traj.sample().points()) {
           probe.ExtendWith(tp.pos);
@@ -418,7 +417,7 @@ Result<FactTable> QueryEngine::TrajectoryNearNodes(
           ++c.stats.point_tests;
           const IntervalSet matched =
               moving::WithinDistanceIntervals(traj, node.ValueOrDie(), radius)
-                  .Intersect(time_ok);
+                  .Intersect(clip.time_ok);
           for (const Interval& iv : matched.intervals()) {
             c.out.push_back({Value(span.oid()), Value(id),
                              Value(iv.begin.seconds), Value(iv.end.seconds)});
@@ -522,16 +521,13 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
         bool ok = true;
         bool any = false;
         if (trajectory_semantics) {
-          PIET_ASSIGN_OR_RETURN(
-              IntervalSet time_ok,
-              when.MatchingIntervals(db_->time_dimension(),
-                                     Interval(span.front().t,
-                                              span.back().t)));
-          if (time_ok.empty()) {
+          PIET_ASSIGN_OR_RETURN(const TimeClip clip,
+                                ClipToTime(when, db_->time_dimension(), span));
+          if (clip.time_ok.empty()) {
             return Status::OK();
           }
-          c.stats.legs_tested += span.size() - 1;
-          c.stats.leg_refines += refiner.Refine(span, &c.scratch.legs);
+          c.stats.legs_tested += clip.span.size() - 1;
+          c.stats.leg_refines += refiner.Refine(clip.span, &c.scratch.legs);
           // Union of inside intervals over all qualifying polygons must
           // cover every time-matching instant of the domain. The closed-set
           // union is canonical, so pooling every polygon's pieces equals
@@ -543,10 +539,10 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
                           c.scratch.legs.pieces[qi].end());
           }
           const IntervalSet inside_union(pieces);
-          IntervalSet covered = time_ok.Intersect(inside_union);
-          any = !time_ok.empty();
-          ok = covered.TotalLength() >= time_ok.TotalLength() - 1e-9 &&
-               covered.size() == time_ok.size();
+          IntervalSet covered = clip.time_ok.Intersect(inside_union);
+          any = true;
+          ok = covered.TotalLength() >= clip.time_ok.TotalLength() - 1e-9 &&
+               covered.size() == clip.time_ok.size();
         } else {
           for (const Sample& s : span) {
             if (!when.Matches(db_->time_dimension(), s.t)) {

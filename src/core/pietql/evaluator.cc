@@ -703,18 +703,15 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     const batch::LegRefiner refiner(wanted.polys);
     scanned = scan.Spans<Tuple, batch::LegScratch>(
         &tuples, [&](const moving::ObjectSpan& span, auto& c) -> Status {
-          PIET_ASSIGN_OR_RETURN(
-              IntervalSet time_ok,
-              when.MatchingIntervals(
-                  dim, Interval(span.front().t, span.back().t)));
-          if (time_ok.empty()) {
+          PIET_ASSIGN_OR_RETURN(const auto clip, ClipToTime(when, dim, span));
+          if (clip.time_ok.empty()) {
             return Status::OK();
           }
-          c.stats.legs_tested += span.size() - 1;
-          c.stats.leg_refines += refiner.Refine(span, &c.scratch);
+          c.stats.legs_tested += clip.span.size() - 1;
+          c.stats.leg_refines += refiner.Refine(clip.span, &c.scratch);
           for (const uint32_t qi : c.scratch.hit) {
             const IntervalSet matched =
-                IntervalSet(c.scratch.pieces[qi]).Intersect(time_ok);
+                IntervalSet(c.scratch.pieces[qi]).Intersect(clip.time_ok);
             for (const Interval& iv : matched.intervals()) {
               c.out.emplace_back(span.oid(), iv.begin.seconds);
             }
@@ -777,6 +774,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   PIET_RETURN_NOT_OK(scanned);
   const ScanStats& st = scan.stats();
   if (passes_through) {
+    // The legs refined after the time clip, not the whole histories.
     intersect_span.Attr("legs_tested", static_cast<uint64_t>(st.legs_tested));
     intersect_span.Attr("leg_refines", static_cast<uint64_t>(st.leg_refines));
   }

@@ -219,8 +219,9 @@ Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
     }
   }
   // Cut the domain at every hour boundary plus the window endpoints; the
-  // predicate is constant on each elementary piece, so one midpoint probe
-  // per piece is exact.
+  // predicate is constant inside each piece, so one midpoint probe per
+  // piece is exact. A matching cut between unmatched pieces (a point
+  // window, a window touching a domain end) is kept as [c, c].
   std::vector<double> cuts = {domain.begin.seconds, domain.end.seconds};
   double first_hour =
       (temporal::StartOfHour(domain.begin) + temporal::kHour).seconds;
@@ -238,18 +239,18 @@ Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
   std::vector<temporal::Interval> pieces;
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    temporal::TimePoint probe((cuts[i] + cuts[i + 1]) / 2.0);
-    if (Matches(dim, probe)) {
-      pieces.emplace_back(temporal::TimePoint(cuts[i]),
-                          temporal::TimePoint(cuts[i + 1]));
+  bool prev_matched = false;
+  for (size_t i = 0; i < cuts.size(); ++i) {
+    const temporal::TimePoint c(cuts[i]);
+    const bool next_matched =
+        i + 1 < cuts.size() &&
+        Matches(dim, temporal::TimePoint((cuts[i] + cuts[i + 1]) / 2.0));
+    if (next_matched) {
+      pieces.emplace_back(c, temporal::TimePoint(cuts[i + 1]));
+    } else if (!prev_matched && Matches(dim, c)) {
+      pieces.emplace_back(c, c);
     }
-  }
-  if (cuts.size() == 1) {
-    // Point domain.
-    if (Matches(dim, domain.begin)) {
-      pieces.emplace_back(domain.begin, domain.begin);
-    }
+    prev_matched = next_matched;
   }
   return temporal::IntervalSet(std::move(pieces));
 }

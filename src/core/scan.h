@@ -25,7 +25,7 @@ namespace piet::core {
 struct ScanStats {
   size_t samples_scanned = 0;  ///< MOFT rows visited.
   size_t point_tests = 0;      ///< Exact point-in-polygon tests.
-  size_t legs_tested = 0;      ///< Trajectory legs geometrically processed.
+  size_t legs_tested = 0;      ///< Legs refined, after ClipToTime.
   /// Exact (leg, polygon) refines of the leg-major kernel — the pairs whose
   /// boxes meet, out of legs_tested × qualifying polygons.
   size_t leg_refines = 0;
@@ -93,6 +93,29 @@ struct SampleRows {
     }
   }
 };
+
+/// One object clipped to a time predicate by ClipToTime.
+struct TimeClip {
+  moving::ObjectSpan span;        ///< Samples whose legs meet hull(time_ok).
+  temporal::IntervalSet time_ok;  ///< Where `when` holds; empty: skip it.
+};
+
+/// Clips one object to `when` before any geometry runs (DESIGN.md §12):
+/// the legs left out lie wholly outside hull(time_ok), so the clipped
+/// LIT ∩ time_ok is bit-identical. An unconstrained `when` keeps all legs.
+inline Result<TimeClip> ClipToTime(const TimePredicate& when,
+                                   const temporal::TimeDimension& dim,
+                                   const moving::ObjectSpan& span) {
+  PIET_ASSIGN_OR_RETURN(
+      temporal::IntervalSet time_ok,
+      when.MatchingIntervals(dim, {span.front().t, span.back().t}));
+  const auto& ivs = time_ok.intervals();
+  if (ivs.empty() || when.unconstrained()) {
+    return TimeClip{span, std::move(time_ok)};
+  }
+  return TimeClip{span.LegsMeeting(ivs.front().begin, ivs.back().end),
+                  std::move(time_ok)};
+}
 
 /// The block-scan operator both front ends lower onto: QueryEngine's
 /// methods and every moft_intersect branch of the Piet-QL evaluator.

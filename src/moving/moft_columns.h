@@ -280,6 +280,18 @@ class ObjectSpan : public SampleView {
     return SampleView(cols_, b, e);
   }
 
+  /// The sub-span whose legs meet the closed range [t0, t1]: every leg
+  /// left out lies wholly outside it. Widened to two samples when the span
+  /// has them, so a LIT kernel's single-sample rule never fires on it.
+  ObjectSpan LegsMeeting(temporal::TimePoint t0, temporal::TimePoint t1) const {
+    const auto [b, e] =
+        WindowRowsOf(*cols_, {oid_, begin_, end_}, t0.seconds, t1.seconds);
+    const size_t keep = std::min<size_t>(size(), 2);
+    const size_t lo = std::min(std::max(b, begin_ + 1) - 1, end_ - keep);
+    return ObjectSpan(cols_, oid_, lo,
+                      std::max(std::min(end_, e + 1), lo + keep));
+  }
+
  private:
   ObjectId oid_ = 0;
 };

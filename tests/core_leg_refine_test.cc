@@ -7,9 +7,11 @@
 //
 // The second half is an operator-level oracle: the four LIT front ends
 // (TrajectoryRegion, TrajectoryAggregates, ObjectsAlwaysWithin with
-// trajectory semantics, Piet-QL PASSES THROUGH) on a seeded non-convex
-// city, at 1 and 4 threads over raw and compressed storage, against a
-// reference written here from the public per-polygon kernels.
+// trajectory semantics, Piet-QL PASSES THROUGH), plus SnapshotInRegion and
+// TrajectoryNearNodes, on a seeded non-convex city, at 1 and 4 threads over
+// raw and compressed storage and under windows that clip each object to a
+// few legs, against a reference written here from the public per-polygon
+// kernels over each object's whole history.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,9 @@
 #include <limits>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -503,6 +507,47 @@ class Reference {
     return tuples;
   }
 
+  /// SnapshotInRegion: each object's whole-history LIT position at t,
+  /// tested against every polygon.
+  std::vector<Row> Snapshot(TimePoint t) const {
+    std::vector<Row> rows;
+    for (const auto& [oid, traj] : objects_) {
+      const std::optional<Point> pos = traj.PositionAt(t);
+      if (!pos) {
+        continue;
+      }
+      for (size_t q = 0; q < polys_.size(); ++q) {
+        if (polys_[q]->Contains(*pos)) {
+          rows.push_back(
+              {Value(oid), Value(pos->x), Value(pos->y), Value(ids_[q])});
+        }
+      }
+    }
+    return rows;
+  }
+
+  /// TrajectoryNearNodes, sorted: WithinDistanceIntervals over each
+  /// object's whole history, intersected with time_ok, for every node.
+  std::vector<Row> NearNodes(const gis::Layer& nodes, double radius,
+                             const TimePredicate& when) const {
+    std::vector<Row> rows;
+    for (const auto& [oid, traj] : objects_) {
+      const IntervalSet time_ok = TimeOk(when, traj);
+      for (const gis::GeometryId id : nodes.ids()) {
+        const IntervalSet matched =
+            moving::WithinDistanceIntervals(
+                traj, nodes.GetPoint(id).ValueOrDie(), radius)
+                .Intersect(time_ok);
+        for (const Interval& iv : matched.intervals()) {
+          rows.push_back({Value(oid), Value(id), Value(iv.begin.seconds),
+                          Value(iv.end.seconds)});
+        }
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
  private:
   const City& city_;
   std::vector<gis::GeometryId> ids_;
@@ -516,12 +561,59 @@ void ExpectRows(const Result<FactTable>& got, const std::vector<Row>& want,
   EXPECT_EQ(got.ValueOrDie().rows(), want) << what;
 }
 
+TimePredicate Win(double t0, double t1) {
+  return TimePredicate().Window(Interval(TimePoint(t0), TimePoint(t1)));
+}
+
+struct NamedWhen {
+  std::string name;
+  TimePredicate when;
+};
+
+/// The time predicates the LIT operators are checked under. City samples
+/// fall every 40 s over [0, 3600]; object 900001 has one sample at 1200
+/// and the stationary 900002 samples at 0, 600, 1800 and 3000.
+std::vector<NamedWhen> Whens() {
+  return {
+      {"any", TimePredicate()},
+      {"window", Win(700.0, 2500.0)},
+      {"ends on sample times", Win(800.0, 2400.0)},
+      {"point on a sample time", Win(600.0, 600.0)},
+      {"point between samples", Win(620.0, 620.0)},
+      {"before every history", Win(-500.0, -1.0)},
+      {"after 900001 and 900002", Win(3100.0, 3600.0)},
+      {"the single sample's instant", Win(1200.0, 1200.0)},
+      {"window and hour", Win(1000.0, 3600.0).RollupEquals("hour", Value(0))},
+      {"window and the next hour's instant",
+       Win(2000.0, 3600.0).RollupEquals("hour", Value(1))},
+  };
+}
+
+/// The low-income neighborhoods of `city`, ascending.
+std::vector<gis::GeometryId> LowIncomeIds(const City& city) {
+  return QueryEngine(city.db.get())
+      .QualifyingGeometries(city.neighborhoods_layer,
+                            GeometryPredicate::AttributeLess("income", 1500.0))
+      .ValueOrDie();
+}
+
+std::string PassesThroughCount(const TimePredicate& when) {
+  std::ostringstream q;
+  q << "SELECT layer.neighborhoods; FROM SimCity; "
+       "WHERE ATTR(layer.neighborhoods, income) < 1500; "
+       "| SELECT COUNT(*) FROM cars WHERE PASSES THROUGH RESULT";
+  if (when.window()) {
+    q << " AND T BETWEEN " << when.window()->begin.seconds << " AND "
+      << when.window()->end.seconds;
+  }
+  return q.str();
+}
+
 TEST(LegRefineOracleTest, LitOperatorsMatchPolygonMajorReference) {
   const GeometryPredicate low =
       GeometryPredicate::AttributeLess("income", 1500.0);
   const TimePredicate any;
-  const TimePredicate window = TimePredicate().Window(
-      Interval(TimePoint(700.0), TimePoint(2500.0)));
+  const TimePredicate window = Win(700.0, 2500.0);
   const std::string kPasses =
       "SELECT layer.neighborhoods; FROM SimCity; "
       "WHERE ATTR(layer.neighborhoods, income) < 1500; "
@@ -539,16 +631,18 @@ TEST(LegRefineOracleTest, LitOperatorsMatchPolygonMajorReference) {
   // Expected answers, computed once from the reference over a raw serial
   // copy of the city (the geometric part is not under test here).
   std::shared_ptr<City> ref_city = MakeCity(1, Tier::kRaw);
-  const std::vector<gis::GeometryId> ids =
-      QueryEngine(ref_city->db.get())
-          .QualifyingGeometries(ref_city->neighborhoods_layer, low)
-          .ValueOrDie();
+  const std::vector<gis::GeometryId> ids = LowIncomeIds(*ref_city);
   ASSERT_GT(ids.size(), 10u);
   const Reference ref(*ref_city, ids);
-  const std::vector<Row> want_region[2] = {ref.TrajectoryRegion(any),
-                                           ref.TrajectoryRegion(window)};
-  const std::vector<ObjectId> want_always[2] = {ref.AlwaysWithin(any),
-                                                ref.AlwaysWithin(window)};
+  const std::vector<NamedWhen> whens = Whens();
+  std::vector<std::vector<Row>> want_region;
+  std::vector<std::vector<ObjectId>> want_always;
+  std::vector<size_t> want_passes;
+  for (const NamedWhen& w : whens) {
+    want_region.push_back(ref.TrajectoryRegion(w.when));
+    want_always.push_back(ref.AlwaysWithin(w.when));
+    want_passes.push_back(ref.PassesThrough(w.when).size());
+  }
   const std::vector<Row> want_aggregates = ref.TrajectoryAggregates();
   ASSERT_FALSE(want_region[1].empty());
   ASSERT_FALSE(want_always[0].empty());
@@ -577,28 +671,56 @@ TEST(LegRefineOracleTest, LitOperatorsMatchPolygonMajorReference) {
       std::shared_ptr<City> city = MakeCity(threads, tier);
       QueryEngine engine(city->db.get());
       engine.set_num_threads(threads);
-      for (int w = 0; w < 2; ++w) {
-        const TimePredicate& when = w == 0 ? any : window;
+      core::pietql::Evaluator eval(city->db.get());
+      eval.set_num_threads(threads);
+      size_t region_legs_any = 0;
+      size_t always_legs_any = 0;
+      for (size_t w = 0; w < whens.size(); ++w) {
+        const TimePredicate& when = whens[w].when;
+        const std::string wtag = tag + " [" + whens[w].name + "]";
         ExpectRows(engine.TrajectoryRegion("cars", city->neighborhoods_layer,
                                            low, when),
-                   want_region[w], tag + " TrajectoryRegion");
-        EXPECT_GT(engine.stats().leg_refines, 0u) << tag;
-        EXPECT_LT(engine.stats().leg_refines,
-                  engine.stats().legs_tested * ids.size())
-            << tag;
+                   want_region[w], wtag + " TrajectoryRegion");
+        if (!want_region[w].empty()) {
+          EXPECT_GT(engine.stats().leg_refines, 0u) << wtag;
+          EXPECT_LT(engine.stats().leg_refines,
+                    engine.stats().legs_tested * ids.size())
+              << wtag;
+        }
+        // The clip: a window refines strictly fewer legs than the whole
+        // histories.
+        if (w == 0) {
+          region_legs_any = engine.stats().legs_tested;
+        } else {
+          EXPECT_LT(engine.stats().legs_tested, region_legs_any)
+              << wtag << " TrajectoryRegion legs_tested";
+        }
 
         Result<std::vector<ObjectId>> always = engine.ObjectsAlwaysWithin(
             "cars", city->neighborhoods_layer, low, when, true);
-        ASSERT_TRUE(always.ok()) << tag;
+        ASSERT_TRUE(always.ok()) << wtag;
         EXPECT_EQ(always.ValueOrDie(), want_always[w])
-            << tag << " ObjectsAlwaysWithin";
+            << wtag << " ObjectsAlwaysWithin";
+        if (w == 0) {
+          always_legs_any = engine.stats().legs_tested;
+        } else {
+          EXPECT_LT(engine.stats().legs_tested, always_legs_any)
+              << wtag << " ObjectsAlwaysWithin legs_tested";
+        }
+
+        if (when.unconstrained() || when.window_only()) {
+          auto passes = eval.EvaluateString(PassesThroughCount(when));
+          ASSERT_TRUE(passes.ok()) << wtag << ": "
+                                   << passes.status().ToString();
+          EXPECT_EQ(*passes.ValueOrDie().scalar,
+                    Value(static_cast<int64_t>(want_passes[w])))
+              << wtag << " PASSES THROUGH count";
+        }
       }
       ExpectRows(engine.TrajectoryAggregates("cars",
                                              city->neighborhoods_layer, low),
                  want_aggregates, tag + " TrajectoryAggregates");
 
-      core::pietql::Evaluator eval(city->db.get());
-      eval.set_num_threads(threads);
       auto count = eval.EvaluateString(kPasses);
       ASSERT_TRUE(count.ok()) << tag << ": " << count.status().ToString();
       std::vector<gis::GeometryId> got_ids = count.ValueOrDie().geometry_ids;
@@ -619,6 +741,140 @@ TEST(LegRefineOracleTest, LitOperatorsMatchPolygonMajorReference) {
                       static_cast<double>(hours.size())))
           << tag << " PASSES THROUGH rate";
     }
+  }
+}
+
+// SnapshotInRegion and TrajectoryNearNodes do not refine through the
+// LegRefiner; both are checked against the LIT of each object's whole
+// history.
+TEST(LegRefineOracleTest, SnapshotAndNearNodesMatchWholeHistoryReference) {
+  const GeometryPredicate low =
+      GeometryPredicate::AttributeLess("income", 1500.0);
+  const double kRadius = 150.0;
+  std::shared_ptr<City> ref_city = MakeCity(1, Tier::kRaw);
+  const Reference ref(*ref_city, LowIncomeIds(*ref_city));
+  const gis::Layer* stops =
+      ref_city->db->gis().GetLayer(ref_city->stops_layer).ValueOrDie();
+  const std::vector<double> instants = {-10.0,  0.0,    600.0, 620.0, 1200.0,
+                                        2999.5, 3000.0, 3600.0, 3700.0};
+  std::vector<std::vector<Row>> want_snapshot;
+  for (double t : instants) {
+    want_snapshot.push_back(ref.Snapshot(TimePoint(t)));
+  }
+  ASSERT_FALSE(want_snapshot[2].empty());
+  const std::vector<NamedWhen> whens = Whens();
+  std::vector<std::vector<Row>> want_near;
+  for (const NamedWhen& w : whens) {
+    want_near.push_back(ref.NearNodes(*stops, kRadius, w.when));
+  }
+  ASSERT_FALSE(want_near[0].empty());
+  ASSERT_FALSE(want_near[1].empty());
+
+  for (Tier tier : {Tier::kRaw, Tier::kCompressed}) {
+    for (int threads : {1, 4}) {
+      const std::string tag =
+          std::string(tier == Tier::kRaw ? "raw" : "compressed") + "/t" +
+          std::to_string(threads);
+      std::shared_ptr<City> city = MakeCity(threads, tier);
+      QueryEngine engine(city->db.get());
+      engine.set_num_threads(threads);
+      for (size_t i = 0; i < instants.size(); ++i) {
+        ExpectRows(engine.SnapshotInRegion("cars", city->neighborhoods_layer,
+                                           low, TimePoint(instants[i])),
+                   want_snapshot[i],
+                   tag + " SnapshotInRegion at " +
+                       std::to_string(instants[i]));
+      }
+      size_t legs_any = 0;
+      for (size_t w = 0; w < whens.size(); ++w) {
+        const std::string wtag = tag + " [" + whens[w].name + "]";
+        Result<FactTable> got = engine.TrajectoryNearNodes(
+            "cars", city->stops_layer, kRadius, whens[w].when);
+        ASSERT_TRUE(got.ok()) << wtag << ": " << got.status().ToString();
+        std::vector<Row> rows = got.ValueOrDie().rows();
+        std::sort(rows.begin(), rows.end());
+        EXPECT_EQ(rows, want_near[w]) << wtag << " TrajectoryNearNodes";
+        if (w == 0) {
+          legs_any = engine.stats().legs_tested;
+        } else {
+          EXPECT_LT(engine.stats().legs_tested, legs_any) << wtag;
+        }
+      }
+    }
+  }
+}
+
+// MatchingIntervals keeps matches of measure zero: a point window, and a
+// window that only touches an object's first or last instant. The
+// trajectory operators must then agree with sample semantics and with
+// SnapshotInRegion at that instant.
+TEST(LegRefineOracleTest, ZeroMeasureWindowsAgreeWithSamplesAndSnapshot) {
+  const GeometryPredicate low =
+      GeometryPredicate::AttributeLess("income", 1500.0);
+  std::shared_ptr<City> city = MakeCity(1, Tier::kRaw);
+  QueryEngine engine(city->db.get());
+  const std::string& layer = city->neighborhoods_layer;
+
+  // Point windows: TrajectoryRegion is the snapshot, as [t, t] rows.
+  for (double t : {600.0, 620.0, 1200.0, 3000.0}) {
+    const std::string tag = "t=" + std::to_string(t);
+    const FactTable region =
+        engine.TrajectoryRegion("cars", layer, low, Win(t, t)).ValueOrDie();
+    const FactTable snap =
+        engine.SnapshotInRegion("cars", layer, low, TimePoint(t)).ValueOrDie();
+    std::vector<std::pair<Value, Value>> got;
+    for (const Row& row : region.rows()) {
+      EXPECT_EQ(row[2], Value(t)) << tag;
+      EXPECT_EQ(row[3], Value(t)) << tag;
+      got.emplace_back(row[0], row[1]);
+    }
+    std::vector<std::pair<Value, Value>> want;
+    for (const Row& row : snap.rows()) {
+      want.emplace_back(row[0], row[3]);
+    }
+    EXPECT_EQ(got, want) << tag;
+    if (t == 600.0) {
+      EXPECT_FALSE(got.empty()) << tag;
+    }
+  }
+
+  // Every (object, polygon, t) sample-semantics match lies in one of the
+  // trajectory's inside intervals, also where the window only touches the
+  // object's last sample (900002 at 3000) or its single one (900001).
+  for (const TimePredicate& when :
+       {Win(600.0, 600.0), Win(1200.0, 1200.0), Win(3000.0, 3100.0),
+        Win(-100.0, 0.0)}) {
+    const std::string tag = "window [" +
+                            std::to_string(when.window()->begin.seconds) +
+                            ", " +
+                            std::to_string(when.window()->end.seconds) + "]";
+    const FactTable samples =
+        engine.SampleRegion("cars", layer, low, when, core::Strategy::kNaive)
+            .ValueOrDie();
+    const FactTable region =
+        engine.TrajectoryRegion("cars", layer, low, when).ValueOrDie();
+    ASSERT_FALSE(samples.rows().empty()) << tag;
+    for (const Row& s : samples.rows()) {
+      const bool covered = std::any_of(
+          region.rows().begin(), region.rows().end(), [&](const Row& r) {
+            return r[0] == s[0] && r[1] == s[2] && !(s[1] < r[2]) &&
+                   !(r[3] < s[1]);
+          });
+      EXPECT_TRUE(covered) << tag << ": object " << s[0].ToString()
+                           << " at " << s[1].ToString();
+    }
+  }
+
+  // The stationary object whose last sample is the window's only instant
+  // stays inside its polygon there, under both semantics.
+  const TimePredicate touch = Win(3000.0, 3100.0);
+  for (bool trajectory : {false, true}) {
+    const std::vector<ObjectId> always =
+        engine.ObjectsAlwaysWithin("cars", layer, low, touch, trajectory)
+            .ValueOrDie();
+    EXPECT_TRUE(std::find(always.begin(), always.end(), 900002) !=
+                always.end())
+        << (trajectory ? "trajectory" : "sample") << " semantics";
   }
 }
 

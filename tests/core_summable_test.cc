@@ -150,6 +150,53 @@ TEST(TimePredicateTest, MatchingIntervalsWithWindow) {
   EXPECT_DOUBLE_EQ(matched.TotalLength(), 45.0 * 60.0);
 }
 
+// Matches of measure zero are kept as [c, c]; the midpoint probes alone
+// see none of them.
+TEST(TimePredicateTest, MatchingIntervalsKeepsZeroMeasureMatches) {
+  temporal::TimeDimension dim;
+  using temporal::Interval;
+  using temporal::IntervalSet;
+  using temporal::TimePoint;
+  const TimePoint d0(1000.0);
+  const TimePoint d1(9000.0);
+  auto matching = [&](const TimePredicate& when, Interval domain) {
+    return when.MatchingIntervals(dim, domain).ValueOrDie();
+  };
+  const TimePoint mid(2000.0);
+  // A point window strictly inside the domain.
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(mid, mid)),
+                     Interval(d0, d1)),
+            IntervalSet({Interval(mid, mid)}));
+  // A point window on an hour boundary (7200 s).
+  const TimePoint hour(7200.0);
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(hour, hour)),
+                     Interval(d0, d1)),
+            IntervalSet({Interval(hour, hour)}));
+  // Windows that only touch the domain's first or last instant.
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(TimePoint(0.0), d0)),
+                     Interval(d0, d1)),
+            IntervalSet({Interval(d0, d0)}));
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(d1, TimePoint(1e4))),
+                     Interval(d0, d1)),
+            IntervalSet({Interval(d1, d1)}));
+  // A point domain, matched or not.
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(d0, d1)),
+                     Interval(mid, mid)),
+            IntervalSet({Interval(mid, mid)}));
+  EXPECT_TRUE(matching(TimePredicate().Window(Interval(d1, d1)),
+                       Interval(mid, mid))
+                  .empty());
+  // A window that misses the domain, and a positive-measure match, which
+  // gains no extra point at its ends.
+  EXPECT_TRUE(matching(TimePredicate().Window(Interval(TimePoint(0.0),
+                                                       TimePoint(999.0))),
+                       Interval(d0, d1))
+                  .empty());
+  EXPECT_EQ(matching(TimePredicate().Window(Interval(mid, hour)),
+                     Interval(d0, d1)),
+            IntervalSet({Interval(mid, hour)}));
+}
+
 TEST(TimePredicateTest, HourRangeAndFineLevelsRejected) {
   temporal::TimeDimension dim;
   TimePredicate rush;

@@ -172,6 +172,37 @@ TEST(MoftColumnsTest, ObjectSpanWindowIsClosedInterval) {
   EXPECT_TRUE(span.Window(TimePoint(20), TimePoint(10)).empty());
 }
 
+TEST(MoftColumnsTest, LegsMeetingKeepsEveryLegThatTouchesTheRange) {
+  Moft moft;
+  for (double t : {0.0, 10.0, 20.0, 30.0, 40.0}) {
+    ASSERT_TRUE(moft.Add(1, TimePoint(t), {t, 0}).ok());
+  }
+  ASSERT_TRUE(moft.Add(2, TimePoint(5.0), {0, 0}).ok());
+  const ObjectSpan span = moft.SamplesOf(1);
+  // The first and last sample times of LegsMeeting(t0, t1).
+  auto kept = [&](double t0, double t1) {
+    const ObjectSpan sub = span.LegsMeeting(TimePoint(t0), TimePoint(t1));
+    EXPECT_EQ(sub.oid(), 1);
+    return std::make_pair(sub.front().t.seconds, sub.back().t.seconds);
+  };
+  using Kept = std::pair<double, double>;
+  // Legs that only touch an end of the range are kept.
+  EXPECT_EQ(kept(10, 20), Kept(0, 30));
+  EXPECT_EQ(kept(12, 18), Kept(10, 20));
+  EXPECT_EQ(kept(10, 10), Kept(0, 20));
+  EXPECT_EQ(kept(15, 15), Kept(10, 20));
+  EXPECT_EQ(kept(0, 40), Kept(0, 40));
+  EXPECT_EQ(kept(-50, 100), Kept(0, 40));
+  // Ranges off either end keep the end leg, never a lone sample.
+  EXPECT_EQ(kept(-5, -1), Kept(0, 10));
+  EXPECT_EQ(kept(50, 60), Kept(30, 40));
+  EXPECT_EQ(span.LegsMeeting(TimePoint(50), TimePoint(60)).size(), 2u);
+  // A single-sample object keeps its sample.
+  const ObjectSpan single = moft.SamplesOf(2);
+  EXPECT_EQ(single.LegsMeeting(TimePoint(0), TimePoint(1)).size(), 1u);
+  EXPECT_EQ(single.LegsMeeting(TimePoint(5), TimePoint(5)).size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // SamplesBetween (whole-table closed time window).
 
