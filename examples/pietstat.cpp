@@ -151,9 +151,11 @@ void PrintCaches(const Dump& d) {
         d.Get("piet_pietql_aggcache_entries"),
         HumanBytes(d.Get("piet_pietql_aggcache_bytes")).c_str());
   }
-  std::printf("  classify   hits %.0f  entries %.0f  invalidations %.0f\n",
-              classify_hits, d.Get("piet_db_classify_entries"),
-              d.Get("piet_db_classify_invalidations_total"));
+  std::printf(
+      "  classify   hits %.0f  entries %.0f (%s)  invalidations %.0f\n",
+      classify_hits, d.Get("piet_db_classify_entries"),
+      HumanBytes(d.Get("piet_db_classify_bytes")).c_str(),
+      d.Get("piet_db_classify_invalidations_total"));
   std::printf("\n");
 }
 

@@ -73,6 +73,16 @@ if grep -rn "MatchingIntervals(" src/ \
   exit 1
 fi
 
+# The sample-semantics count helpers fold region C into distinct keys
+# inside the scan (QueryEngine::RegionObjects). A helper that called
+# SampleRegion would materialize every matched row as a boxed FactTable
+# row only to count it, so src/core/queries.cc may not call it.
+if grep -n "SampleRegion(" src/core/queries.cc; then
+  echo "error: count helpers in src/core/queries.cc fold through" \
+       "QueryEngine::RegionObjects, never SampleRegion" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -82,7 +82,7 @@ struct AlwaysWithinResult {
 /// kernels), and snaps TimePredicate windows to bucket boundaries with
 /// fringe buckets refined via the SamplesBetween binary search. Immutable
 /// once built; GeoOlapDatabase caches entries per (moft, layer) and
-/// invalidates them with the classification cache (AddMoft/BuildOverlay).
+/// invalidates them with the classification cache (BuildOverlay).
 class AggCacheEntry {
  public:
   /// One (cell, bucket) group. `rows` index the sealed columns ascending;
@@ -163,7 +163,7 @@ class AggCacheEntry {
   void set_database_epoch(uint64_t e) { database_epoch_ = e; }
 
   /// The MOFT's storage epoch the partials were built at, stamped by
-  /// GeoOlapDatabase: ReleaseHot / SpillToDisk bump it without an AddMoft,
+  /// GeoOlapDatabase: ReleaseHot / SpillToDisk bump it in place,
   /// and the cache must not serve partials whose block set has been
   /// swapped.
   uint64_t moft_storage_epoch() const { return moft_storage_epoch_; }

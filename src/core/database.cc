@@ -91,8 +91,8 @@ Status GeoOlapDatabase::AddMoft(const std::string& name, moving::Moft moft) {
     diagnostics.DowngradeErrorsToWarnings();
     last_load_diagnostics_ = std::move(diagnostics);
   }
+  // Registered MOFTs are immutable: every cached entry stays exact.
   mofts_.emplace(name, std::move(moft));
-  InvalidateClassifications();
   PublishStorageGauges();
   return Status::OK();
 }
@@ -156,7 +156,23 @@ Status GeoOlapDatabase::BuildOverlay(
     overlay_ = std::make_unique<gis::OverlayDb>(std::move(db));
   }
   overlay_layers_ = layer_names;
-  InvalidateClassifications();
+  {
+    std::lock_guard<std::mutex> lock(classify_mu_);
+    ++epoch_;
+    if (obs::Enabled()) {
+      auto& registry = obs::MetricsRegistry::Global();
+      registry.GetCounter("db.classify.invalidations").Add(1);
+      registry.GetCounter("db.classify.entries_dropped")
+          .Add(static_cast<int64_t>(classify_cache_.size()));
+      if (!agg_cache_.empty()) {
+        registry.GetCounter("pietql.aggcache.invalidations").Add(1);
+        registry.GetCounter("pietql.aggcache.entries_dropped")
+            .Add(static_cast<int64_t>(agg_cache_.size()));
+      }
+    }
+    classify_cache_.clear();
+    agg_cache_.clear();
+  }
   if (check_mode_ != analysis::CheckMode::kOff) {
     analysis::DiagnosticList diagnostics;
     analysis::ModelChecker(check_options_)
@@ -191,24 +207,6 @@ Result<size_t> GeoOlapDatabase::OverlayLayerIndex(
   return static_cast<size_t>(it - overlay_layers_.begin());
 }
 
-void GeoOlapDatabase::InvalidateClassifications() {
-  std::lock_guard<std::mutex> lock(classify_mu_);
-  ++epoch_;
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("db.classify.invalidations").Add(1);
-    registry.GetCounter("db.classify.entries_dropped")
-        .Add(static_cast<int64_t>(classify_cache_.size()));
-    if (!agg_cache_.empty()) {
-      registry.GetCounter("pietql.aggcache.invalidations").Add(1);
-      registry.GetCounter("pietql.aggcache.entries_dropped")
-          .Add(static_cast<int64_t>(agg_cache_.size()));
-    }
-  }
-  classify_cache_.clear();
-  agg_cache_.clear();
-}
-
 size_t GeoOlapDatabase::classification_cache_size() const {
   std::lock_guard<std::mutex> lock(classify_mu_);
   return classify_cache_.size();
@@ -224,10 +222,10 @@ GeoOlapDatabase::AggCache(const std::string& moft_name,
                           const std::string& layer_name) const {
   auto key = std::make_pair(moft_name, layer_name);
   PIET_ASSIGN_OR_RETURN(const moving::Moft* keyed_moft, GetMoft(moft_name));
-  // Entries key on (MOFT seal/storage epoch, overlay epoch): AddMoft and
-  // BuildOverlay invalidate eagerly, but the registered MOFT's storage
-  // can also change in place (ReleaseHot, SpillToDisk), so a hit must
-  // still pass the view-validity and storage-epoch gates.
+  // Entries key on (MOFT seal/storage epoch, overlay epoch): BuildOverlay
+  // invalidates eagerly, but the registered MOFT's storage can change in
+  // place (ReleaseHot, SpillToDisk), so a hit must still pass the
+  // view-validity and storage-epoch gates.
   const uint64_t storage_epoch = keyed_moft->storage_epoch();
   {
     std::lock_guard<std::mutex> lock(classify_mu_);
@@ -317,8 +315,15 @@ void GeoOlapDatabase::PublishStorageGauges() const {
   registry.GetGauge("db.moft.hot_tiers").Set(hot_tiers);
   {
     std::lock_guard<std::mutex> lock(classify_mu_);
+    size_t classify_bytes = 0;
+    for (const auto& [key, cls] : classify_cache_) {
+      classify_bytes += cls->hits.offsets.capacity() * sizeof(uint32_t) +
+                        cls->hits.ids.capacity() * sizeof(gis::GeometryId);
+    }
     registry.GetGauge("db.classify.entries")
         .Set(static_cast<int64_t>(classify_cache_.size()));
+    registry.GetGauge("db.classify.bytes")
+        .Set(static_cast<int64_t>(classify_bytes));
     registry.GetGauge("pietql.aggcache.entries")
         .Set(static_cast<int64_t>(agg_cache_.size()));
     registry.GetGauge("db.overlay.epoch")

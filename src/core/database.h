@@ -30,9 +30,9 @@ class AggCacheEntry;
 /// order, the containing geometry ids of the layer (hits.offsets[r] aligns
 /// with row r of every block walk). Predicate- and time-independent, so
 /// one classification serves every query over the same (MOFT, overlay)
-/// pair. A registered MOFT is immutable, so its global rows stay fixed
-/// whatever storage tier serves them (ReleaseHot, SpillToDisk); only
-/// AddMoft and BuildOverlay drop the cache.
+/// pair. A registered MOFT is immutable and never removed, so its global
+/// rows stay fixed whatever tier serves them (ReleaseHot, SpillToDisk) and
+/// only BuildOverlay drops the cache; an AddMoft of another table keeps it.
 struct SampleClassification {
   gis::BatchHits hits;
   /// The overlay epoch this classification was computed at (diagnostics;
@@ -111,15 +111,14 @@ class GeoOlapDatabase {
   void set_num_threads(int n) { num_threads_ = n; }
   int num_threads() const { return num_threads_; }
 
-  /// Monotone counter identifying the (MOFT set, overlay) state the
-  /// classification cache was computed against; bumped by every AddMoft
-  /// and BuildOverlay.
+  /// Monotone counter of the overlay the classification and aggregate
+  /// caches were computed against; bumped by BuildOverlay, not AddMoft.
   uint64_t overlay_epoch() const { return epoch_; }
 
   /// The classification of `moft` against overlay layer `layer_name`,
   /// served from the per-(MOFT, overlay-epoch) cache when available.
-  /// Repeated queries over the same MOFT skip re-classification entirely;
-  /// AddMoft and BuildOverlay invalidate. Thread-safe.
+  /// Repeated queries over the same MOFT skip re-classification entirely,
+  /// across AddMoft of other tables too; BuildOverlay invalidates. Thread-safe.
   Result<std::shared_ptr<const SampleClassification>> ClassifySamples(
       const std::string& moft, const std::string& layer_name) const;
 
@@ -129,8 +128,8 @@ class GeoOlapDatabase {
   /// The materialized (overlay cell × hour bucket) aggregate partials of
   /// `moft` against overlay layer `layer_name`, built once per (MOFT seal
   /// epoch, overlay epoch) pair and served from the same
-  /// invalidation-coupled cache as ClassifySamples: AddMoft and
-  /// BuildOverlay drop every entry. Thread-safe.
+  /// invalidation-coupled cache as ClassifySamples: BuildOverlay drops
+  /// every entry, AddMoft none. Thread-safe.
   Result<std::shared_ptr<const aggcache::AggCacheEntry>> AggCache(
       const std::string& moft, const std::string& layer_name) const;
 
@@ -147,16 +146,15 @@ class GeoOlapDatabase {
   /// Publishes the storage-tier gauges of this database to the global
   /// registry: per-tier MOFT byte totals and outstanding block pins
   /// (summed Moft::Footprint over every registered MOFT), hot-tier count,
-  /// live classification/aggregate-cache entry counts, and the overlay
-  /// epoch. Called by the load paths after every state change and
-  /// registered as a TelemetrySampler collector so each telemetry tick
-  /// sees fresh levels. No-op (zero mutation) while observability is
-  /// disabled. Thread-safe under the usual single-writer contract (no
-  /// concurrent AddMoft).
+  /// live classification/aggregate-cache entry counts, classification
+  /// bytes, and the overlay epoch. Called by the load paths after every
+  /// state change and registered as a TelemetrySampler collector so each
+  /// telemetry tick sees fresh levels. No-op (zero mutation) while
+  /// observability is disabled. Thread-safe under the usual single-writer
+  /// contract (no concurrent AddMoft).
   void PublishStorageGauges() const;
 
  private:
-  void InvalidateClassifications();
   gis::GisDimensionInstance gis_;
   temporal::TimeDimension time_dim_;
   std::map<std::string, moving::Moft> mofts_;

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/geometry/batch.h"
@@ -13,7 +14,6 @@ using gis::GeometryId;
 using gis::Layer;
 using moving::LinearTrajectory;
 using moving::Moft;
-using moving::MoftColumns;
 using moving::ObjectId;
 using moving::ObjectSpan;
 using moving::Sample;
@@ -53,8 +53,6 @@ class QueryObs {
   QueryObs(const QueryObs&) = delete;
   QueryObs& operator=(const QueryObs&) = delete;
 
-  void set_rows_matched(size_t n) { rows_matched_ = n; }
-
   ~QueryObs() {
     if (!enabled_) {
       return;
@@ -75,7 +73,7 @@ class QueryObs {
     registry.GetCounter("engine.leg_refines")
         .Add(static_cast<int64_t>(stats_->leg_refines));
     registry.GetCounter("engine.rows_matched")
-        .Add(static_cast<int64_t>(rows_matched_));
+        .Add(static_cast<int64_t>(stats_->rows_matched));
     registry.GetCounter("engine.blocks_pinned")
         .Add(static_cast<int64_t>(stats_->blocks.blocks_pinned));
     registry.GetCounter("engine.blocks_decoded")
@@ -88,7 +86,6 @@ class QueryObs {
   bool enabled_;
   const char* type_;
   const EngineStats* stats_;
-  size_t rows_matched_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -99,11 +96,90 @@ size_t NumRows(const std::vector<ObjectId>& ids) { return ids.size(); }
 /// unless the scan failed, its output is the answer.
 template <typename Out>
 Result<Out> Finish(const BlockScan& scan, const Status& scanned, Out out,
-                   EngineStats* stats, QueryObs* obs) {
+                   EngineStats* stats) {
   *stats = scan.stats();
   PIET_RETURN_NOT_OK(scanned);
-  obs->set_rows_matched(NumRows(out));
+  stats->rows_matched = NumRows(out);
   return out;
+}
+
+/// The strategy switch of SampleRegion and RegionObjects: calls
+/// emit(chunk, rows, i, g) per matching row i inside qualifying polygon g,
+/// appends the chunks' T outputs to `out`, and sets `stats`.
+template <typename T, typename Out, typename Emit>
+Status ScanRegion(const QueryEngine& engine, const std::string& moft_name,
+                  const std::string& layer_name, const GeometryPredicate& pred,
+                  const TimePredicate& when, Strategy strategy,
+                  EngineStats* stats, Out* out, const Emit& emit) {
+  *stats = EngineStats{};
+  const GeoOlapDatabase& db = engine.db();
+  PIET_ASSIGN_OR_RETURN(const Moft* moft, db.GetMoft(moft_name));
+  PIET_ASSIGN_OR_RETURN(const Layer* layer, db.gis().GetLayer(layer_name));
+  if (layer->kind() != gis::GeometryKind::kPolygon) {
+    return Status::InvalidArgument("sample location needs a polygon layer");
+  }
+  PIET_ASSIGN_OR_RETURN(const std::vector<GeometryId> ids,
+                        engine.QualifyingGeometries(layer_name, pred));
+  const ResolvedPolygons wanted = ResolvePolygons(*layer, ids);
+  const std::vector<uint8_t> member = wanted.Bitmap(layer->size());
+  std::shared_ptr<const SampleClassification> cls;
+  if (strategy == Strategy::kOverlay) {
+    // The Sec. 5 fast path: the (MOFT, overlay-layer) classification is
+    // predicate- and time-independent, so it is computed once (batched
+    // across the pool) and served from the database cache on every
+    // subsequent query over the same MOFT. Its hits are indexed by global
+    // row; the scan reads (oid, t) from the blocks the time window admits.
+    PIET_ASSIGN_OR_RETURN(cls, db.ClassifySamples(moft_name, layer_name));
+  } else if (strategy == Strategy::kIndexed) {
+    layer->WarmIndex();
+  }
+  // The polygon-testing strategies also skip blocks outside the
+  // qualifying polygons' box.
+  BlockScan scan(*moft, when, cls ? nullptr : &wanted.polys,
+                 engine.num_threads());
+  Status scanned;
+  if (cls) {
+    const gis::BatchHits& hits = cls->hits;
+    scanned = scan.Samples<T>(
+        db.time_dimension(), out, [&](const SampleRows& b, auto& c) {
+          b.ForEach([&](size_t i) {
+            const size_t row = b.row_base + i;
+            for (uint32_t j = hits.offsets[row]; j < hits.offsets[row + 1];
+                 ++j) {
+              if (member[static_cast<size_t>(hits.ids[j])]) {
+                emit(c, b, i, hits.ids[j]);
+              }
+            }
+          });
+        });
+  } else if (strategy == Strategy::kNaive) {
+    // Batch point-in-polygon: verdicts bit-identical to Polygon::Contains,
+    // hits in the scalar (sample, qualifying-polygon) order, and
+    // point_tests counting every sample-times-polygon probe (the naive
+    // loop has no early exit).
+    const batch::PolygonSetBatcher batcher(wanted.polys);
+    scanned = scan.Samples<T, batch::TileScratch>(
+        db.time_dimension(), out, [&](const SampleRows& b, auto& c) {
+          c.stats.point_tests += batcher.ForEachHit(
+              b.data, b.runs, &c.scratch,
+              [&](size_t i, size_t q) { emit(c, b, i, wanted.ids[q]); });
+        });
+  } else {
+    scanned = scan.Samples<T>(
+        db.time_dimension(), out, [&](const SampleRows& b, auto& c) {
+          b.ForEach([&](size_t i) {
+            for (GeometryId id : layer->GeometriesContaining(
+                     geometry::Point(b.data.x[i], b.data.y[i]))) {
+              ++c.stats.point_tests;  // GeometriesContaining tested it.
+              if (member[static_cast<size_t>(id)]) {
+                emit(c, b, i, id);
+              }
+            }
+          });
+        });
+  }
+  *stats = scan.stats();
+  return scanned;
 }
 
 }  // namespace
@@ -144,84 +220,45 @@ Result<olap::FactTable> QueryEngine::SamplesMatchingTime(
                            Value(b.data.x[i]), Value(b.data.y[i])});
         });
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
-Result<FactTable> QueryEngine::SampleRegion(const std::string& moft_name,
-                                            const std::string& layer_name,
-                                            const GeometryPredicate& pred,
-                                            const TimePredicate& when,
-                                            Strategy strategy) const {
-  stats_ = EngineStats{};
+Result<FactTable> QueryEngine::SampleRegion(
+    const std::string& moft_name, const std::string& layer_name,
+    const GeometryPredicate& pred, const TimePredicate& when,
+    Strategy strategy) const {
   QueryObs query_obs("sample_region", &stats_);
-  PIET_ASSIGN_OR_RETURN(const Moft* moft, db_->GetMoft(moft_name));
-  PIET_ASSIGN_OR_RETURN(const Layer* layer, db_->gis().GetLayer(layer_name));
-  if (layer->kind() != gis::GeometryKind::kPolygon) {
-    return Status::InvalidArgument("sample location needs a polygon layer");
-  }
-  PIET_ASSIGN_OR_RETURN(const ResolvedPolygons wanted,
-                        QualifyingPolygons(*layer, layer_name, pred));
-  const std::vector<uint8_t> member = wanted.Bitmap(layer->size());
-  std::shared_ptr<const SampleClassification> cls;
-  if (strategy == Strategy::kOverlay) {
-    // The Sec. 5 fast path: the (MOFT, overlay-layer) classification is
-    // predicate- and time-independent, so it is computed once (batched
-    // across the pool) and served from the database cache on every
-    // subsequent query over the same MOFT. Its hits are indexed by global
-    // row; the scan reads (oid, t) from the blocks the time window admits.
-    PIET_ASSIGN_OR_RETURN(cls, db_->ClassifySamples(moft_name, layer_name));
-  } else if (strategy == Strategy::kIndexed) {
-    layer->WarmIndex();
-  }
-  // The polygon-testing strategies also skip blocks outside the
-  // qualifying polygons' box.
-  BlockScan scan(*moft, when, cls ? nullptr : &wanted.polys, num_threads_);
   FactTable out = FactTable::Make({"Oid", "t", "geom"}, {});
-  auto emit = [](auto& c, const SampleRows& b, size_t i, GeometryId g) {
-    c.out.push_back({Value(b.data.oid[i]), Value(b.data.t[i]), Value(g)});
-  };
-  Status scanned;
-  if (cls) {
-    const gis::BatchHits& hits = cls->hits;
-    scanned = scan.Samples<Row>(
-        db_->time_dimension(), &out, [&](const SampleRows& b, auto& c) {
-          b.ForEach([&](size_t i) {
-            const size_t row = b.row_base + i;
-            for (uint32_t j = hits.offsets[row]; j < hits.offsets[row + 1];
-                 ++j) {
-              if (member[static_cast<size_t>(hits.ids[j])]) {
-                emit(c, b, i, hits.ids[j]);
-              }
-            }
-          });
-        });
-  } else if (strategy == Strategy::kNaive) {
-    // Batch point-in-polygon: verdicts bit-identical to Polygon::Contains,
-    // rows in the scalar (sample, qualifying-polygon) order, and
-    // point_tests counting every sample-times-polygon probe (the naive
-    // loop has no early exit).
-    const batch::PolygonSetBatcher batcher(wanted.polys);
-    scanned = scan.Samples<Row, batch::TileScratch>(
-        db_->time_dimension(), &out, [&](const SampleRows& b, auto& c) {
-          c.stats.point_tests += batcher.ForEachHit(
-              b.data, b.runs, &c.scratch,
-              [&](size_t i, size_t q) { emit(c, b, i, wanted.ids[q]); });
-        });
-  } else {
-    scanned = scan.Samples<Row>(
-        db_->time_dimension(), &out, [&](const SampleRows& b, auto& c) {
-          b.ForEach([&](size_t i) {
-            for (GeometryId id : layer->GeometriesContaining(
-                     geometry::Point(b.data.x[i], b.data.y[i]))) {
-              ++c.stats.point_tests;  // GeometriesContaining tested it.
-              if (member[static_cast<size_t>(id)]) {
-                emit(c, b, i, id);
-              }
-            }
-          });
-        });
-  }
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  PIET_RETURN_NOT_OK(ScanRegion<Row>(
+      *this, moft_name, layer_name, pred, when, strategy, &stats_, &out,
+      [](auto& c, const SampleRows& b, size_t i, GeometryId g) {
+        c.out.push_back({Value(b.data.oid[i]), Value(b.data.t[i]), Value(g)});
+      }));
+  stats_.rows_matched = out.num_rows();
+  return out;
+}
+
+Result<std::vector<std::pair<ObjectId, int64_t>>> QueryEngine::RegionObjects(
+    const std::string& moft_name, const std::string& layer_name,
+    const GeometryPredicate& pred, const TimePredicate& when,
+    Strategy strategy, bool per_hour) const {
+  using Key = std::pair<ObjectId, int64_t>;
+  QueryObs query_obs("region_objects", &stats_);
+  std::vector<Key> keys;
+  // Rows arrive in (oid, t) order, so a chunk's repeats are adjacent.
+  PIET_RETURN_NOT_OK(ScanRegion<Key>(
+      *this, moft_name, layer_name, pred, when, strategy, &stats_, &keys,
+      [per_hour](auto& c, const SampleRows& b, size_t i, GeometryId) {
+        ++c.stats.rows_matched;
+        const Key key(b.data.oid[i], temporal::HourBucketKey(TimePoint(
+                                         per_hour ? b.data.t[i] : 0.0)));
+        if (c.out.empty() || c.out.back() != key) {
+          c.out.push_back(key);
+        }
+      }));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 Result<FactTable> QueryEngine::SamplesOnPolylines(
@@ -257,7 +294,7 @@ Result<FactTable> QueryEngine::SamplesOnPolylines(
           }
         });
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<FactTable> QueryEngine::SamplesNearNodes(
@@ -293,7 +330,7 @@ Result<FactTable> QueryEngine::SamplesNearNodes(
           }
         });
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<FactTable> QueryEngine::SnapshotInRegion(const std::string& moft_name,
@@ -333,7 +370,7 @@ Result<FactTable> QueryEngine::SnapshotInRegion(const std::string& moft_name,
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
@@ -371,7 +408,7 @@ Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<FactTable> QueryEngine::TrajectoryNearNodes(
@@ -425,7 +462,7 @@ Result<FactTable> QueryEngine::TrajectoryNearNodes(
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<FactTable> QueryEngine::TrajectoryAggregates(
@@ -457,7 +494,7 @@ Result<FactTable> QueryEngine::TrajectoryAggregates(
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<std::vector<ObjectId>> QueryEngine::ObjectsPossiblyWithin(
@@ -492,7 +529,7 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsPossiblyWithin(
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
@@ -568,7 +605,7 @@ Result<std::vector<ObjectId>> QueryEngine::ObjectsAlwaysWithin(
         }
         return Status::OK();
       });
-  return Finish(scan, scanned, std::move(out), &stats_, &query_obs);
+  return Finish(scan, scanned, std::move(out), &stats_);
 }
 
 std::optional<std::pair<std::shared_ptr<const aggcache::AggCacheEntry>,

@@ -1,10 +1,9 @@
 #ifndef PIET_CORE_ENGINE_H_
 #define PIET_CORE_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "common/result.h"
 #include "core/aggcache/agg_cache.h"
@@ -76,6 +75,13 @@ class QueryEngine {
                                        const GeometryPredicate& pred,
                                        const TimePredicate& when,
                                        Strategy strategy) const;
+
+  /// SampleRegion folded in the scan to its sorted, distinct (Oid, hour
+  /// bucket) keys (bucket 0 unless `per_hour`); rows_matched counts rows.
+  Result<std::vector<std::pair<moving::ObjectId, int64_t>>> RegionObjects(
+      const std::string& moft, const std::string& layer,
+      const GeometryPredicate& pred, const TimePredicate& when,
+      Strategy strategy, bool per_hour) const;
 
   /// Variant matching samples to *polyline* geometries within `tolerance`
   /// (the paper's r^{Pt,Pl} for streets). C = {(Oid, t, pl)}.

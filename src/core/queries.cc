@@ -23,8 +23,9 @@ int64_t HourBucketOf(double t_seconds) {
   return temporal::HourBucketKey(TimePoint(t_seconds));
 }
 
-// Builds a PerHourResult from (Oid, hour) pairs.
-PerHourResult FromPairs(const std::set<std::pair<int64_t, int64_t>>& pairs) {
+// Builds a PerHourResult from distinct (Oid, hour) pairs.
+template <typename Pairs>
+PerHourResult FromPairs(const Pairs& pairs) {
   PerHourResult out;
   std::set<int64_t> hours;
   for (const auto& [oid, hour] : pairs) {
@@ -59,15 +60,9 @@ Result<PerHourResult> CountPerHourInRegion(const QueryEngine& engine,
       return FromPairs(pairs);
     }
   }
-  PIET_ASSIGN_OR_RETURN(
-      FactTable region, engine.SampleRegion(moft, layer, pred, when, strategy));
-  PIET_ASSIGN_OR_RETURN(size_t oid_idx, region.ColumnIndex("Oid"));
-  PIET_ASSIGN_OR_RETURN(size_t t_idx, region.ColumnIndex("t"));
-  std::set<std::pair<int64_t, int64_t>> pairs;
-  for (const Row& r : region.rows()) {
-    pairs.emplace(r[oid_idx].AsIntUnchecked(),
-                  HourBucketOf(r[t_idx].AsDoubleUnchecked()));
-  }
+  PIET_ASSIGN_OR_RETURN(auto pairs,
+                        engine.RegionObjects(moft, layer, pred, when, strategy,
+                                             /*per_hour=*/true));
   return FromPairs(pairs);
 }
 
@@ -89,13 +84,10 @@ Result<int64_t> CountObjectsInRegion(const QueryEngine& engine,
       return static_cast<int64_t>(oids.size());
     }
   }
-  PIET_ASSIGN_OR_RETURN(
-      FactTable region, engine.SampleRegion(moft, layer, pred, when, strategy));
-  PIET_ASSIGN_OR_RETURN(Value count, olap::AggregateScalar(
-                                         region,
-                                         olap::AggFunction::kCountDistinct,
-                                         "Oid"));
-  return count.AsIntUnchecked();
+  PIET_ASSIGN_OR_RETURN(auto oids,
+                        engine.RegionObjects(moft, layer, pred, when, strategy,
+                                             /*per_hour=*/false));
+  return static_cast<int64_t>(oids.size());
 }
 
 Result<DensityResult> MaxStreetDensity(const QueryEngine& engine,

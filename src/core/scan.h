@@ -29,6 +29,7 @@ struct ScanStats {
   /// Exact (leg, polygon) refines of the leg-major kernel — the pairs whose
   /// boxes meet, out of legs_tested × qualifying polygons.
   size_t leg_refines = 0;
+  size_t rows_matched = 0;  ///< Output rows, or the hits a fold consumed.
   /// Block I/O of the scan: pins, codec decodes, zonemap skips. All zero
   /// when the MOFT has no block store (the synthetic single block is
   /// never pinned or skipped).
@@ -39,6 +40,7 @@ struct ScanStats {
     point_tests += other.point_tests;
     legs_tested += other.legs_tested;
     leg_refines += other.leg_refines;
+    rows_matched += other.rows_matched;
     blocks += other.blocks;
     return *this;
   }

@@ -329,19 +329,28 @@ TEST(DatabaseAggCacheTest, ServedFromCacheAndInvalidatedByLoads) {
   EXPECT_EQ(first.ValueOrDie().get(), second.ValueOrDie().get())
       << "repeat lookups must share the cached entry";
 
-  // AddMoft invalidates (the MOFT set changed).
+  // AddMoft of another table keeps the entry: "cars" is unchanged and
+  // the overlay epoch stays.
+  const uint64_t epoch0 = db.overlay_epoch();
   moving::Moft other;
   ASSERT_TRUE(other.Add(1, TimePoint(0), Point(1, 1)).ok());
   ASSERT_TRUE(db.AddMoft("other", std::move(other)).ok());
-  EXPECT_EQ(db.agg_cache_size(), 0u);
+  EXPECT_EQ(db.agg_cache_size(), 1u);
+  EXPECT_EQ(db.overlay_epoch(), epoch0);
+  auto kept = db.AggCache("cars", city->neighborhoods_layer);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.ValueOrDie().get(), first.ValueOrDie().get());
 
+  // BuildOverlay invalidates (the overlay changed); the next lookup
+  // rebuilds at the new epoch.
+  ASSERT_TRUE(db.BuildOverlay({city->neighborhoods_layer}, true).ok());
+  EXPECT_EQ(db.agg_cache_size(), 0u);
+  EXPECT_GT(db.overlay_epoch(), epoch0);
   auto rebuilt = db.AggCache("cars", city->neighborhoods_layer);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(db.agg_cache_size(), 1u);
   EXPECT_EQ(rebuilt.ValueOrDie()->database_epoch(), db.overlay_epoch());
   EXPECT_NE(rebuilt.ValueOrDie().get(), first.ValueOrDie().get());
-
-  // BuildOverlay invalidates (the overlay changed).
   ASSERT_TRUE(db.BuildOverlay({city->neighborhoods_layer}, true).ok());
   EXPECT_EQ(db.agg_cache_size(), 0u);
 
@@ -623,14 +632,21 @@ TEST(AggCacheObsTest, CountersTrackBuildsHitsAndServes) {
   snap = city->db->Stats();
   EXPECT_EQ(snap.counter("pietql.aggcache.served"), served0 + 1);
 
-  // Invalidation is counted too.
+  // An AddMoft of another table invalidates nothing; BuildOverlay
+  // invalidation is counted once.
   const int64_t inv0 =
       registry.Snapshot().counter("pietql.aggcache.invalidations");
   moving::Moft other;
   ASSERT_TRUE(other.Add(7, TimePoint(0), Point(1, 1)).ok());
   ASSERT_TRUE(city->db->AddMoft("other", std::move(other)).ok());
   snap = city->db->Stats();
+  EXPECT_EQ(snap.counter("pietql.aggcache.invalidations"), inv0);
+  EXPECT_EQ(snap.gauge("pietql.aggcache.entries"), 1);
+  ASSERT_TRUE(
+      city->db->BuildOverlay({city->neighborhoods_layer}, true).ok());
+  snap = city->db->Stats();
   EXPECT_EQ(snap.counter("pietql.aggcache.invalidations"), inv0 + 1);
+  EXPECT_EQ(snap.gauge("pietql.aggcache.entries"), 0);
   obs::SetEnabled(false);
 }
 

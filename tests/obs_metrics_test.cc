@@ -208,5 +208,36 @@ TEST_F(ObsSixBusTest, EnabledCountersExactOnSixBus) {
   EXPECT_GE(snap.counter("moft.rows_staged"), 2);
 }
 
+// A classification lives as long as the overlay, so its bytes show in the
+// storage gauges: published once it is cached, unchanged by an AddMoft of
+// another table, and 0 once BuildOverlay drops it.
+TEST_F(ObsSixBusTest, ClassifyBytesGaugeTracksRetainedClassifications) {
+  SetEnabled(true);
+  core::GeoOlapDatabase& db = *scenario_.db;
+  ASSERT_TRUE(db.BuildOverlay({"Ln"}).ok());
+  EXPECT_EQ(db.Stats().gauge("db.classify.bytes"), 0);
+
+  auto cls = db.ClassifySamples("FMbus", "Ln");
+  ASSERT_TRUE(cls.ok());
+  db.PublishStorageGauges();
+  const gis::BatchHits& hits = cls.ValueOrDie()->hits;
+  const int64_t bytes = db.Stats().gauge("db.classify.bytes");
+  EXPECT_GT(bytes, 0);
+  EXPECT_EQ(bytes, static_cast<int64_t>(
+                       hits.offsets.capacity() * sizeof(uint32_t) +
+                       hits.ids.capacity() * sizeof(gis::GeometryId)));
+
+  moving::Moft other;
+  ASSERT_TRUE(other.Add(1, temporal::TimePoint(0), {0, 0}).ok());
+  ASSERT_TRUE(db.AddMoft("other", std::move(other)).ok());
+  EXPECT_EQ(db.Stats().gauge("db.classify.bytes"), bytes);
+  EXPECT_EQ(db.Stats().gauge("db.classify.entries"), 1);
+
+  ASSERT_TRUE(db.BuildOverlay({"Ln"}).ok());
+  EXPECT_EQ(db.Stats().gauge("db.classify.bytes"), 0);
+  EXPECT_EQ(db.Stats().gauge("db.classify.entries"), 0);
+  SetEnabled(false);
+}
+
 }  // namespace
 }  // namespace piet::obs

@@ -20,6 +20,7 @@
 #include "core/pietql/evaluator.h"
 #include "core/queries.h"
 #include "gis/overlay.h"
+#include "obs/metrics.h"
 #include "workload/city.h"
 #include "workload/scenario.h"
 #include "workload/trajectories.h"
@@ -479,24 +480,39 @@ TEST(ClassificationCacheTest, CachesAndInvalidates) {
   EXPECT_EQ(a.ValueOrDie().get(), b.ValueOrDie().get());
   EXPECT_EQ(db->classification_cache_size(), 1u);
 
-  // AddMoft invalidates (the new MOFT might alias a future overlay query).
+  // AddMoft of another table keeps the entry: registered MOFTs are
+  // immutable, so "cars" is served the same block without a miss and the
+  // epoch stays.
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricsRegistry::Global();
   TrajectoryConfig traj;
   traj.seed = 123;
   traj.num_objects = 3;
   traj.duration = 600.0;
   auto moft = workload::GenerateTrajectories(*city, traj).ValueOrDie();
   ASSERT_TRUE(db->AddMoft("bikes", std::move(moft)).ok());
-  EXPECT_EQ(db->classification_cache_size(), 0u);
-  EXPECT_GT(db->overlay_epoch(), epoch0);
+  EXPECT_EQ(db->classification_cache_size(), 1u);
+  EXPECT_EQ(db->overlay_epoch(), epoch0);
+  const int64_t misses0 =
+      registry.Snapshot().counter("db.classify.cache_misses");
+  auto kept = db->ClassifySamples("cars", city->neighborhoods_layer);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.ValueOrDie().get(), a.ValueOrDie().get());
+  EXPECT_EQ(registry.Snapshot().counter("db.classify.cache_misses"), misses0);
 
-  // Re-classify, then BuildOverlay invalidates again.
-  ASSERT_TRUE(db->ClassifySamples("cars", city->neighborhoods_layer).ok());
+  // Classify the new table, then BuildOverlay invalidates both entries
+  // once.
   ASSERT_TRUE(db->ClassifySamples("bikes", city->neighborhoods_layer).ok());
   EXPECT_EQ(db->classification_cache_size(), 2u);
   uint64_t epoch1 = db->overlay_epoch();
+  const int64_t invalidations0 =
+      registry.Snapshot().counter("db.classify.invalidations");
   ASSERT_TRUE(db->BuildOverlay({city->neighborhoods_layer}).ok());
   EXPECT_EQ(db->classification_cache_size(), 0u);
   EXPECT_GT(db->overlay_epoch(), epoch1);
+  EXPECT_EQ(registry.Snapshot().counter("db.classify.invalidations"),
+            invalidations0 + 1);
+  obs::SetEnabled(false);
 
   // A stale handle taken before invalidation stays readable (shared_ptr),
   // but a fresh call recomputes at the new epoch.
