@@ -95,7 +95,6 @@ struct Tally {
 };
 
 void ConfigureEvaluator(piet::core::pietql::Evaluator* eval) {
-  eval->set_rewrite_mode(piet::analysis::rewrite::RewriteMode::kOn);
   eval->set_agg_cache_mode(piet::core::aggcache::AggCacheMode::kOn);
   eval->set_estimate_mode(EstimateMode::kOn);
   eval->set_admission_budget(AdmissionBudget{});  // Observation only.

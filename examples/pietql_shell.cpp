@@ -9,10 +9,7 @@
 // Prefix any query with `EXPLAIN ANALYZE` to run it under a trace collector
 // and print the span tree (parse -> analyze -> geo_filter -> moft_intersect
 // -> aggregate, with per-stage durations and work counters) above the
-// result. With PIET_REWRITE=1 the plan rewriter runs between analyze and
-// geo_filter, and EXPLAIN ANALYZE additionally prints the rewritten plan
-// next to the original, one line per applied rewrite rule. The result is
-// bit-identical to the unprefixed query.
+// result. The result is bit-identical to the unprefixed query.
 //
 // Prefix a query with `EXPLAIN ESTIMATE` to print the static resource
 // estimate instead — the plan plus sound [lo,hi] bounds per pipeline stage
@@ -214,9 +211,6 @@ int main() {
       }
       const auto& value = profiled.ValueOrDie();
       std::printf("%s", value.profile.ToPrettyString().c_str());
-      if (value.result.rewrite.has_value()) {
-        std::printf("%s", value.result.rewrite->ToString().c_str());
-      }
       for (const piet::analysis::Diagnostic& d : value.result.diagnostics) {
         std::printf("%s\n", d.ToString().c_str());
       }

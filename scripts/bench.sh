@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Runs the E2/E3/E10/E11/E12/E13/E14/E15/E16 benchmark suites (Release build) and
+# Runs the E2/E3/E10/E11/E13/E14/E15/E16 benchmark suites (Release build) and
 # writes JSON baselines at the repo root: BENCH_overlay.json,
 # BENCH_query_types.json, BENCH_moft_scan.json, BENCH_obs_overhead.json,
-# BENCH_pietql_rewrite.json (raw vs rewritten latency per query type),
 # BENCH_agg_cache.json (cold build + warm cached-vs-uncached
 # aggregate latency), and BENCH_estimator.json (estimator off/on
 # end-to-end latency plus the EstimateQuery-only derivation). The benches sweep a `threads` axis (1 vs 4 via Engine/Database
@@ -39,7 +38,7 @@ cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 echo "== build benches =="
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
   --target bench_overlay bench_query_types bench_moft_scan \
-  bench_obs_overhead bench_pietql_rewrite bench_agg_cache bench_estimator
+  bench_obs_overhead bench_agg_cache bench_estimator
 
 extra_args=()
 if [[ -n "${FILTER:-}" ]]; then
@@ -65,7 +64,6 @@ run_bench bench_overlay "${extra_args[@]}" "$@"
 run_bench bench_query_types "${extra_args[@]}" "$@"
 run_bench bench_moft_scan "${extra_args[@]}" "$@"
 run_bench bench_obs_overhead "${extra_args[@]}" "$@"
-run_bench bench_pietql_rewrite "${extra_args[@]}" "$@"
 run_bench bench_agg_cache "${extra_args[@]}" "$@"
 run_bench bench_estimator "${extra_args[@]}" "$@"
 
@@ -74,5 +72,5 @@ PIET_OBS_OVERHEAD_CHECK=1 "${BUILD_DIR}/bench/bench_obs_overhead"
 
 echo "== baselines written: BENCH_overlay.json BENCH_query_types.json" \
      "BENCH_moft_scan.json BENCH_obs_overhead.json" \
-     "BENCH_pietql_rewrite.json BENCH_agg_cache.json" \
+     "BENCH_agg_cache.json" \
      "BENCH_estimator.json (+ *_metrics.json) =="

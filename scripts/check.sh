@@ -73,6 +73,23 @@ if grep -rn "MatchingIntervals(" src/ \
   exit 1
 fi
 
+# Queries run exactly as written (DESIGN.md §12): the rw-* rules are
+# `pietql_lint --fix` fix-its, never a stage of the query path. Only the
+# rewriter itself, the lint corpus harness, the linter CLI and the tests
+# may call RewriteQuery, and the retired rewrite-mode knob stays gone.
+if grep -rn "RewriteQuery(" --include='*.cc' --include='*.h' --include='*.cpp' \
+     src/ examples/ bench/ \
+     | grep -vE '^(src/analysis/rewrite/|src/analysis/lint/corpus\.cc:|examples/pietql_lint\.cpp:)'; then
+  echo "error: RewriteQuery is called only by src/analysis/rewrite/," \
+       "src/analysis/lint/corpus.cc, examples/pietql_lint.cpp and tests/" >&2
+  exit 1
+fi
+if grep -rnE "PIET_REWRITE|set_rewrite_mode|rewrite_on" \
+     src/ examples/ tests/ bench/; then
+  echo "error: the rewrite-mode knob was removed; queries run as written" >&2
+  exit 1
+fi
+
 # The sample-semantics count helpers fold region C into distinct keys
 # inside the scan (QueryEngine::RegionObjects). A helper that called
 # SampleRegion would materialize every matched row as a boxed FactTable

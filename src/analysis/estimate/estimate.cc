@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "analysis/lint/time_domain.h"
-#include "analysis/rewrite/rewriter.h"
 #include "gis/layer.h"
 #include "temporal/interval.h"
 #include "temporal/time_point.h"
@@ -171,26 +170,6 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     return Status::InvalidArgument(
         "estimate needs a catalog with a GIS instance");
   }
-  // The evaluator executes the rewritten plan, so the bounds are derived
-  // from it; the rewrite context mirrors Evaluator::RewriteStage.
-  const pq::Query* active = &query;
-  pq::Query rewritten;
-  bool geo_zero = false;
-  bool mo_zero = false;
-  if (catalog.rewrite_on) {
-    rewrite::RewriteContext context;
-    context.gis = catalog.gis;
-    if (catalog.overlay != nullptr) {
-      context.overlay = catalog.overlay;
-      context.agg_cache = catalog.agg_cache_on;
-    }
-    rewrite::RewritePlan plan = rewrite::RewriteQuery(context, query);
-    geo_zero = plan.geo_zero;
-    mo_zero = plan.mo_zero;
-    rewritten = std::move(plan.query);
-    active = &rewritten;
-  }
-
   ResourceEstimate est;
 
   // ---- Geometric part: mirror EvaluateGeoPart. ATTR comparisons filter
@@ -203,10 +182,10 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   std::string result_layer;
   std::vector<GeometryId> over;
   bool region_exact = true;
-  if (active->geo.select.empty()) {
+  if (query.geo.select.empty()) {
     error_expected = true;
   } else {
-    result_layer = active->geo.select.front().name;
+    result_layer = query.geo.select.front().name;
     auto lr = catalog.gis->GetLayer(result_layer);
     if (!lr.ok()) {
       error_expected = true;
@@ -214,13 +193,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
       layer = lr.ValueOrDie();
     }
   }
-  if (!error_expected && geo_zero) {
-    // rw-empty-region proved the conjunction unsatisfiable (and that no
-    // evaluation error hides behind it).
-    over.clear();
-  } else if (!error_expected) {
+  if (!error_expected) {
     over = layer->ids();
-    for (const pq::GeoCondition& cond : active->geo.where) {
+    for (const pq::GeoCondition& cond : query.geo.where) {
       if (cond.a.name != result_layer) {
         error_expected = true;
         break;
@@ -286,13 +261,13 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   geo_stage.attrs.emplace_back(
       "layer", result_layer.empty() ? std::string("?") : result_layer);
   geo_stage.attrs.emplace_back(
-      "conditions", std::to_string(active->geo.where.size()));
+      "conditions", std::to_string(query.geo.where.size()));
   geo_stage.attrs.emplace_back("ids", est.region_ids.ToString());
   geo_stage.attrs.emplace_back("exact", region_exact ? "yes" : "no");
   est.stages.push_back(std::move(geo_stage));
 
   // ---- Moving-object part.
-  if (!error_expected && !active->mo) {
+  if (!error_expected && !query.mo) {
     est.clause = "none";
     est.result_rows = est.region_ids;
     est.cost = 32.0 * static_cast<double>(est.rows_scanned.hi) +
@@ -300,7 +275,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     return est;
   }
 
-  const pq::MoQuery* mo = active->mo ? &*active->mo : nullptr;
+  const pq::MoQuery* mo = query.mo ? &*query.mo : nullptr;
   const MoftCatalogStats* stats = nullptr;
   bool inside_result = false;
   bool passes_through = false;
@@ -366,13 +341,22 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
       st.has_block_store ? static_cast<int64_t>(st.num_blocks) : 0;
 
   const TimeShape shape = SplitTimeShape(*mo);
-  bool sub_hour = false;
+  bool rollup_sub_hour = false;
   for (const pq::MoCondition* r : shape.rollups) {
-    sub_hour = sub_hour || IsSubHourLevel(r->time_level);
+    rollup_sub_hour = rollup_sub_hour || IsSubHourLevel(r->time_level);
   }
-  if (mo->group_by_level && IsSubHourLevel(*mo->group_by_level)) {
-    sub_hour = true;
-  }
+  const bool sub_hour =
+      rollup_sub_hour ||
+      (mo->group_by_level && IsSubHourLevel(*mo->group_by_level));
+
+  // The evaluator skips the scan of an INSIDE / PASSES THROUGH RESULT over
+  // an empty region (PASSES THROUGH only without a sub-hour rollup). `over`
+  // is a superset of the runtime ids: empty proves the skip, and an
+  // inexact region may still skip, so scan lower bounds must admit 0.
+  const bool skip_shape =
+      inside_result || (passes_through && !rollup_sub_hour);
+  const bool scan_skipped = skip_shape && over.empty();
+  const bool may_skip = skip_shape && est.region_ids.lo == 0;
 
   // The meet of every folded time constraint: the windows and each rollup
   // equality are conjuncts, so intersecting their folded windows is sound.
@@ -406,7 +390,8 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
       std::find(catalog.overlay_layers.begin(), catalog.overlay_layers.end(),
                 result_layer) != catalog.overlay_layers.end();
   const bool cache_eligible =
-      inside_result && !mo_zero && catalog.agg_cache_on && overlay_covers;
+      inside_result && !scan_skipped && catalog.agg_cache_on &&
+      overlay_covers;
   // The serve path answers from partials only without a sub-hour level;
   // any later gate (entry build failure, non-decomposable predicate) falls
   // back to the scan, so bounds must bracket both outcomes.
@@ -439,7 +424,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
 
   // rows_scanned: the window probe visits the window's rows, the other
   // scans every row of the admitted blocks.
-  if (!mo_zero) {
+  if (!scan_skipped) {
     if (win_path && !passes_through) {
       est.rows_scanned =
           EstInterval{wm_last.full_rows, wm_last.admitted_rows};
@@ -449,8 +434,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     } else {
       est.rows_scanned = EstInterval{rows_n, rows_n};
     }
-    if (serve_possible || !replay_exact) {
-      // Interior cells served from partials scan nothing.
+    if (serve_possible || !replay_exact || may_skip) {
+      // Interior cells served from partials scan nothing, and neither
+      // does a skipped scan.
       est.rows_scanned.lo = 0;
     }
   }
@@ -459,19 +445,19 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   // path emits none of them, so every bound must include 0 then).
   if (st.has_block_store) {
     est.blocks = EstInterval{serve_possible ? 0 : n_blocks, n_blocks};
-    if (!mo_zero) {
-      est.blocks_skipped =
-          EstInterval{serve_possible ? 0 : wm_last.skipped_blocks,
-                      replay_exact ? wm_last.skipped_blocks : n_blocks};
+    if (!scan_skipped) {
+      est.blocks_skipped = EstInterval{
+          serve_possible || may_skip ? 0 : wm_last.skipped_blocks,
+          replay_exact ? wm_last.skipped_blocks : n_blocks};
     }
-    if (!mo_zero && (st.compressed || st.mapped)) {
+    if (!scan_skipped && (st.compressed || st.mapped)) {
       // Each admitted cold block is decoded at most once per query.
       est.blocks_decoded = EstInterval{0, wm_last.admitted_blocks};
     }
   }
 
   // Qualifying tuples.
-  if (!mo_zero && !time_bottom) {
+  if (!scan_skipped && !time_bottom) {
     if (time_only) {
       if (shape.unconstrained()) {
         est.tuples = EstInterval{rows_n, rows_n};

@@ -45,15 +45,13 @@ struct EstInterval {
 /// What the estimator may look at: schema instance (layer element counts,
 /// attribute tables, R-tree candidates), the optional overlay (cache
 /// coverage), per-MOFT storage statistics (rows, per-block zonemaps,
-/// tier), and the evaluator's mode flags: whether the plan is rewritten
-/// before it runs, and whether the aggregate cache may serve it.
+/// tier), and whether the evaluator's aggregate cache may serve the query.
 struct Catalog {
   const gis::GisDimensionInstance* gis = nullptr;
   const gis::OverlayDb* overlay = nullptr;
   /// Layer names the overlay covers (OverlayLayerIndex would resolve).
   std::vector<std::string> overlay_layers;
   std::map<std::string, moving::MoftCatalogStats> mofts;
-  bool rewrite_on = false;
   bool agg_cache_on = false;
 };
 
@@ -107,11 +105,10 @@ struct ResourceEstimate {
   std::string ToString() const;
 };
 
-/// Derives the ResourceEstimate for `query` against `catalog`. When
-/// catalog.rewrite_on the plan is rewritten first (the evaluator executes
-/// the rewritten plan, so the bounds must bracket that plan's counters).
-/// Fails only on a null catalog.gis; statically-doomed queries succeed
-/// with clause "error" and all-zero intervals.
+/// Derives the ResourceEstimate for `query` against `catalog`, mirroring
+/// the evaluator's execution of the query as written. Fails only on a
+/// null catalog.gis; statically-doomed queries succeed with clause
+/// "error" and all-zero intervals.
 Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
                                        const core::pietql::Query& query);
 

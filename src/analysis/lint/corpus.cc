@@ -537,7 +537,6 @@ Result<estimate::ResourceEstimate> EstimateForCase(const CorpusCase& c,
 
   estimate::Catalog catalog;
   catalog.gis = c.instance.get();
-  catalog.rewrite_on = true;
   catalog.agg_cache_on = true;
   // Corpus cases carry no overlay of their own; estimate against a
   // quadtree overlay over the case's polygon layers (the configuration the

@@ -118,8 +118,8 @@ inline constexpr double kCorpusMoftBase = 1767657600.0;
 /// The estimator's result for the case's `query_index`-th query, against
 /// the corpus catalog: the case's instance, a quadtree overlay over its
 /// polygon layers, CorpusEstimateMoft for every declared MOFT name, and
-/// the rewriter + aggregate cache both on. Fails on schema-defect cases,
-/// unparseable queries and out-of-range indices.
+/// the aggregate cache on. Fails on schema-defect cases, unparseable
+/// queries and out-of-range indices.
 Result<estimate::ResourceEstimate> EstimateForCase(const CorpusCase& c,
                                                    size_t query_index);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -85,63 +84,6 @@ std::string MoEntity(size_t index) {
   return "mo WHERE clause " + std::to_string(index + 1);
 }
 
-/// Fraction of overlay cells carrying any label of `layer` — the Sec. 5
-/// precomputation as a selectivity statistic. 1.0 (no refinement) when
-/// there is no overlay or the layer is not part of it.
-double OverlayCoverage(const RewriteContext& context, const Layer* layer) {
-  const gis::OverlayDb* overlay = context.overlay;
-  if (overlay == nullptr || overlay->num_cells() == 0) {
-    return 1.0;
-  }
-  size_t layer_idx = overlay->layers().size();
-  for (size_t i = 0; i < overlay->layers().size(); ++i) {
-    if (overlay->layers()[i] == layer) {
-      layer_idx = i;
-      break;
-    }
-  }
-  if (layer_idx == overlay->layers().size()) {
-    return 1.0;
-  }
-  size_t labeled = 0;
-  for (size_t i = 0; i < overlay->num_cells(); ++i) {
-    bool has = false;
-    for (const gis::OverlayLabel& label : overlay->CellCovered(i)) {
-      if (label.layer == layer_idx) {
-        has = true;
-        break;
-      }
-    }
-    if (!has) {
-      for (const gis::OverlayLabel& label : overlay->CellCandidates(i)) {
-        if (label.layer == layer_idx) {
-          has = true;
-          break;
-        }
-      }
-    }
-    if (has) {
-      ++labeled;
-    }
-  }
-  return static_cast<double>(labeled) /
-         static_cast<double>(overlay->num_cells());
-}
-
-/// Whether `layer` is one of the overlay's labelled layers (i.e. point
-/// location — and the aggregate cache built on it — can serve the layer).
-bool OverlayHasLayer(const RewriteContext& context, const Layer* layer) {
-  if (context.overlay == nullptr) {
-    return false;
-  }
-  for (const Layer* l : context.overlay->layers()) {
-    if (l == layer) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<GeometryId> SortedIntersection(const std::vector<GeometryId>& a,
                                            const std::vector<GeometryId>& b) {
   std::vector<GeometryId> out;
@@ -157,8 +99,6 @@ std::vector<GeometryId> SortedIntersection(const std::vector<GeometryId>& a,
 /// suppress one.
 void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
   pietql::GeoQuery& geo = plan->query.geo;
-  plan->geo_clauses_before = geo.where.size();
-  plan->geo_clauses_after = geo.where.size();
   if (geo.select.empty()) {
     return;  // Evaluation errors out; nothing to optimize.
   }
@@ -177,12 +117,7 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
     size_t orig = 0;
     bool resolved = true;  // False when the b-layer is unknown.
     bool drop = false;
-    // 0 = exact attribute test, 1 = overlay/cache-servable spatial test,
-    // 2 = plain geometric test. Spatial clauses only split into 1 vs 2
-    // when context.agg_cache is set; otherwise they all land in class 2,
-    // so the flag being off keeps the ordering byte-identical to the
-    // pre-cache rewriter (comparisons are relative).
-    int cost_class = 2;
+    bool exact = false;  // Attribute tests are exact and cheapest.
     double selectivity = 1.0;
   };
 
@@ -200,11 +135,9 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
     // lint dataflow computes it: attr comparisons are exact, spatial
     // clauses over-approximate with bounding boxes.
     std::vector<GeometryId> satisfying;
-    bool exact = false;
     switch (cond.kind) {
       case pietql::GeoCondition::Kind::kAttrCompare: {
-        exact = true;
-        f.cost_class = 0;
+        f.exact = true;
         for (const GeometryId id : layer->ids()) {
           const auto v = layer->GetAttribute(id, cond.attribute);
           if (v.ok() && CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
@@ -230,19 +163,12 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
             satisfying.push_back(id);
           }
         }
-        f.selectivity = OverlayCoverage(context, other);
-        if (context.agg_cache && OverlayHasLayer(context, other)) {
-          // The aggregate cache answers overlay-covered layers from
-          // materialized partials — cheaper than a geometric test, so
-          // prefer (but never reorder past an exact attribute test).
-          f.cost_class = 1;
-        }
         break;
       }
     }
     std::sort(satisfying.begin(), satisfying.end());
-    f.selectivity *= static_cast<double>(satisfying.size()) / universe;
-    if (exact &&
+    f.selectivity = static_cast<double>(satisfying.size()) / universe;
+    if (f.exact &&
         std::includes(satisfying.begin(), satisfying.end(), current.begin(),
                       current.end())) {
       // Every still-possible candidate satisfies the clause, and the test
@@ -276,8 +202,8 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
   if (!abstained && !plan->geo_zero && order.size() >= 2) {
     std::vector<size_t> sorted = order;
     std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
-      if (facts[a].cost_class != facts[b].cost_class) {
-        return facts[a].cost_class < facts[b].cost_class;
+      if (facts[a].exact != facts[b].exact) {
+        return facts[a].exact;
       }
       return facts[a].selectivity < facts[b].selectivity;
     });
@@ -302,7 +228,6 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
     }
     geo.where = std::move(rewritten);
   }
-  plan->geo_clauses_after = geo.where.size();
 }
 
 /// Rewrites the moving-object part in place. The mo WHERE is a
@@ -313,8 +238,6 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
     return;
   }
   pietql::MoQuery& mo = *plan->query.mo;
-  plan->mo_clauses_before = mo.where.size();
-  plan->mo_clauses_after = mo.where.size();
 
   bool passes = false;
   bool inside = false;
@@ -513,7 +436,6 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
     }
   }
   mo.where = std::move(rewritten);
-  plan->mo_clauses_after = mo.where.size();
 
   // Empty-time proof: the mo WHERE is a conjunction, so a straight fold is
   // faithful. Unfoldable clauses only shrink the concrete set further, so
@@ -569,18 +491,6 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
 }
 
 }  // namespace
-
-RewriteMode RewriteModeFromEnv() {
-  const char* env = std::getenv("PIET_REWRITE");
-  if (env == nullptr) {
-    return RewriteMode::kOff;
-  }
-  const std::string v(env);
-  if (v.empty() || v == "0" || v == "off" || v == "false") {
-    return RewriteMode::kOff;
-  }
-  return RewriteMode::kOn;
-}
 
 std::string RewritePlan::ToString() const {
   if (applied.empty()) {

@@ -26,7 +26,7 @@ enum class AggCacheMode {
 };
 
 /// Reads PIET_AGG_CACHE: unset / "" / "0" / "off" / "false" mean kOff,
-/// anything else kOn (the PIET_REWRITE parsing rules).
+/// anything else (e.g. "1", "on") means kOn.
 AggCacheMode AggCacheModeFromEnv();
 
 /// Sentinels in cell_of_row(): a sample contained by no overlay cell, and

@@ -45,20 +45,6 @@ std::string QueryResult::ToString() const {
   return os.str();
 }
 
-std::string RewriteInfo::ToString() const {
-  std::ostringstream os;
-  os << "plan original:  " << original << "\n";
-  os << "plan rewritten: " << rewritten << "\n";
-  if (applied.empty()) {
-    os << "no rewrites applied\n";
-  } else {
-    for (const analysis::rewrite::AppliedRewrite& a : applied) {
-      os << a.rule_id << " [" << a.entity << "]: " << a.detail << "\n";
-    }
-  }
-  return os.str();
-}
-
 Result<bool> Evaluator::ElementsIntersect(const Layer& a, GeometryId ida,
                                           const Layer& b,
                                           GeometryId idb) const {
@@ -243,56 +229,6 @@ Result<std::vector<GeometryId>> Evaluator::EvaluateGeoPart(
   return current;
 }
 
-analysis::rewrite::RewritePlan Evaluator::RewriteStage(
-    const Query& query, obs::TraceCollector* trace, bool obs_on,
-    QueryResult* result) const {
-  obs::TraceSpan rewrite_span(trace, "rewrite");
-  analysis::rewrite::RewriteContext context;
-  context.gis = &db_->gis();
-  if (db_->HasOverlay()) {
-    auto overlay = db_->overlay();
-    if (overlay.ok()) {
-      context.overlay = overlay.ValueOrDie();
-      context.agg_cache =
-          agg_cache_mode_ == aggcache::AggCacheMode::kOn;
-    }
-  }
-  analysis::rewrite::RewritePlan plan =
-      analysis::rewrite::RewriteQuery(context, query);
-  rewrite_span.Attr("rules_applied",
-                    static_cast<int64_t>(plan.applied.size()));
-  rewrite_span.Attr("geo_clauses_before",
-                    static_cast<int64_t>(plan.geo_clauses_before));
-  rewrite_span.Attr("geo_clauses_after",
-                    static_cast<int64_t>(plan.geo_clauses_after));
-  rewrite_span.Attr("mo_clauses_before",
-                    static_cast<int64_t>(plan.mo_clauses_before));
-  rewrite_span.Attr("mo_clauses_after",
-                    static_cast<int64_t>(plan.mo_clauses_after));
-  for (const analysis::rewrite::AppliedRewrite& a : plan.applied) {
-    obs::TraceSpan rule_span(trace, "rewrite_rule:" + a.rule_id);
-    rule_span.Attr("entity", a.entity);
-    rule_span.Attr("detail", a.detail);
-  }
-  if (obs_on) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("pietql.rewrite.queries").Add(1);
-    registry.GetCounter("pietql.rewrite.rules")
-        .Add(static_cast<int64_t>(plan.applied.size()));
-    for (const analysis::rewrite::AppliedRewrite& a : plan.applied) {
-      registry.GetCounter("pietql.rewrite.rule." + a.rule_id).Add(1);
-    }
-  }
-  RewriteInfo info;
-  info.original = Print(query);
-  info.rewritten = Print(plan.query);
-  info.geo_zero = plan.geo_zero;
-  info.mo_zero = plan.mo_zero;
-  info.applied = plan.applied;
-  result->rewrite = std::move(info);
-  return plan;
-}
-
 namespace {
 
 /// Process CPU time (covers pool worker threads), for the flight
@@ -339,12 +275,6 @@ void RecordFlight(std::string text, const Result<QueryResult>& result,
     rec.blocks_decoded = SpanAttrInt(mi, "blocks_decoded");
     rec.agg_cache_served = mi->Find("agg_cache") != nullptr;
     rec.agg_cache_fallback = std::string(mi->Attr("aggcache_fallback"));
-  }
-  if (result.ok() && result.ValueOrDie().rewrite) {
-    for (const analysis::rewrite::AppliedRewrite& a :
-         result.ValueOrDie().rewrite->applied) {
-      rec.rewrite_rules.push_back(a.rule_id);
-    }
   }
   if (const obs::SpanNode* es = profile.Find("estimate");
       es != nullptr && es->Attr("error").empty()) {
@@ -461,7 +391,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     diagnostics.DowngradeErrorsToWarnings();
     result.diagnostics = std::move(diagnostics);
   }
-  // The estimate stage sits between analyze and rewrite: kOn derives
+  // The estimate stage sits between analyze and geo_filter: kOn derives
   // sound static resource intervals from the catalog (no MOFT row is read
   // and no block is decoded), exports them as the `estimate` span plus
   // pietql.estimate.* counters, and applies the admission budget.
@@ -507,47 +437,21 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       }
     }
   }
-  // The rewrite stage sits between analyze and geo_filter: kOn applies the
-  // lint dataflow's fix-its to a copy of the query and the pipeline below
-  // evaluates the rewritten plan (results bit-identical by construction);
-  // kOff evaluates exactly the query given. The mode decides only which
-  // plan runs: the executor below never reads it. Analysis above always
-  // sees the ORIGINAL query.
-  const Query* active = &query;
-  Query rewritten_query;
-  bool geo_zero = false;
-  bool mo_zero = false;
-  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
-    analysis::rewrite::RewritePlan plan =
-        RewriteStage(query, trace, obs_on, &result);
-    geo_zero = plan.geo_zero;
-    mo_zero = plan.mo_zero;
-    rewritten_query = std::move(plan.query);
-    active = &rewritten_query;
-  }
-
-  result.result_layer = active->geo.select.front().name;
+  result.result_layer = query.geo.select.front().name;
   {
     obs::TraceSpan geo_span(trace, "geo_filter");
     geo_span.Attr("layer", result.result_layer);
     geo_span.Attr("conditions",
-                  static_cast<int64_t>(active->geo.where.size()));
-    if (geo_zero) {
-      // rw-empty-region: the rewriter proved the conjunction unsatisfiable
-      // (and that every layer in it resolves, so no error is skipped).
-      geo_span.Attr("short_circuit", "empty_region");
-      result.geometry_ids.clear();
-    } else {
-      PIET_ASSIGN_OR_RETURN(result.geometry_ids,
-                            EvaluateGeoPart(active->geo, trace));
-    }
+                  static_cast<int64_t>(query.geo.where.size()));
+    PIET_ASSIGN_OR_RETURN(result.geometry_ids,
+                          EvaluateGeoPart(query.geo, trace));
     geo_span.Attr("ids", static_cast<int64_t>(result.geometry_ids.size()));
   }
-  if (!active->mo) {
+  if (!query.mo) {
     return result;
   }
 
-  const MoQuery& mo = *active->mo;
+  const MoQuery& mo = *query.mo;
   PIET_ASSIGN_OR_RETURN(const Moft* moft, db_->GetMoft(mo.moft));
   PIET_ASSIGN_OR_RETURN(const Layer* layer,
                         db_->gis().GetLayer(result.result_layer));
@@ -598,6 +502,13 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         .GetCounter(std::string("pietql.clause.") + clause)
         .Add(1);
   }
+  // No tuple lies inside (or passes through) an empty region, so the scan
+  // is skipped: no classification, no cache probe, no block read. PASSES
+  // THROUGH under a sub-hour rollup still scans, because its time clip
+  // rejects that rollup with an error the short circuit must not mask.
+  const bool empty_region =
+      result.geometry_ids.empty() &&
+      (inside_result || (passes_through && !when.has_sub_hour_rollup()));
   // Aggregate-cache serve path: an INSIDE RESULT aggregate whose time
   // predicate decomposes on hour buckets is answered from the database's
   // materialized (overlay cell × hour bucket) partials — interior cells
@@ -614,7 +525,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     subhour_level = *mo.group_by_level;
   }
   const bool cache_eligible =
-      inside_result && !mo_zero &&
+      inside_result && !empty_region &&
       agg_cache_mode_ == aggcache::AggCacheMode::kOn && db_->HasOverlay() &&
       db_->OverlayLayerIndex(result.result_layer).ok();
   if (cache_eligible && !subhour_level.empty() && obs_on) {
@@ -672,7 +583,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   // wanted polygons with the batch tile kernel. Both emit one tuple per
   // sample, even on shared boundaries.
   std::shared_ptr<const SampleClassification> cls;
-  if (inside_result && !mo_zero && db_->HasOverlay() &&
+  if (inside_result && !empty_region && db_->HasOverlay() &&
       db_->OverlayLayerIndex(result.result_layer).ok()) {
     PIET_ASSIGN_OR_RETURN(
         cls, db_->ClassifySamples(mo.moft, result.result_layer));
@@ -691,9 +602,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     c.out.emplace_back(b.data.oid[i], b.data.t[i]);
   };
   Status scanned;
-  if (mo_zero) {
-    // rw-empty-time / rw-contradictory-spatial: the rewriter proved the
-    // region empty, so the scan is skipped.
+  if (empty_region) {
     intersect_span.Attr("short_circuit", "empty_region_c");
   } else if (passes_through) {
     // Trajectory semantics: each maximal inside interval contributes a
@@ -778,7 +687,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     intersect_span.Attr("legs_tested", static_cast<uint64_t>(st.legs_tested));
     intersect_span.Attr("leg_refines", static_cast<uint64_t>(st.leg_refines));
   }
-  if (!mo_zero && !passes_through && when.window_only()) {
+  if (!empty_region && !passes_through && when.window_only()) {
     intersect_span.Attr("fast_path", "window_probe");
   }
   intersect_span.Attr("rows_scanned",
@@ -1023,7 +932,6 @@ analysis::estimate::Catalog Evaluator::BuildEstimateCatalog(
     const Query& query) const {
   analysis::estimate::Catalog catalog;
   catalog.gis = &db_->gis();
-  catalog.rewrite_on = rewrite_mode_ == analysis::rewrite::RewriteMode::kOn;
   if (db_->HasOverlay()) {
     auto overlay = db_->overlay();
     if (overlay.ok()) {

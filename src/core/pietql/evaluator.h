@@ -8,7 +8,6 @@
 
 #include "analysis/diagnostic.h"
 #include "analysis/estimate/estimate.h"
-#include "analysis/rewrite/rewriter.h"
 #include "common/result.h"
 #include "core/aggcache/agg_cache.h"
 #include "core/database.h"
@@ -17,23 +16,6 @@
 #include "olap/fact_table.h"
 
 namespace piet::core::pietql {
-
-/// What the rewrite stage did to one query: the original and rewritten
-/// plans round-tripped through the printer, the zero-row short-circuit
-/// proofs, and one entry per applied rw-* rule. Attached to QueryResult
-/// only when RewriteMode is kOn; never part of QueryResult::ToString(), so
-/// result renderings stay byte-identical across modes.
-struct RewriteInfo {
-  std::string original;
-  std::string rewritten;
-  bool geo_zero = false;
-  bool mo_zero = false;
-  std::vector<analysis::rewrite::AppliedRewrite> applied;
-
-  /// "plan original / plan rewritten" plus one line per applied rule —
-  /// the EXPLAIN ANALYZE rendering.
-  std::string ToString() const;
-};
 
 /// The result of evaluating a Piet-QL query: the geometric part's
 /// qualifying ids (of the result layer), plus — when a moving-object part
@@ -45,7 +27,6 @@ struct QueryResult {
   std::optional<Value> scalar;
   std::optional<olap::FactTable> table;
   analysis::DiagnosticList diagnostics;
-  std::optional<RewriteInfo> rewrite;
 
   std::string ToString() const;
 };
@@ -63,7 +44,8 @@ struct ProfiledResult {
 /// Evaluates Piet-QL queries against a GeoOlapDatabase, following the
 /// Sec. 5 pipeline: the geometric part resolves to geometry identifiers,
 /// which feed the moving-object part (trajectory-segment intersection
-/// against the qualifying geometries).
+/// against the qualifying geometries). Every query runs exactly as
+/// written; `pietql_lint --fix` offers the rw-* rewrites as fix-its.
 ///
 /// With a check mode other than kOff, the Piet-QL semantic analyzer
 /// (analysis::AnalyzeQuery) runs over the AST before evaluation: kStrict
@@ -81,19 +63,6 @@ class Evaluator {
   void set_check_mode(analysis::CheckMode mode) { check_mode_ = mode; }
   analysis::CheckMode check_mode() const { return check_mode_; }
 
-  /// The static plan rewriter (analysis::rewrite). kOn rewrites the query
-  /// between analyze and geo_filter — dead-clause elimination, time-window
-  /// folding, zero-row short circuits, selectivity ordering; kOff
-  /// evaluates exactly the given AST. The mode changes the plan only: both
-  /// plans run on the same executor (core::BlockScan), and results are
-  /// bit-identical. Defaults to the PIET_REWRITE environment knob.
-  void set_rewrite_mode(analysis::rewrite::RewriteMode mode) {
-    rewrite_mode_ = mode;
-  }
-  analysis::rewrite::RewriteMode rewrite_mode() const {
-    return rewrite_mode_;
-  }
-
   /// The materialized (overlay cell × hour bucket) aggregate cache for the
   /// INSIDE RESULT aggregate branches. kOn serves hour-decomposable
   /// count/rate aggregates from the database's cached partials — interior
@@ -106,8 +75,8 @@ class Evaluator {
   aggcache::AggCacheMode agg_cache_mode() const { return agg_cache_mode_; }
 
   /// The static resource estimator (analysis::estimate). kOn derives a
-  /// sound ResourceEstimate between analyze and rewrite, exports it as an
-  /// `estimate` span (and flight-recorder fields), and applies the
+  /// sound ResourceEstimate between analyze and geo_filter, exports it as
+  /// an `estimate` span (and flight-recorder fields), and applies the
   /// admission budget: provably-over-budget queries are rejected with
   /// lint-est-* diagnostics before any row is scanned; possibly-over
   /// queries evaluate with a warning attached. With an empty budget the
@@ -174,12 +143,6 @@ class Evaluator {
   /// bit-identical either way.
   Result<QueryResult> EvaluateRecorded(const Query& query,
                                        const std::string* text) const;
-  /// Runs the rewrite stage: fills result->rewrite, emits the rewrite span
-  /// and pietql.rewrite.* counters, and returns the plan to evaluate.
-  analysis::rewrite::RewritePlan RewriteStage(const Query& query,
-                                              obs::TraceCollector* trace,
-                                              bool obs_on,
-                                              QueryResult* result) const;
   Result<std::vector<gis::GeometryId>> EvaluateGeoPart(
       const GeoQuery& geo, obs::TraceCollector* trace) const;
   Result<bool> ElementsIntersect(const gis::Layer& a, gis::GeometryId ida,
@@ -200,8 +163,6 @@ class Evaluator {
 
   const GeoOlapDatabase* db_;
   analysis::CheckMode check_mode_ = analysis::CheckMode::kOff;
-  analysis::rewrite::RewriteMode rewrite_mode_ =
-      analysis::rewrite::RewriteModeFromEnv();
   aggcache::AggCacheMode agg_cache_mode_ = aggcache::AggCacheModeFromEnv();
   analysis::estimate::EstimateMode estimate_mode_ =
       analysis::estimate::EstimateModeFromEnv();

@@ -117,12 +117,6 @@ std::string QueryRecord::ToLine() const {
   } else if (!agg_cache_fallback.empty()) {
     os << " agg_cache=fallback:" << agg_cache_fallback;
   }
-  if (!rewrite_rules.empty()) {
-    os << " rewrites=";
-    for (size_t i = 0; i < rewrite_rules.size(); ++i) {
-      os << (i > 0 ? "," : "") << rewrite_rules[i];
-    }
-  }
   if (has_estimate) {
     os << " est_rows=[" << est_rows_lo << "," << est_rows_hi << "]"
        << " est_cost=" << est_cost;
@@ -148,15 +142,8 @@ std::string QueryRecord::ToJson() const {
      << ",\"blocks_decoded\":" << blocks_decoded << ",\"agg_cache_served\":"
      << (agg_cache_served ? "true" : "false") << ",\"agg_cache_fallback\":";
   AppendJsonEscaped(&os, agg_cache_fallback);
-  os << ",\"rewrite_rules\":[";
-  for (size_t i = 0; i < rewrite_rules.size(); ++i) {
-    if (i > 0) {
-      os << ",";
-    }
-    AppendJsonEscaped(&os, rewrite_rules[i]);
-  }
   if (has_estimate) {
-    os << "],\"estimate\":{\"rows\":[" << est_rows_lo << "," << est_rows_hi
+    os << ",\"estimate\":{\"rows\":[" << est_rows_lo << "," << est_rows_hi
        << "],\"tuples\":[" << est_tuples_lo << "," << est_tuples_hi
        << "],\"blocks\":[" << est_blocks_lo << "," << est_blocks_hi
        << "],\"blocks_skipped\":[" << est_blocks_skipped_lo << ","
@@ -164,12 +151,9 @@ std::string QueryRecord::ToJson() const {
        << est_blocks_decoded_lo << "," << est_blocks_decoded_hi
        << "],\"cost\":" << est_cost << ",\"verdict\":";
     AppendJsonEscaped(&os, est_verdict);
-    os << "},\"slow\":" << (slow ? "true" : "false") << ",\"profile\":";
-    AppendSpanJson(&os, profile);
     os << "}";
-    return os.str();
   }
-  os << "],\"slow\":" << (slow ? "true" : "false") << ",\"profile\":";
+  os << ",\"slow\":" << (slow ? "true" : "false") << ",\"profile\":";
   AppendSpanJson(&os, profile);
   os << "}";
   return os.str();

@@ -46,8 +46,6 @@ struct QueryRecord {
   /// Rollup level that defeated an otherwise-eligible cache serve
   /// ("timeId"/"minute"), empty otherwise.
   std::string agg_cache_fallback;
-  /// rw-* rules the plan rewriter applied, in application order.
-  std::vector<std::string> rewrite_rules;
 
   /// Static estimator export, copied from the `estimate` span when the
   /// evaluator ran with PIET_ESTIMATE on. [lo,hi] brackets the actual

@@ -183,55 +183,99 @@ TEST(EstimateSoundnessTest, FlightCountersLandInsideStaticIntervals) {
   obs::SetEnabled(true);
   const std::vector<std::string> queries = MakeQueries(7);
   for (Tier tier : {Tier::kRaw, Tier::kCompressed, Tier::kSpilled}) {
-    for (auto rewrite : {analysis::rewrite::RewriteMode::kOff,
-                         analysis::rewrite::RewriteMode::kOn}) {
-      std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
-      core::pietql::Evaluator eval(db.get());
-      eval.set_rewrite_mode(rewrite);
-      eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
-      eval.set_estimate_mode(EstimateMode::kOn);
-      eval.set_admission_budget(AdmissionBudget{});
-      const std::string arm =
-          std::string(TierName(tier)) + "/rewrite=" +
-          (rewrite == analysis::rewrite::RewriteMode::kOn ? "on" : "off");
-      for (int threads : {1, 4}) {
-        eval.set_num_threads(threads);
-        MetricsRegistry::Global().Reset();
-        FlightRecorder::Options opts;
-        opts.capacity = queries.size() + 8;
-        FlightRecorder::Global().Configure(opts);
-        for (const std::string& q : queries) {
-          (void)eval.EvaluateString(q);
-        }
-        const std::vector<QueryRecord> flight =
-            FlightRecorder::Global().Snapshot();
-        ASSERT_EQ(flight.size(), queries.size());
-        size_t checked = 0;
-        for (const QueryRecord& rec : flight) {
-          if (!rec.error.empty()) {
-            continue;
-          }
-          ASSERT_TRUE(rec.has_estimate)
-              << arm << "/" << threads << ": " << rec.text;
-          EXPECT_EQ(rec.EstimateViolation(), "")
-              << arm << "/" << threads << ": " << rec.text;
-          ++checked;
-        }
-        // The generator must not degenerate into all-error queries.
-        EXPECT_GE(checked, queries.size() / 2);
-        const obs::MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-        auto counter = [&snap](const std::string& name) {
-          auto it = snap.counters.find(name);
-          return it == snap.counters.end() ? int64_t{0} : it->second;
-        };
-        EXPECT_EQ(counter("pietql.estimate.violations"), 0)
-            << arm << "/" << threads;
-        EXPECT_EQ(counter("pietql.estimate.checked"),
-                  static_cast<int64_t>(checked))
-            << arm << "/" << threads;
+    std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
+    core::pietql::Evaluator eval(db.get());
+    eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
+    eval.set_estimate_mode(EstimateMode::kOn);
+    eval.set_admission_budget(AdmissionBudget{});
+    const std::string arm = TierName(tier);
+    for (int threads : {1, 4}) {
+      eval.set_num_threads(threads);
+      MetricsRegistry::Global().Reset();
+      FlightRecorder::Options opts;
+      opts.capacity = queries.size() + 8;
+      FlightRecorder::Global().Configure(opts);
+      for (const std::string& q : queries) {
+        (void)eval.EvaluateString(q);
       }
+      const std::vector<QueryRecord> flight =
+          FlightRecorder::Global().Snapshot();
+      ASSERT_EQ(flight.size(), queries.size());
+      size_t checked = 0;
+      for (const QueryRecord& rec : flight) {
+        if (!rec.error.empty()) {
+          continue;
+        }
+        ASSERT_TRUE(rec.has_estimate)
+            << arm << "/" << threads << ": " << rec.text;
+        EXPECT_EQ(rec.EstimateViolation(), "")
+            << arm << "/" << threads << ": " << rec.text;
+        ++checked;
+      }
+      // The generator must not degenerate into all-error queries.
+      EXPECT_GE(checked, queries.size() / 2);
+      const obs::MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+      auto counter = [&snap](const std::string& name) {
+        auto it = snap.counters.find(name);
+        return it == snap.counters.end() ? int64_t{0} : it->second;
+      };
+      EXPECT_EQ(counter("pietql.estimate.violations"), 0)
+          << arm << "/" << threads;
+      EXPECT_EQ(counter("pietql.estimate.checked"),
+                static_cast<int64_t>(checked))
+          << arm << "/" << threads;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The evaluator skips the scan of INSIDE RESULT over an empty region. A
+// spatial geo clause is over-approximated by bbox candidates, so the
+// estimator cannot prove the region empty — it must still admit the
+// skipped scan: 0 rows scanned, 0 blocks skipped. Here the triangle's box
+// meets the square's box, but the shapes are disjoint.
+
+TEST(EstimateSoundnessTest, InexactEmptyRegionAdmitsTheSkippedScan) {
+  const char* kCase =
+      "layer Ln polygon\n"
+      "layer Lr polygon\n"
+      "graph Ln point->polygon polygon->All\n"
+      "graph Lr point->polygon polygon->All\n"
+      "elem Ln POLYGON((0 0, 100 0, 0 100, 0 0))\n"
+      "elem Lr POLYGON((80 80, 100 80, 100 100, 80 100, 80 80))\n"
+      "moft FM\n";
+  auto case_or = ParseCorpusText("inexact_empty_region", kCase);
+  ASSERT_TRUE(case_or.ok()) << case_or.status().ToString();
+  const CorpusCase& c = case_or.ValueOrDie();
+  core::GeoOlapDatabase db(*c.instance);
+  ASSERT_TRUE(db.AddMoft("FM", lint::CorpusEstimateMoft()).ok());
+  ASSERT_TRUE(db.BuildOverlay({"Ln", "Lr"}, /*convex=*/false,
+                              /*quadtree_depth=*/6)
+                  .ok());
+  core::pietql::Evaluator eval(&db);
+  eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOff);
+  eval.set_estimate_mode(EstimateMode::kOn);
+  eval.set_admission_budget(AdmissionBudget{});
+
+  obs::SetEnabled(true);
+  FlightRecorder::Options opts;
+  opts.capacity = 8;
+  FlightRecorder::Global().Configure(opts);
+  const std::string q =
+      "SELECT layer.Ln; FROM S; WHERE INTERSECTION(layer.Ln, layer.Lr) "
+      "| SELECT COUNT(*) FROM FM WHERE INSIDE RESULT";
+  auto result = eval.EvaluateString(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.ValueOrDie().geometry_ids.empty());
+
+  const std::vector<QueryRecord> flight = FlightRecorder::Global().Snapshot();
+  ASSERT_EQ(flight.size(), 1u);
+  const QueryRecord& rec = flight.front();
+  ASSERT_TRUE(rec.has_estimate);
+  EXPECT_EQ(rec.rows_scanned, 0);
+  EXPECT_EQ(rec.blocks_skipped, 0);
+  EXPECT_GT(rec.est_rows_hi, 0);  // The estimator cannot prove emptiness.
+  EXPECT_EQ(rec.EstimateViolation(), "") << rec.text;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +293,6 @@ TEST(EstimateByteIdentityTest, ResultsMatchWithEstimatorOnAndOff) {
     core::pietql::Evaluator off(db_off.get());
     core::pietql::Evaluator on(db_on.get());
     for (core::pietql::Evaluator* eval : {&off, &on}) {
-      eval->set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
       eval->set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
       eval->set_admission_budget(AdmissionBudget{});
       eval->set_num_threads(threads);
@@ -301,7 +344,6 @@ std::unique_ptr<core::GeoOlapDatabase> Figure1WithoutBlocks() {
 TEST(ExplainEstimateTest, GoldenOverFigure1) {
   const std::unique_ptr<core::GeoOlapDatabase> db = Figure1WithoutBlocks();
   core::pietql::Evaluator eval(db.get());
-  eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
   eval.set_estimate_mode(EstimateMode::kOn);
   auto out = eval.ExplainEstimate(kInsideCount);
@@ -340,7 +382,6 @@ TEST(AdmissionTest, ExactIntervalAcceptsAtAndRejectsBelowTheBound) {
   auto scenario = workload::BuildFigure1Scenario();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   core::pietql::Evaluator eval(scenario.ValueOrDie().db.get());
-  eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
   auto query = core::pietql::Parse(kInsideCount);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
@@ -415,7 +456,6 @@ TEST(AdmissionTest, EvaluatorRejectsAndWarnsThroughTheBudget) {
   auto scenario = workload::BuildFigure1Scenario();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   core::pietql::Evaluator eval(scenario.ValueOrDie().db.get());
-  eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
   eval.set_estimate_mode(EstimateMode::kOn);
 

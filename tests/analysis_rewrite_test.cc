@@ -7,9 +7,11 @@
 //  - rewriting is idempotent through the printer round-trip;
 //  - the batch kernels are bit-identical to the scalar Polygon::Contains /
 //    Polygon::IntersectsSegment, boundary and vertex points included;
-//  - the evaluator contract: RewriteMode::kOn is result-bit-identical to
-//    kOff for every corpus query and all eight Figure-1 query shapes, on a
-//    generated city with real trajectories, serial and at four threads.
+//  - the fix-it contract: evaluating a query's rewrite (the printed
+//    RewriteQuery plan, as `pietql_lint --fix` emits it) is
+//    result-bit-identical to evaluating the query as written, for every
+//    corpus query and all eight Figure-1 query shapes, on a generated city
+//    with real trajectories, serial and at four threads.
 
 #include <gtest/gtest.h>
 
@@ -199,8 +201,8 @@ TEST_F(RewriteRuleTest, ShadowedWindowIsDropped) {
       "WHERE T BETWEEN 0 AND 100 AND T BETWEEN 50 AND 80");
   EXPECT_FALSE(plan.mo_zero);
   EXPECT_TRUE(Applied(plan, "rw-drop-redundant-clause")) << plan.ToString();
-  EXPECT_EQ(plan.mo_clauses_before, 2u);
-  EXPECT_EQ(plan.mo_clauses_after, 1u);
+  ASSERT_TRUE(plan.query.mo.has_value());
+  EXPECT_EQ(plan.query.mo->where.size(), 1u);
   EXPECT_NE(Print(plan.query).find("T BETWEEN 50 AND 80"), std::string::npos);
 }
 
@@ -342,21 +344,23 @@ TEST(BatchKernelTest, AnyLegIntersectsMatchesScalarSegments) {
             poly.IntersectsSegment(Segment(Point(-1, 1), Point(1, -1))));
 }
 
-// --- Evaluator exactness: kOn bit-identical to kOff ---
+// --- Fix-it exactness: the rewritten query answers like the original ---
 
-void ExpectSameOutcome(const Result<QueryResult>& off,
-                       const Result<QueryResult>& on, const std::string& tag) {
-  ASSERT_EQ(off.ok(), on.ok())
-      << tag << ": off=" << off.status().ToString()
-      << " on=" << on.status().ToString();
-  if (!off.ok()) {
-    // The rewriter must abstain from proofs that would suppress an
+void ExpectSameOutcome(const Result<QueryResult>& original,
+                       const Result<QueryResult>& fixed,
+                       const std::string& tag) {
+  ASSERT_EQ(original.ok(), fixed.ok())
+      << tag << ": original=" << original.status().ToString()
+      << " fixed=" << fixed.status().ToString();
+  if (!original.ok()) {
+    // The rewriter must abstain from rewrites that would suppress an
     // evaluation error: same status, same message.
-    EXPECT_EQ(off.status().ToString(), on.status().ToString()) << tag;
+    EXPECT_EQ(original.status().ToString(), fixed.status().ToString())
+        << tag;
     return;
   }
-  const QueryResult& a = off.ValueOrDie();
-  const QueryResult& b = on.ValueOrDie();
+  const QueryResult& a = original.ValueOrDie();
+  const QueryResult& b = fixed.ValueOrDie();
   EXPECT_EQ(a.ToString(), b.ToString()) << tag;
   EXPECT_EQ(a.geometry_ids, b.geometry_ids) << tag;
   ASSERT_EQ(a.scalar.has_value(), b.scalar.has_value()) << tag;
@@ -367,9 +371,20 @@ void ExpectSameOutcome(const Result<QueryResult>& off,
   if (a.table && b.table) {
     EXPECT_EQ(a.table->rows(), b.table->rows()) << tag;
   }
-  // kOff never records rewrite info; kOn always does.
-  EXPECT_FALSE(a.rewrite.has_value()) << tag;
-  EXPECT_TRUE(b.rewrite.has_value()) << tag;
+}
+
+// Evaluates `text` as written and as its fix-it (the rewriter's plan
+// printed back to Piet-QL) on the same evaluator; both must agree.
+void ExpectFixItPreservesAnswer(const Evaluator& eval,
+                                const RewriteContext& context,
+                                const std::string& text,
+                                const std::string& tag) {
+  auto parsed = Parse(text);
+  ASSERT_TRUE(parsed.ok()) << tag << ": " << parsed.status().ToString();
+  const std::string fixed =
+      Print(RewriteQuery(context, parsed.ValueOrDie()).query);
+  ExpectSameOutcome(eval.EvaluateString(text), eval.EvaluateString(fixed),
+                    tag + " fixed=" + fixed);
 }
 
 // All eight Figure-1 query shapes (the frozen-baseline list of
@@ -410,54 +425,50 @@ const char* kFigure1Queries[] = {
     "| SELECT COUNT(*) FROM FMbus WHERE INSIDE RESULT",
 };
 
-TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnFigure1) {
+TEST(RewriteEvaluatorTest, FixItPreservesAnswerOnFigure1) {
   for (int threads : {1, 4}) {
     auto scenario = workload::BuildFigure1Scenario().ValueOrDie();
     ASSERT_TRUE(
         scenario.db->BuildOverlay({scenario.neighborhoods_layer}).ok());
     scenario.db->set_num_threads(threads);
-    Evaluator off(scenario.db.get());
-    off.set_rewrite_mode(RewriteMode::kOff);
-    off.set_num_threads(threads);
-    Evaluator on(scenario.db.get());
-    on.set_rewrite_mode(RewriteMode::kOn);
-    on.set_num_threads(threads);
+    Evaluator eval(scenario.db.get());
+    eval.set_num_threads(threads);
+    RewriteContext context;
+    context.gis = &scenario.db->gis();
     for (const char* q : kFigure1Queries) {
-      ExpectSameOutcome(off.EvaluateString(q), on.EvaluateString(q),
-                        std::string(q) + " threads=" +
-                            std::to_string(threads));
+      ExpectFixItPreservesAnswer(
+          eval, context, q,
+          std::string(q) + " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnCorpusQueries) {
+TEST(RewriteEvaluatorTest, FixItPreservesAnswerOnCorpusQueries) {
   // Corpus queries reference layers Ln/Lr/Ls and MOFT FM; run them against
   // the Figure-1 database (which has the layers but not the MOFT). Queries
   // that evaluate must agree bit-for-bit; queries that error must produce
-  // the same status — the rewriter's short circuits may not suppress
-  // validation errors.
+  // the same status — a fix-it may not suppress a validation error.
   auto scenario = workload::BuildFigure1Scenario().ValueOrDie();
   ASSERT_TRUE(scenario.db->BuildOverlay({scenario.neighborhoods_layer}).ok());
-  Evaluator off(scenario.db.get());
-  off.set_rewrite_mode(RewriteMode::kOff);
-  Evaluator on(scenario.db.get());
-  on.set_rewrite_mode(RewriteMode::kOn);
+  Evaluator eval(scenario.db.get());
+  RewriteContext context;
+  context.gis = &scenario.db->gis();
   for (const std::string& path : CorpusPaths()) {
     auto parsed = ParseCorpusFile(path);
     ASSERT_TRUE(parsed.ok()) << path;
     for (const std::string& text : parsed.ValueOrDie().queries) {
       if (!Parse(text).ok()) {
-        continue;  // Both modes reject unparseable text at the same stage.
+        continue;  // Unparseable text has no fix-it.
       }
-      ExpectSameOutcome(off.EvaluateString(text), on.EvaluateString(text),
-                        path + ": " + text);
+      ExpectFixItPreservesAnswer(eval, context, text, path + ": " + text);
     }
   }
 }
 
 // A generated city with real trajectories: large enough that the batch
-// kernels, the window fast paths, and the short circuits all actually run.
-TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
+// kernels, the window fast paths, and the empty-region skip all actually
+// run.
+TEST(RewriteEvaluatorTest, FixItPreservesAnswerOnGeneratedCity) {
   for (int threads : {1, 4}) {
     workload::CityConfig config;
     config.seed = 20260807;
@@ -475,12 +486,10 @@ TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
     auto moft = workload::GenerateTrajectories(city, traj).ValueOrDie();
     ASSERT_TRUE(city.db->AddMoft("cars", std::move(moft)).ok());
 
-    Evaluator off(city.db.get());
-    off.set_rewrite_mode(RewriteMode::kOff);
-    off.set_num_threads(threads);
-    Evaluator on(city.db.get());
-    on.set_rewrite_mode(RewriteMode::kOn);
-    on.set_num_threads(threads);
+    Evaluator eval(city.db.get());
+    eval.set_num_threads(threads);
+    RewriteContext context;
+    context.gis = &city.db->gis();
 
     const std::string n = city.neighborhoods_layer;
     const std::vector<std::string> queries = {
@@ -509,10 +518,10 @@ TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
         "| SELECT COUNT(*) FROM cars "
         "WHERE NEAR(layer." + city.schools_layer + ", 25) "
         "AND T BETWEEN 0 AND 1800",
-        // Empty window: the zero-tuple short circuit.
+        // Empty window: the fix-it proves rw-empty-time.
         "SELECT layer." + n + "; FROM SimCity; "
         "| SELECT COUNT(*) FROM cars WHERE T BETWEEN 100 AND 50",
-        // Empty region feeding INSIDE: geo and mo short circuits together.
+        // Empty region feeding INSIDE: the evaluator skips the scan.
         "SELECT layer." + n + "; FROM SimCity; "
         "WHERE ATTR(layer." + n + ", income) < -10 "
         "| SELECT COUNT(*) FROM cars WHERE INSIDE RESULT",
@@ -523,22 +532,20 @@ TEST(RewriteEvaluatorTest, OnModeBitIdenticalToOffOnGeneratedCity) {
         "GROUP BY TIME.hour",
     };
     for (const std::string& q : queries) {
-      ExpectSameOutcome(off.EvaluateString(q), on.EvaluateString(q),
-                        q + " threads=" + std::to_string(threads));
+      ExpectFixItPreservesAnswer(eval, context, q,
+                                 q + " threads=" + std::to_string(threads));
     }
     // Both orders of the two windows count the single window's samples.
-    for (const Evaluator* eval : {&off, &on}) {
-      auto count = [eval](const std::string& q) {
-        auto r = eval->EvaluateString(q);
-        EXPECT_TRUE(r.ok() && r.ValueOrDie().scalar) << q;
-        return r.ok() && r.ValueOrDie().scalar
-                   ? r.ValueOrDie().scalar->ToString()
-                   : std::string();
-      };
-      const std::string single = count(queries[0]);
-      EXPECT_EQ(count(queries[1]), single);
-      EXPECT_EQ(count(queries[2]), single);
-    }
+    auto count = [&eval](const std::string& q) {
+      auto r = eval.EvaluateString(q);
+      EXPECT_TRUE(r.ok() && r.ValueOrDie().scalar) << q;
+      return r.ok() && r.ValueOrDie().scalar
+                 ? r.ValueOrDie().scalar->ToString()
+                 : std::string();
+    };
+    const std::string single = count(queries[0]);
+    EXPECT_EQ(count(queries[1]), single);
+    EXPECT_EQ(count(queries[2]), single);
   }
 }
 

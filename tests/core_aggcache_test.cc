@@ -16,9 +16,7 @@
 #include "core/aggcache/agg_cache.h"
 #include "core/engine.h"
 #include "core/pietql/evaluator.h"
-#include "core/pietql/parser.h"
 #include "core/queries.h"
-#include "analysis/rewrite/rewriter.h"
 #include "geometry/polygon.h"
 #include "gis/overlay.h"
 #include "moving/block_store.h"
@@ -743,69 +741,6 @@ TEST(DatabaseAggCacheTest, StorageEpochRefreshesEntriesAfterReleaseHot) {
   ASSERT_TRUE(cls2.ok());
   EXPECT_EQ(cls1.ValueOrDie().get(), cls2.ValueOrDie().get());
   EXPECT_EQ(cls2.ValueOrDie()->hits.offsets.size(), moft->num_samples() + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Rewriter: with the cache live, overlay-covered spatial clauses are
-// preferred; exact attribute tests still come first.
-
-TEST(RewriterAggCacheTest, PrefersCacheServableSpatialClauses) {
-  auto city = MakeCity(1, /*convex=*/true);
-  analysis::rewrite::RewriteContext context;
-  context.gis = &city->db->gis();
-  context.overlay = city->db->overlay().ValueOrDie();
-
-  // Two input orders of the same spatial pair: with the cache flag the
-  // overlay-covered clause (b = neighborhoods) must sort ahead of the
-  // uncovered one (b = streets) either way.
-  const std::vector<std::string> variants = {
-      "SELECT layer.neighborhoods; FROM PietSchema; "
-      "WHERE INTERSECTION(layer.neighborhoods, layer.streets) "
-      "AND INTERSECTION(layer.neighborhoods, layer.neighborhoods)",
-      "SELECT layer.neighborhoods; FROM PietSchema; "
-      "WHERE INTERSECTION(layer.neighborhoods, layer.neighborhoods) "
-      "AND INTERSECTION(layer.neighborhoods, layer.streets)",
-  };
-  for (const std::string& text : variants) {
-    auto query = core::pietql::Parse(text);
-    ASSERT_TRUE(query.ok()) << query.status().ToString();
-
-    context.agg_cache = true;
-    analysis::rewrite::RewritePlan plan =
-        analysis::rewrite::RewriteQuery(context, query.ValueOrDie());
-    ASSERT_FALSE(plan.query.geo.where.empty());
-    if (!plan.geo_zero && plan.query.geo.where.size() == 2) {
-      EXPECT_EQ(plan.query.geo.where.front().b.name, "neighborhoods")
-          << text;
-    }
-
-    // Flag off: both spatial clauses share one cost class, so the order
-    // depends only on selectivity — identical across repeated runs.
-    context.agg_cache = false;
-    analysis::rewrite::RewritePlan off1 =
-        analysis::rewrite::RewriteQuery(context, query.ValueOrDie());
-    analysis::rewrite::RewritePlan off2 =
-        analysis::rewrite::RewriteQuery(context, query.ValueOrDie());
-    ASSERT_EQ(off1.query.geo.where.size(), off2.query.geo.where.size());
-    for (size_t i = 0; i < off1.query.geo.where.size(); ++i) {
-      EXPECT_EQ(off1.query.geo.where[i].b.name,
-                off2.query.geo.where[i].b.name);
-    }
-  }
-
-  // An exact attribute clause outranks even a cache-servable spatial one.
-  auto query = core::pietql::Parse(
-      "SELECT layer.neighborhoods; FROM PietSchema; "
-      "WHERE INTERSECTION(layer.neighborhoods, layer.neighborhoods) "
-      "AND ATTR(layer.neighborhoods, income) < 1500");
-  ASSERT_TRUE(query.ok());
-  context.agg_cache = true;
-  analysis::rewrite::RewritePlan plan =
-      analysis::rewrite::RewriteQuery(context, query.ValueOrDie());
-  if (!plan.geo_zero && plan.query.geo.where.size() == 2) {
-    EXPECT_EQ(plan.query.geo.where.front().kind,
-              core::pietql::GeoCondition::Kind::kAttrCompare);
-  }
 }
 
 }  // namespace

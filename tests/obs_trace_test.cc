@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/pietql/evaluator.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/scenario.h"
 
@@ -205,10 +206,6 @@ TEST_F(EvaluateProfiledTest, BitIdenticalAcrossQueryForms) {
 
 TEST_F(EvaluateProfiledTest, SpanTaxonomyOnHeadlineQuery) {
   core::pietql::Evaluator eval(scenario_.db.get());
-  // Pin the rewrite mode so the taxonomy is deterministic regardless of
-  // the PIET_REWRITE environment (kOn adds a "rewrite" span, checked in
-  // SpanTaxonomyWithRewriteStage).
-  eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOff);
   auto profiled = eval.EvaluateStringProfiled(
       "SELECT layer.Ln; FROM PietSchema; "
       "WHERE ATTR(layer.Ln, income) < 1500 "
@@ -248,40 +245,71 @@ TEST_F(EvaluateProfiledTest, SpanTaxonomyOnHeadlineQuery) {
                                              "moft_intersect", "aggregate"}));
 }
 
+// Queries run exactly as written: even a query the `pietql_lint --fix`
+// rewriter would rewrite (the wider of two nested windows is implied)
+// profiles with no rewrite stage anywhere in its span tree.
 TEST_F(EvaluateProfiledTest, SpanTaxonomyWithRewriteStage) {
   core::pietql::Evaluator eval(scenario_.db.get());
-  eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   auto profiled = eval.EvaluateStringProfiled(
       "SELECT layer.Ln; FROM PietSchema; "
       "WHERE ATTR(layer.Ln, income) < 1500 "
       "| SELECT RATE PER HOUR FROM FMbus "
-      "WHERE INSIDE RESULT AND TIME.timeOfDay = 'Morning'");
+      "WHERE INSIDE RESULT AND TIME.timeOfDay = 'Morning' "
+      "AND T BETWEEN 0 AND 999999999 AND T BETWEEN 100 AND 999999990");
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
-
-  // Bit-identical result with the rewrite stage in the pipeline.
   ASSERT_TRUE(profiled.ValueOrDie().result.scalar.has_value());
   EXPECT_DOUBLE_EQ(profiled.ValueOrDie().result.scalar->AsDoubleUnchecked(),
                    4.0 / 3.0);
 
   const SpanNode& root = profiled.ValueOrDie().profile;
-  const SpanNode* rewrite = root.Find("rewrite");
-  ASSERT_NE(rewrite, nullptr);
-  EXPECT_FALSE(rewrite->Attr("rules_applied").empty());
-  EXPECT_FALSE(rewrite->Attr("mo_clauses_before").empty());
-  EXPECT_FALSE(rewrite->Attr("mo_clauses_after").empty());
-
+  std::vector<const SpanNode*> stack = {&root};
+  while (!stack.empty()) {
+    const SpanNode* node = stack.back();
+    stack.pop_back();
+    EXPECT_NE(node->name, "rewrite");
+    EXPECT_NE(node->name.rfind("rewrite_rule:", 0), 0u) << node->name;
+    for (const SpanNode& child : node->children) {
+      stack.push_back(&child);
+    }
+  }
   std::vector<std::string> names;
   for (const SpanNode& child : root.children) {
     names.push_back(child.name);
   }
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"parse", "rewrite", "geo_filter",
-                                      "moft_intersect", "aggregate"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"parse", "geo_filter",
+                                             "moft_intersect", "aggregate"}));
+}
 
-  // The RewriteInfo payload rides on the result under kOn.
-  ASSERT_TRUE(profiled.ValueOrDie().result.rewrite.has_value());
-  EXPECT_FALSE(profiled.ValueOrDie().result.rewrite->original.empty());
-  EXPECT_FALSE(profiled.ValueOrDie().result.rewrite->rewritten.empty());
+// INSIDE RESULT over an empty region skips the scan outright: no sample
+// classification (hit or miss) and no row read, and the count is still 0.
+TEST_F(EvaluateProfiledTest, EmptyRegionSkipsTheScan) {
+  const bool was_enabled = Enabled();
+  SetEnabled(true);
+  ASSERT_TRUE(
+      scenario_.db->BuildOverlay({scenario_.neighborhoods_layer}).ok());
+  core::pietql::Evaluator eval(scenario_.db.get());
+  auto& registry = MetricsRegistry::Global();
+  const int64_t misses0 =
+      registry.GetCounter("db.classify.cache_misses").Value();
+  const int64_t hits0 = registry.GetCounter("db.classify.cache_hits").Value();
+  auto profiled = eval.EvaluateStringProfiled(
+      "SELECT layer.Ln; FROM PietSchema; "
+      "WHERE ATTR(layer.Ln, income) < 0 "
+      "| SELECT COUNT(*) FROM FMbus WHERE INSIDE RESULT");
+  SetEnabled(was_enabled);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  EXPECT_EQ(registry.GetCounter("db.classify.cache_misses").Value(), misses0);
+  EXPECT_EQ(registry.GetCounter("db.classify.cache_hits").Value(), hits0);
+
+  const core::pietql::QueryResult& result = profiled.ValueOrDie().result;
+  EXPECT_TRUE(result.geometry_ids.empty());
+  ASSERT_TRUE(result.scalar.has_value());
+  EXPECT_EQ(*result.scalar, Value(int64_t{0}));
+  const SpanNode* intersect =
+      profiled.ValueOrDie().profile.Find("moft_intersect");
+  ASSERT_NE(intersect, nullptr);
+  EXPECT_EQ(intersect->Attr("rows_scanned"), "0");
+  EXPECT_EQ(intersect->Attr("short_circuit"), "empty_region_c");
 }
 
 TEST_F(EvaluateProfiledTest, ClauseAttrTracksEachBranch) {

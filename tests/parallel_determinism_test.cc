@@ -15,9 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/rewrite/rewriter.h"
 #include "common/parallel.h"
 #include "core/engine.h"
 #include "core/pietql/evaluator.h"
+#include "core/pietql/parser.h"
+#include "core/pietql/printer.h"
 #include "core/queries.h"
 #include "gis/overlay.h"
 #include "obs/metrics.h"
@@ -387,15 +390,14 @@ TEST(EvaluatorDeterminismTest, QueryResultsMatchSerial) {
   }
 }
 
-// The linter and rewriter stages must be unobservable when pinned off:
-// these are the rendered results of all eight query shapes captured before
-// either stage existed. Any drift here means the off path is no longer
-// byte-identical. (PIET_REWRITE must not leak in, hence the explicit pin.)
+// The linter stage must be unobservable when off: these are the rendered
+// results of all eight query shapes captured before the linter and the
+// rewriter existed. Any drift here means the off path is no longer
+// byte-identical.
 TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
   auto scenario = workload::BuildFigure1Scenario().ValueOrDie();
   ASSERT_TRUE(scenario.db->BuildOverlay({scenario.neighborhoods_layer}).ok());
   core::pietql::Evaluator off(scenario.db.get());  // Defaults to kOff.
-  off.set_rewrite_mode(analysis::rewrite::RewriteMode::kOff);
 
   const struct {
     const char* query;
@@ -436,10 +438,11 @@ TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
        "WHERE INTERSECTION(layer.Ln, layer.Lr)",
        "result layer 'Ln': 5 geometries"},
   };
-  // The rewriter at kOn must hit the exact same frozen strings: every
-  // rewrite is result-preserving by contract.
-  core::pietql::Evaluator on(scenario.db.get());
-  on.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
+  // Each query's fix-it (the rewriter's plan printed back to Piet-QL)
+  // must hit the exact same frozen strings: every rewrite is
+  // result-preserving by contract.
+  analysis::rewrite::RewriteContext context;
+  context.gis = &scenario.db->gis();
   for (const auto& baseline : kBaselines) {
     auto result = off.EvaluateString(baseline.query);
     ASSERT_TRUE(result.ok())
@@ -447,14 +450,15 @@ TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
     EXPECT_EQ(result.ValueOrDie().ToString(), baseline.expected)
         << baseline.query;
     EXPECT_TRUE(result.ValueOrDie().diagnostics.empty()) << baseline.query;
-    EXPECT_FALSE(result.ValueOrDie().rewrite.has_value()) << baseline.query;
 
-    auto rewritten = on.EvaluateString(baseline.query);
+    auto parsed = core::pietql::Parse(baseline.query);
+    ASSERT_TRUE(parsed.ok()) << baseline.query;
+    const std::string fixed = core::pietql::Print(
+        analysis::rewrite::RewriteQuery(context, parsed.ValueOrDie()).query);
+    auto rewritten = off.EvaluateString(fixed);
     ASSERT_TRUE(rewritten.ok())
-        << baseline.query << ": " << rewritten.status().ToString();
-    EXPECT_EQ(rewritten.ValueOrDie().ToString(), baseline.expected)
-        << baseline.query;
-    EXPECT_TRUE(rewritten.ValueOrDie().rewrite.has_value()) << baseline.query;
+        << fixed << ": " << rewritten.status().ToString();
+    EXPECT_EQ(rewritten.ValueOrDie().ToString(), baseline.expected) << fixed;
   }
 }
 
