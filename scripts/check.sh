@@ -100,6 +100,17 @@ if grep -n "SampleRegion(" src/core/queries.cc; then
   exit 1
 fi
 
+# Every COUNT / COUNT DISTINCT / RATE PER HOUR answer is finished by one γ
+# (src/core/gamma.h), which owns the granule rule. The Piet-QL evaluator
+# and the query helpers fold tuples through gamma::Granule and never
+# compute hour buckets by hand.
+if grep -nE "(HourBucketKey|StartOfHour)\(" \
+     src/core/pietql/evaluator.cc src/core/queries.cc; then
+  echo "error: src/core/pietql/evaluator.cc and src/core/queries.cc" \
+       "bucket hours through core::gamma, never HourBucketKey/StartOfHour" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -577,11 +577,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
 
   StageEstimate agg_stage;
   agg_stage.name = "aggregate";
-  agg_stage.attrs.emplace_back(
-      "kind", mo->agg.kind == pq::MoAggregate::Kind::kCountAll ? "count_all"
-              : mo->agg.kind == pq::MoAggregate::Kind::kCountDistinctOid
-                  ? "count_distinct_oid"
-                  : "rate_per_hour");
+  agg_stage.attrs.emplace_back("kind", core::gamma::Name(mo->agg.kind));
   if (mo->group_by_level) {
     agg_stage.attrs.emplace_back("group_by", *mo->group_by_level);
   }

@@ -266,13 +266,21 @@ bool TimeAbstract::WindowFeasibleAgainstMasks() const {
   if (hours_ == kAllHours && days_ == kAllDays) {
     return true;
   }
+  // No sample lies outside the calendar's range (Moft::Add refuses it), so
+  // the window is clipped to it, which keeps the hour walk below finite.
+  const temporal::TimeRange cal = temporal::kCalendarRange;
+  const TimePoint begin(std::max(window_->begin.seconds, cal.begin));
+  const TimePoint end(std::min(window_->end.seconds, cal.end));
+  if (end < begin) {
+    return false;
+  }
   // The masks are week-periodic: any window at least a week plus an hour
   // long covers every (hour-of-day, day-of-week) cell.
-  if (window_->Length() >= 8.0 * kDay) {
+  if (end - begin >= 8.0 * kDay) {
     return hours_ != 0 && days_ != 0;
   }
-  for (TimePoint cell = temporal::StartOfHour(window_->begin);
-       cell <= window_->end; cell = TimePoint(cell.seconds + kHour)) {
+  for (TimePoint cell = temporal::StartOfHour(begin); cell <= end;
+       cell = TimePoint(cell.seconds + kHour)) {
     const bool hour_ok =
         (hours_ & (1u << temporal::GetHourOfDay(cell))) != 0;
     const bool day_ok =

@@ -36,10 +36,10 @@ struct GroupRefiner {
   const std::vector<gis::GeometryId>* cand_ids = nullptr;
   const std::vector<const geometry::Polygon*>* cand_polys = nullptr;
 
-  std::map<gis::GeometryId, batch::PolygonBatcher> batchers;
-  batch::BatchScratch scratch;
-  std::vector<double> xs, ys;
-  std::vector<uint8_t> verdict;
+  std::map<gis::GeometryId, batch::PolygonBatcher> batchers{};
+  batch::BatchScratch scratch{};
+  std::vector<double> xs{}, ys{};
+  std::vector<uint8_t> verdict{};
 
   void Mask(const AggCacheEntry::Group& g, const std::vector<uint8_t>& wanted,
             std::vector<uint8_t>* mask, AggServeStats* st) {
@@ -89,6 +89,39 @@ std::vector<temporal::Interval> FringeSlices(const temporal::Interval& w) {
   }
   return {temporal::Interval(TimePoint(lo1), TimePoint(hi1)),
           temporal::Interval(TimePoint(lo2), TimePoint(hi2))};
+}
+
+/// A sub-hour rollup is the one granularity hour buckets cannot decide.
+/// Callers pre-gate, but a direct serve attempt still falls back
+/// observably rather than silently.
+bool RefusesSubHour(const TimePredicate& when) {
+  if (when.has_sub_hour_rollup() && obs::Enabled()) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("pietql.aggcache.fallback_subhour")
+        .Add(1);
+  }
+  return when.has_sub_hour_rollup();
+}
+
+/// Flushes one serve's decomposition into the pietql.aggcache.* counters.
+void CountServe(const AggServeStats& st) {
+  if (!obs::Enabled()) {
+    return;
+  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("pietql.aggcache.served").Add(1);
+  registry.GetCounter("pietql.aggcache.cells_interior")
+      .Add(static_cast<int64_t>(st.interior_cells));
+  registry.GetCounter("pietql.aggcache.cells_boundary")
+      .Add(static_cast<int64_t>(st.boundary_cells));
+  registry.GetCounter("pietql.aggcache.cells_skipped")
+      .Add(static_cast<int64_t>(st.skipped_cells));
+  registry.GetCounter("pietql.aggcache.groups_from_partials")
+      .Add(static_cast<int64_t>(st.groups_from_partials));
+  registry.GetCounter("pietql.aggcache.rows_refined")
+      .Add(static_cast<int64_t>(st.rows_refined));
+  registry.GetCounter("pietql.aggcache.fringe_rows")
+      .Add(static_cast<int64_t>(st.fringe_rows));
 }
 
 }  // namespace
@@ -325,7 +358,8 @@ size_t AggCacheEntry::memory_bytes() const {
 }
 
 std::vector<AggCacheEntry::BucketState> AggCacheEntry::ClassifyBuckets(
-    const TimePredicate& when, const temporal::TimeDimension& dim) const {
+    const TimePredicate& when, const temporal::TimeDimension& dim,
+    AggServeStats* st) const {
   std::vector<BucketState> out(buckets_.size(), BucketState::kSkip);
   for (size_t i = 0; i < buckets_.size(); ++i) {
     const int64_t b = buckets_[i];
@@ -349,6 +383,9 @@ std::vector<AggCacheEntry::BucketState> AggCacheEntry::ClassifyBuckets(
                  ? BucketState::kFull
                  : BucketState::kFringe;
   }
+  st->full_buckets = std::count(out.begin(), out.end(), BucketState::kFull);
+  st->fringe_buckets =
+      std::count(out.begin(), out.end(), BucketState::kFringe);
   return out;
 }
 
@@ -422,17 +459,57 @@ bool AggCacheEntry::ExceptionIsMember(size_t exception_idx,
   return false;
 }
 
+void AggCacheEntry::ForEachExactRow(
+    const std::vector<uint8_t>& wanted, const TimePredicate& when,
+    const std::vector<BucketState>& states, const std::vector<uint8_t>& member,
+    const std::vector<uint8_t>& boundary, AggServeStats* st,
+    const std::function<void(size_t, bool)>& visit) const {
+  const MoftColumns& cols = *view_.columns();
+  for (size_t ei = 0; ei < exception_rows_.size(); ++ei) {
+    const uint32_t row = exception_rows_[ei];
+    if (StateOf(states, temporal::HourBucketKey(TimePoint(cols.t[row]))) !=
+        BucketState::kFull) {
+      continue;
+    }
+    ++st->rows_refined;
+    visit(row, ExceptionIsMember(ei, wanted));
+  }
+  if (!when.window() || std::find(states.begin(), states.end(),
+                                  BucketState::kFringe) == states.end()) {
+    return;
+  }
+  for (const temporal::Interval& slice : FringeSlices(*when.window())) {
+    const moving::SampleWindow win =
+        moft_->SamplesBetween(slice.begin, slice.end);
+    for (const moving::SampleWindow::Range& r : win.ranges()) {
+      for (size_t row = r.begin; row < r.end; ++row) {
+        if (StateOf(states, temporal::HourBucketKey(TimePoint(cols.t[row]))) !=
+            BucketState::kFringe) {
+          continue;
+        }
+        ++st->fringe_rows;
+        const uint32_t cell = cell_of_row_[row];
+        bool is_member = false;
+        if (cell == kCellShared) {
+          const auto it = std::lower_bound(exception_rows_.begin(),
+                                           exception_rows_.end(), row);
+          is_member = ExceptionIsMember(
+              static_cast<size_t>(it - exception_rows_.begin()), wanted);
+        } else if (cell != kCellOutside) {
+          is_member = member[cell] != 0 ||
+                      (boundary[cell] != 0 &&
+                       RefineRow(static_cast<uint32_t>(row), cell, wanted, st));
+        }
+        visit(row, is_member);
+      }
+    }
+  }
+}
+
 std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  if (when.has_sub_hour_rollup()) {
-    // Callers pre-gate, but a direct serve attempt still falls back
-    // observably rather than silently.
-    if (obs::Enabled()) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("pietql.aggcache.fallback_subhour")
-          .Add(1);
-    }
+  if (RefusesSubHour(when)) {
     return std::nullopt;
   }
   RegionAggregate out;
@@ -440,19 +517,10 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
   std::vector<uint8_t> member;
   std::vector<uint8_t> boundary;
   ClassifyCells(wanted, &member, &boundary, &st);
-  const std::vector<BucketState> states = ClassifyBuckets(when, dim);
-  for (const BucketState s : states) {
-    st.full_buckets += s == BucketState::kFull ? 1 : 0;
-    st.fringe_buckets += s == BucketState::kFringe ? 1 : 0;
-  }
+  const std::vector<BucketState> states = ClassifyBuckets(when, dim, &st);
   const MoftColumns& cols = *view_.columns();
-
-  GroupRefiner refiner;
-  refiner.cols = &cols;
-  refiner.rows = &rows_;
-  refiner.cand_offsets = &candidate_offsets_;
-  refiner.cand_ids = &candidate_ids_;
-  refiner.cand_polys = &candidate_polys_;
+  GroupRefiner refiner{&cols, &rows_, &candidate_offsets_, &candidate_ids_,
+                       &candidate_polys_};
   std::vector<uint8_t> mask;
 
   // Full buckets: interior member cells from partials, boundary cells
@@ -463,7 +531,7 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
       continue;
     }
     if (member[g.cell] != 0) {
-      BucketAggregate& b = out.per_bucket[g.bucket];
+      gamma::Partial& b = out.per_bucket[static_cast<double>(g.bucket)];
       b.samples += g.samples;
       AppendGroupOids(g, &b.oids);
       ++st.groups_from_partials;
@@ -480,7 +548,7 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
     if (members == 0) {
       continue;
     }
-    BucketAggregate& b = out.per_bucket[g.bucket];
+    gamma::Partial& b = out.per_bucket[static_cast<double>(g.bucket)];
     b.samples += members;
     for (size_t i = 0; i < mask.size(); ++i) {
       if (mask[i] != 0) {
@@ -489,84 +557,29 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
     }
   }
 
-  // Shared-border rows in full buckets resolve through their stored hits.
-  for (size_t ei = 0; ei < exception_rows_.size(); ++ei) {
-    const uint32_t row = exception_rows_[ei];
-    const int64_t bucket = temporal::HourBucketKey(TimePoint(cols.t[row]));
-    if (StateOf(states, bucket) != BucketState::kFull) {
-      continue;
-    }
-    ++st.rows_refined;
-    if (!ExceptionIsMember(ei, wanted)) {
-      continue;
-    }
-    BucketAggregate& b = out.per_bucket[bucket];
-    ++b.samples;
-    b.oids.push_back(cols.oid[row]);
-  }
-
-  // Fringe buckets: the window's edge rows through the SamplesBetween
-  // binary search (the same closed-interval fast path the scan uses).
-  bool any_fringe = false;
-  for (const BucketState s : states) {
-    any_fringe = any_fringe || s == BucketState::kFringe;
-  }
-  if (any_fringe && when.window()) {
-    for (const temporal::Interval& slice : FringeSlices(*when.window())) {
-      const moving::SampleWindow win =
-          moft_->SamplesBetween(slice.begin, slice.end);
-      for (const moving::SampleWindow::Range& r : win.ranges()) {
-        for (size_t row = r.begin; row < r.end; ++row) {
-          const int64_t bucket =
-              temporal::HourBucketKey(TimePoint(cols.t[row]));
-          if (StateOf(states, bucket) != BucketState::kFringe) {
-            continue;
-          }
-          ++st.fringe_rows;
-          const uint32_t cell = cell_of_row_[row];
-          bool is_member = false;
-          if (cell == kCellShared) {
-            const auto it =
-                std::lower_bound(exception_rows_.begin(),
-                                 exception_rows_.end(), row);
-            is_member = ExceptionIsMember(
-                static_cast<size_t>(it - exception_rows_.begin()), wanted);
-          } else if (cell != kCellOutside) {
-            if (member[cell] != 0) {
-              is_member = true;
-            } else if (boundary[cell] != 0) {
-              is_member = RefineRow(static_cast<uint32_t>(row), cell, wanted,
-                                    &st);
-            }
-          }
-          if (!is_member) {
-            continue;
-          }
-          BucketAggregate& b = out.per_bucket[bucket];
-          ++b.samples;
-          b.oids.push_back(cols.oid[row]);
-        }
-      }
-    }
-  }
+  ForEachExactRow(wanted, when, states, member, boundary, &st,
+                  [&](size_t row, bool is_member) {
+                    if (is_member) {
+                      gamma::Partial& b = out.per_bucket[static_cast<double>(
+                          temporal::HourBucketKey(TimePoint(cols.t[row])))];
+                      ++b.samples;
+                      b.oids.push_back(cols.oid[row]);
+                    }
+                  });
 
   for (auto& entry : out.per_bucket) {
     std::vector<moving::ObjectId>& oids = entry.second.oids;
     std::sort(oids.begin(), oids.end());
     oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   }
+  CountServe(st);
   return out;
 }
 
 std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  if (when.has_sub_hour_rollup()) {
-    if (obs::Enabled()) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("pietql.aggcache.fallback_subhour")
-          .Add(1);
-    }
+  if (RefusesSubHour(when)) {
     return std::nullopt;
   }
   AlwaysWithinResult out;
@@ -574,19 +587,10 @@ std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
   std::vector<uint8_t> member;
   std::vector<uint8_t> boundary;
   ClassifyCells(wanted, &member, &boundary, &st);
-  const std::vector<BucketState> states = ClassifyBuckets(when, dim);
-  for (const BucketState s : states) {
-    st.full_buckets += s == BucketState::kFull ? 1 : 0;
-    st.fringe_buckets += s == BucketState::kFringe ? 1 : 0;
-  }
+  const std::vector<BucketState> states = ClassifyBuckets(when, dim, &st);
   const MoftColumns& cols = *view_.columns();
-
-  GroupRefiner refiner;
-  refiner.cols = &cols;
-  refiner.rows = &rows_;
-  refiner.cand_offsets = &candidate_offsets_;
-  refiner.cand_ids = &candidate_ids_;
-  refiner.cand_polys = &candidate_polys_;
+  GroupRefiner refiner{&cols, &rows_, &candidate_offsets_, &candidate_ids_,
+                       &candidate_polys_};
   std::vector<uint8_t> mask;
 
   // present: objects with a matching sample. disq: objects with a
@@ -622,59 +626,13 @@ std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
     }
   }
 
-  for (size_t ei = 0; ei < exception_rows_.size(); ++ei) {
-    const uint32_t row = exception_rows_[ei];
-    const int64_t bucket = temporal::HourBucketKey(TimePoint(cols.t[row]));
-    if (StateOf(states, bucket) != BucketState::kFull) {
-      continue;
-    }
-    ++st.rows_refined;
-    present.push_back(cols.oid[row]);
-    if (!ExceptionIsMember(ei, wanted)) {
-      disq.push_back(cols.oid[row]);
-    }
-  }
-
-  bool any_fringe = false;
-  for (const BucketState s : states) {
-    any_fringe = any_fringe || s == BucketState::kFringe;
-  }
-  if (any_fringe && when.window()) {
-    for (const temporal::Interval& slice : FringeSlices(*when.window())) {
-      const moving::SampleWindow win =
-          moft_->SamplesBetween(slice.begin, slice.end);
-      for (const moving::SampleWindow::Range& r : win.ranges()) {
-        for (size_t row = r.begin; row < r.end; ++row) {
-          const int64_t bucket =
-              temporal::HourBucketKey(TimePoint(cols.t[row]));
-          if (StateOf(states, bucket) != BucketState::kFringe) {
-            continue;
-          }
-          ++st.fringe_rows;
-          present.push_back(cols.oid[row]);
-          const uint32_t cell = cell_of_row_[row];
-          bool is_member = false;
-          if (cell == kCellShared) {
-            const auto it =
-                std::lower_bound(exception_rows_.begin(),
-                                 exception_rows_.end(), row);
-            is_member = ExceptionIsMember(
-                static_cast<size_t>(it - exception_rows_.begin()), wanted);
-          } else if (cell != kCellOutside) {
-            if (member[cell] != 0) {
-              is_member = true;
-            } else if (boundary[cell] != 0) {
-              is_member = RefineRow(static_cast<uint32_t>(row), cell, wanted,
-                                    &st);
-            }
-          }
-          if (!is_member) {
-            disq.push_back(cols.oid[row]);
-          }
-        }
-      }
-    }
-  }
+  ForEachExactRow(wanted, when, states, member, boundary, &st,
+                  [&](size_t row, bool is_member) {
+                    present.push_back(cols.oid[row]);
+                    if (!is_member) {
+                      disq.push_back(cols.oid[row]);
+                    }
+                  });
 
   std::sort(present.begin(), present.end());
   present.erase(std::unique(present.begin(), present.end()), present.end());
@@ -683,6 +641,7 @@ std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
   out.oids.reserve(present.size());
   std::set_difference(present.begin(), present.end(), disq.begin(), disq.end(),
                       std::back_inserter(out.oids));
+  CountServe(st);
   return out;
 }
 

@@ -2,10 +2,11 @@
 #define PIET_CORE_AGGCACHE_AGG_CACHE_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "core/gamma.h"
 #include "core/region.h"
 #include "geometry/polygon.h"
 #include "gis/layer.h"
@@ -49,17 +50,11 @@ struct AggServeStats {
   size_t fringe_buckets = 0; ///< Buckets clipped by the window edge.
 };
 
-/// Exact per-hour-bucket aggregate of the member samples of a query
-/// region: member sample count plus the distinct member Oids, ascending.
-struct BucketAggregate {
-  int64_t samples = 0;
-  std::vector<moving::ObjectId> oids;
-};
-
 /// Result of serving a (region × time predicate) aggregate from the
-/// cache: one entry per hour bucket with at least one member sample.
+/// cache: γ's state over hour buckets with a member sample, the state a
+/// scan builds.
 struct RegionAggregate {
-  std::map<int64_t, BucketAggregate> per_bucket;
+  gamma::State per_bucket;
   AggServeStats stats;
 };
 
@@ -177,8 +172,19 @@ class AggCacheEntry {
   /// interior instant (constant across the bucket when no sub-hour
   /// rollup is present); the window clips Full down to Fringe or Skip.
   std::vector<BucketState> ClassifyBuckets(const TimePredicate& when,
-                                           const temporal::TimeDimension& dim)
-      const;
+                                           const temporal::TimeDimension& dim,
+                                           AggServeStats* st) const;
+
+  /// Calls visit(row, is_member) for every row the partials cannot
+  /// answer: shared-border rows of full buckets (through their stored
+  /// hits) and fringe-bucket rows inside the window (found by the
+  /// SamplesBetween binary search, refined exactly).
+  void ForEachExactRow(const std::vector<uint8_t>& wanted,
+                       const TimePredicate& when,
+                       const std::vector<BucketState>& states,
+                       const std::vector<uint8_t>& member,
+                       const std::vector<uint8_t>& boundary, AggServeStats* st,
+                       const std::function<void(size_t, bool)>& visit) const;
 
   /// Per-cell membership against the wanted bitmap: `member` = some
   /// covered label is wanted (every sample of the cell is a member);

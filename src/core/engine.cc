@@ -238,27 +238,20 @@ Result<FactTable> QueryEngine::SampleRegion(
   return out;
 }
 
-Result<std::vector<std::pair<ObjectId, int64_t>>> QueryEngine::RegionObjects(
+Result<gamma::State> QueryEngine::RegionObjects(
     const std::string& moft_name, const std::string& layer_name,
     const GeometryPredicate& pred, const TimePredicate& when,
-    Strategy strategy, bool per_hour) const {
-  using Key = std::pair<ObjectId, int64_t>;
+    Strategy strategy) const {
   QueryObs query_obs("region_objects", &stats_);
-  std::vector<Key> keys;
-  // Rows arrive in (oid, t) order, so a chunk's repeats are adjacent.
-  PIET_RETURN_NOT_OK(ScanRegion<Key>(
-      *this, moft_name, layer_name, pred, when, strategy, &stats_, &keys,
-      [per_hour](auto& c, const SampleRows& b, size_t i, GeometryId) {
+  const gamma::Granule hours;
+  std::vector<gamma::Run> runs;
+  PIET_RETURN_NOT_OK(ScanRegion<gamma::Run>(
+      *this, moft_name, layer_name, pred, when, strategy, &stats_, &runs,
+      [&hours](auto& c, const SampleRows& b, size_t i, GeometryId) {
         ++c.stats.rows_matched;
-        const Key key(b.data.oid[i], temporal::HourBucketKey(TimePoint(
-                                         per_hour ? b.data.t[i] : 0.0)));
-        if (c.out.empty() || c.out.back() != key) {
-          c.out.push_back(key);
-        }
+        gamma::Fold(&c.out, hours.Of(b.data.t[i]), b.data.oid[i]);
       }));
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  return gamma::Build(std::move(runs));
 }
 
 Result<FactTable> QueryEngine::SamplesOnPolylines(
@@ -647,29 +640,12 @@ QueryEngine::AggCacheContext(const std::string& moft,
 
 namespace {
 
-/// Flushes one serve's decomposition counters and mirrors the exact work
-/// into the engine's per-call stats.
+/// Mirrors one serve's exact work into the engine's per-call stats (the
+/// cache flushes its own counters).
 void FlushAggServe(const aggcache::AggServeStats& st, EngineStats* stats) {
   stats->samples_scanned = st.rows_refined + st.fringe_rows;
   stats->point_tests = st.point_tests;
   stats->legs_tested = 0;
-  if (!obs::Enabled()) {
-    return;
-  }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("pietql.aggcache.served").Add(1);
-  registry.GetCounter("pietql.aggcache.cells_interior")
-      .Add(static_cast<int64_t>(st.interior_cells));
-  registry.GetCounter("pietql.aggcache.cells_boundary")
-      .Add(static_cast<int64_t>(st.boundary_cells));
-  registry.GetCounter("pietql.aggcache.cells_skipped")
-      .Add(static_cast<int64_t>(st.skipped_cells));
-  registry.GetCounter("pietql.aggcache.groups_from_partials")
-      .Add(static_cast<int64_t>(st.groups_from_partials));
-  registry.GetCounter("pietql.aggcache.rows_refined")
-      .Add(static_cast<int64_t>(st.rows_refined));
-  registry.GetCounter("pietql.aggcache.fringe_rows")
-      .Add(static_cast<int64_t>(st.fringe_rows));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "core/aggcache/agg_cache.h"
 #include "core/database.h"
+#include "core/gamma.h"
 #include "core/region.h"
 #include "core/scan.h"
 #include "moving/block_store.h"
@@ -76,12 +77,12 @@ class QueryEngine {
                                        const TimePredicate& when,
                                        Strategy strategy) const;
 
-  /// SampleRegion folded in the scan to its sorted, distinct (Oid, hour
-  /// bucket) keys (bucket 0 unless `per_hour`); rows_matched counts rows.
-  Result<std::vector<std::pair<moving::ObjectId, int64_t>>> RegionObjects(
+  /// SampleRegion folded in the scan into γ's state over hour buckets
+  /// (core/gamma.h); rows_matched counts rows.
+  Result<gamma::State> RegionObjects(
       const std::string& moft, const std::string& layer,
       const GeometryPredicate& pred, const TimePredicate& when,
-      Strategy strategy, bool per_hour) const;
+      Strategy strategy) const;
 
   /// Variant matching samples to *polyline* geometries within `tolerance`
   /// (the paper's r^{Pt,Pl} for streets). C = {(Oid, t, pl)}.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "core/gamma.h"
 
 namespace piet::core::pietql {
 
@@ -70,13 +71,10 @@ struct MoCondition {
   double radius = 0.0;     // For kNearLayer.
 };
 
-/// The aggregate of the moving-object part.
+/// The aggregate of the moving-object part: COUNT(*), COUNT(DISTINCT OID)
+/// or RATE PER HOUR (Remark 1's buses-per-hour), all finished by γ.
 struct MoAggregate {
-  enum class Kind {
-    kCountAll = 0,       ///< COUNT(*)
-    kCountDistinctOid,   ///< COUNT(DISTINCT OID)
-    kRatePerHour,        ///< RATE PER HOUR — Remark 1's buses-per-hour
-  };
+  using Kind = gamma::Function;
   Kind kind = Kind::kCountAll;
 };
 

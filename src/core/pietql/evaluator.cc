@@ -1,15 +1,13 @@
 #include "core/pietql/evaluator.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <ctime>
-#include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "analysis/lint/query_lint.h"
 #include "analysis/query_check.h"
+#include "core/gamma.h"
 #include "core/geometry/batch.h"
 #include "core/pietql/parser.h"
 #include "core/pietql/printer.h"
@@ -26,8 +24,6 @@ using gis::GeometryId;
 using gis::GeometryKind;
 using gis::Layer;
 using moving::Moft;
-using moving::ObjectId;
-using olap::FactTable;
 using temporal::Interval;
 using temporal::IntervalSet;
 using temporal::TimePoint;
@@ -509,19 +505,20 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   const bool empty_region =
       result.geometry_ids.empty() &&
       (inside_result || (passes_through && !when.has_sub_hour_rollup()));
-  // Aggregate-cache serve path: an INSIDE RESULT aggregate whose time
-  // predicate decomposes on hour buckets is answered from the database's
-  // materialized (overlay cell × hour bucket) partials — interior cells
-  // from cached counts, boundary cells and fringe buckets refined exactly.
-  // Served values are bit-identical to the tuple scan below; any gate
-  // failing (mode off, no overlay coverage, sub-hour rollup or group
-  // level, cache build failure) falls through to the ordinary pipeline.
-  // A sub-hour fallback — the cache was eligible but a "timeId"/"minute"
-  // granularity defeated it — is made observable: a counter bump here and
-  // an attribute naming the level on the moft_intersect span.
+  // The region C reaches γ as its state (core/gamma.h). An INSIDE RESULT
+  // aggregate whose time predicate and granules decompose on hour buckets
+  // is served from the database's materialized (overlay cell × hour
+  // bucket) partials — interior cells from cached counts, boundary cells
+  // and fringe buckets refined exactly — as the state the scan below
+  // would build; any gate failing (mode off, no overlay coverage, sub-hour
+  // rollup or group level, cache build failure) falls through to the
+  // scan. A sub-hour fallback — the cache was eligible but a
+  // "timeId"/"minute" granularity defeated it — is made observable: a
+  // counter bump here and an attribute naming the level on the
+  // moft_intersect span.
+  const gamma::Granule granule(mo.group_by_level);
   std::string subhour_level = when.sub_hour_rollup_level();
-  if (subhour_level.empty() && mo.group_by_level &&
-      (*mo.group_by_level == "timeId" || *mo.group_by_level == "minute")) {
+  if (subhour_level.empty() && granule.instants()) {
     subhour_level = *mo.group_by_level;
   }
   const bool cache_eligible =
@@ -533,32 +530,34 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         .GetCounter("pietql.aggcache.fallback_subhour")
         .Add(1);
   }
+  gamma::State state;
+  bool served = false;
   if (cache_eligible && subhour_level.empty()) {
     Result<std::shared_ptr<const aggcache::AggCacheEntry>> entry =
         db_->AggCache(mo.moft, result.result_layer);
     if (entry.ok()) {
-      std::optional<aggcache::RegionAggregate> served =
+      std::optional<aggcache::RegionAggregate> cached =
           entry.ValueOrDie()->RegionAggregates(
               ResolvePolygons(*layer, result.geometry_ids)
                   .Bitmap(layer->size()),
               when, db_->time_dimension());
-      if (served.has_value()) {
-        return ServeAggregateFromCache(mo, *served, std::move(result), trace,
-                                       obs_on);
+      if (cached.has_value()) {
+        TraceCacheServe(mo, *cached, trace);
+        state = std::move(cached->per_bucket);
+        served = true;
       }
     }
   }
-  // Build the region C as (Oid, t) tuples. Every branch is one BlockScan
-  // (core/scan.h) over the MOFT's blocks under the query's zonemap filter:
-  // a cold tier decodes each admitted block at most once, and the chunked
-  // fan-out merges in chunk order, so the tuple sequence is the serial
-  // loop's for any thread count.
-  using Tuple = std::pair<ObjectId, double>;
-  std::vector<Tuple> tuples;
+  if (!served) {
+  // Every branch is one BlockScan (core/scan.h) over the MOFT's blocks
+  // under the query's zonemap filter: a cold tier decodes each admitted
+  // block at most once. Visitors fold each tuple's (granule, Oid) into
+  // chunk-local runs, and gamma::Build merges the chunks' runs by key, so
+  // the state does not depend on the thread count.
+  std::vector<gamma::Run> runs;
 
   // The span closes before aggregation so moft_intersect and aggregate
   // stay siblings in the tree.
-  {
   obs::TraceSpan intersect_span(trace, "moft_intersect");
   intersect_span.Attr("clause", clause);
   intersect_span.Attr("moft", mo.moft);
@@ -598,8 +597,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   BlockScan scan(*moft, when, tests_polygons ? &wanted.polys : nullptr,
                  num_threads_);
   const temporal::TimeDimension& dim = db_->time_dimension();
-  auto emit = [](auto& c, const SampleRows& b, size_t i) {
-    c.out.emplace_back(b.data.oid[i], b.data.t[i]);
+  auto emit = [&granule](auto& c, const SampleRows& b, size_t i) {
+    gamma::Fold(&c.out, granule.Of(b.data.t[i]), b.data.oid[i]);
   };
   Status scanned;
   if (empty_region) {
@@ -610,8 +609,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // wanted polygons refines each object's legs; its tuples come out in
     // ascending polygon order.
     const batch::LegRefiner refiner(wanted.polys);
-    scanned = scan.Spans<Tuple, batch::LegScratch>(
-        &tuples, [&](const moving::ObjectSpan& span, auto& c) -> Status {
+    scanned = scan.Spans<gamma::Run, batch::LegScratch>(
+        &runs, [&](const moving::ObjectSpan& span, auto& c) -> Status {
           PIET_ASSIGN_OR_RETURN(const auto clip, ClipToTime(when, dim, span));
           if (clip.time_ok.empty()) {
             return Status::OK();
@@ -622,7 +621,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
             const IntervalSet matched =
                 IntervalSet(c.scratch.pieces[qi]).Intersect(clip.time_ok);
             for (const Interval& iv : matched.intervals()) {
-              c.out.emplace_back(span.oid(), iv.begin.seconds);
+              gamma::Fold(&c.out, granule.Of(iv.begin.seconds), span.oid());
             }
           }
           return Status::OK();
@@ -631,8 +630,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // Sample-proximity semantics: tuples within `radius` of any node of
     // the named layer.
     const double radius = near_cond->radius;
-    scanned = scan.Samples<Tuple>(
-        dim, &tuples, [&](const SampleRows& b, auto& c) {
+    scanned = scan.Samples<gamma::Run>(
+        dim, &runs, [&](const SampleRows& b, auto& c) {
           b.ForEach([&](size_t i) {
             const geometry::Point pos(b.data.x[i], b.data.y[i]);
             geometry::BoundingBox probe(pos.x - radius, pos.y - radius,
@@ -648,8 +647,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         });
   } else if (cls) {
     const std::vector<uint8_t> member = wanted.Bitmap(layer->size());
-    scanned = scan.Samples<Tuple>(
-        dim, &tuples, [&](const SampleRows& b, auto& c) {
+    scanned = scan.Samples<gamma::Run>(
+        dim, &runs, [&](const SampleRows& b, auto& c) {
           b.ForEach([&](size_t i) {
             const size_t row = b.row_base + i;
             for (uint32_t j = cls->hits.offsets[row];
@@ -663,8 +662,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         });
   } else if (inside_result) {
     const batch::PolygonSetBatcher batcher(wanted.polys);
-    scanned = scan.Samples<Tuple, batch::TileScratch>(
-        dim, &tuples, [&](const SampleRows& b, auto& c) {
+    scanned = scan.Samples<gamma::Run, batch::TileScratch>(
+        dim, &runs, [&](const SampleRows& b, auto& c) {
           size_t last = b.data.size();  // No row yet.
           c.stats.point_tests += batcher.ForEachHit(
               b.data, b.runs, &c.scratch, [&](size_t i, size_t /*q*/) {
@@ -675,12 +674,13 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
               });
         });
   } else {
-    scanned = scan.Samples<Tuple>(
-        dim, &tuples, [&](const SampleRows& b, auto& c) {
+    scanned = scan.Samples<gamma::Run>(
+        dim, &runs, [&](const SampleRows& b, auto& c) {
           b.ForEach([&](size_t i) { emit(c, b, i); });
         });
   }
   PIET_RETURN_NOT_OK(scanned);
+  state = gamma::Build(std::move(runs));
   const ScanStats& st = scan.stats();
   if (passes_through) {
     // The legs refined after the time clip, not the whole histories.
@@ -692,7 +692,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   }
   intersect_span.Attr("rows_scanned",
                       static_cast<uint64_t>(st.samples_scanned));
-  intersect_span.Attr("tuples", static_cast<uint64_t>(tuples.size()));
+  intersect_span.Attr("tuples", static_cast<uint64_t>(gamma::Tuples(state)));
   if (const moving::MoftBlockStore* store = moft->block_store()) {
     // The query's own block I/O: zonemap skips and the cold blocks its
     // scan decoded (each at most once).
@@ -707,225 +707,56 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
           .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
     }
   }
-  }  // intersect_span
+  }  // !served
 
   if (obs_on) {
     obs::MetricsRegistry::Global()
         .GetCounter("pietql.tuples")
-        .Add(static_cast<int64_t>(tuples.size()));
+        .Add(gamma::Tuples(state));
   }
 
-  // Aggregate.
+  // Aggregate: one γ finisher, whichever path fed the state.
   obs::TraceSpan agg_span(trace, "aggregate");
-  agg_span.Attr("kind",
-                mo.agg.kind == MoAggregate::Kind::kCountAll ? "count_all"
-                : mo.agg.kind == MoAggregate::Kind::kCountDistinctOid
-                    ? "count_distinct_oid"
-                    : "rate_per_hour");
-  auto aggregate_tuples =
-      [&](const std::vector<std::pair<ObjectId, double>>& rows)
-      -> Result<Value> {
-    switch (mo.agg.kind) {
-      case MoAggregate::Kind::kCountAll:
-        return Value(static_cast<int64_t>(rows.size()));
-      case MoAggregate::Kind::kCountDistinctOid: {
-        std::set<ObjectId> oids;
-        for (const auto& [oid, t] : rows) {
-          oids.insert(oid);
-        }
-        return Value(static_cast<int64_t>(oids.size()));
-      }
-      case MoAggregate::Kind::kRatePerHour: {
-        std::set<std::pair<ObjectId, double>> pairs;
-        std::set<double> hours;
-        for (const auto& [oid, t] : rows) {
-          double bucket = temporal::StartOfHour(TimePoint(t)).seconds;
-          pairs.emplace(oid, bucket);
-          hours.insert(bucket);
-        }
-        if (hours.empty()) {
-          return Value(0.0);
-        }
-        return Value(static_cast<double>(pairs.size()) /
-                     static_cast<double>(hours.size()));
-      }
-    }
-    return Status::Internal("unknown aggregate");
-  };
-
+  agg_span.Attr("kind", gamma::Name(mo.agg.kind));
   if (!mo.group_by_level) {
-    PIET_ASSIGN_OR_RETURN(Value scalar, aggregate_tuples(tuples));
-    result.scalar = std::move(scalar);
+    result.scalar = gamma::Finish(state, mo.agg.kind).Of(mo.agg.kind);
     return result;
   }
-
-  // Grouped: key tuples by the rollup of t.
-  std::map<Value, std::vector<std::pair<ObjectId, double>>> groups;
-  for (const auto& tuple : tuples) {
-    PIET_ASSIGN_OR_RETURN(Value key,
-                          db_->time_dimension().Rollup(*mo.group_by_level,
-                                                       TimePoint(tuple.second)));
-    groups[key].push_back(tuple);
-  }
-  agg_span.Attr("groups", static_cast<uint64_t>(groups.size()));
-  FactTable table = FactTable::Make({*mo.group_by_level}, {"value"});
-  for (const auto& [key, rows] : groups) {
-    PIET_ASSIGN_OR_RETURN(Value agg, aggregate_tuples(rows));
-    PIET_RETURN_NOT_OK(table.Append({key, agg}));
-  }
-  result.table = std::move(table);
+  PIET_ASSIGN_OR_RETURN(
+      result.table,
+      gamma::FinishGrouped(state, mo.agg.kind, db_->time_dimension(),
+                           *mo.group_by_level, "value"));
+  agg_span.Attr("groups", static_cast<uint64_t>(result.table->num_rows()));
   return result;
 }
 
-Result<QueryResult> Evaluator::ServeAggregateFromCache(
-    const MoQuery& mo, const aggcache::RegionAggregate& served,
-    QueryResult result, obs::TraceCollector* trace, bool obs_on) const {
+void Evaluator::TraceCacheServe(const MoQuery& mo,
+                                const aggcache::RegionAggregate& served,
+                                obs::TraceCollector* trace) const {
   const aggcache::AggServeStats& st = served.stats;
-  int64_t member_samples = 0;
-  for (const auto& [bucket, agg] : served.per_bucket) {
-    member_samples += agg.samples;
-  }
-  // The serve keeps the uncached span taxonomy — moft_intersect and
-  // aggregate as siblings — so EXPLAIN ANALYZE trees stay comparable
-  // across modes; the cache decomposition rides in a nested agg_cache
-  // span. `tuples` still counts the member samples the scan would have
-  // produced; `rows_scanned` counts only the rows actually touched.
+  // `tuples` counts the member samples the scan would have produced,
+  // `rows_scanned` only the rows the serve touched.
+  obs::TraceSpan intersect_span(trace, "moft_intersect");
+  intersect_span.Attr("clause", "inside_result");
+  intersect_span.Attr("moft", mo.moft);
   {
-    obs::TraceSpan intersect_span(trace, "moft_intersect");
-    intersect_span.Attr("clause", "inside_result");
-    intersect_span.Attr("moft", mo.moft);
-    {
-      obs::TraceSpan cache_span(trace, "agg_cache");
-      cache_span.Attr("cells_interior",
-                      static_cast<uint64_t>(st.interior_cells));
-      cache_span.Attr("cells_boundary",
-                      static_cast<uint64_t>(st.boundary_cells));
-      cache_span.Attr("cells_skipped",
-                      static_cast<uint64_t>(st.skipped_cells));
-      cache_span.Attr("groups_from_partials",
-                      static_cast<uint64_t>(st.groups_from_partials));
-      cache_span.Attr("groups_refined",
-                      static_cast<uint64_t>(st.groups_refined));
-      cache_span.Attr("rows_refined", static_cast<uint64_t>(st.rows_refined));
-      cache_span.Attr("fringe_rows", static_cast<uint64_t>(st.fringe_rows));
-      cache_span.Attr("point_tests", static_cast<uint64_t>(st.point_tests));
-      cache_span.Attr("buckets",
-                      static_cast<uint64_t>(served.per_bucket.size()));
-    }
-    intersect_span.Attr(
-        "rows_scanned",
-        static_cast<uint64_t>(st.rows_refined + st.fringe_rows));
-    intersect_span.Attr("tuples", static_cast<uint64_t>(member_samples));
+    obs::TraceSpan cache_span(trace, "agg_cache");
+    cache_span.Attr("cells_interior", static_cast<uint64_t>(st.interior_cells));
+    cache_span.Attr("cells_boundary", static_cast<uint64_t>(st.boundary_cells));
+    cache_span.Attr("cells_skipped", static_cast<uint64_t>(st.skipped_cells));
+    cache_span.Attr("groups_from_partials",
+                    static_cast<uint64_t>(st.groups_from_partials));
+    cache_span.Attr("groups_refined",
+                    static_cast<uint64_t>(st.groups_refined));
+    cache_span.Attr("rows_refined", static_cast<uint64_t>(st.rows_refined));
+    cache_span.Attr("fringe_rows", static_cast<uint64_t>(st.fringe_rows));
+    cache_span.Attr("point_tests", static_cast<uint64_t>(st.point_tests));
+    cache_span.Attr("buckets", static_cast<uint64_t>(served.per_bucket.size()));
   }
-  if (obs_on) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("pietql.tuples").Add(member_samples);
-    registry.GetCounter("pietql.aggcache.served").Add(1);
-    registry.GetCounter("pietql.aggcache.cells_interior")
-        .Add(static_cast<int64_t>(st.interior_cells));
-    registry.GetCounter("pietql.aggcache.cells_boundary")
-        .Add(static_cast<int64_t>(st.boundary_cells));
-    registry.GetCounter("pietql.aggcache.cells_skipped")
-        .Add(static_cast<int64_t>(st.skipped_cells));
-    registry.GetCounter("pietql.aggcache.groups_from_partials")
-        .Add(static_cast<int64_t>(st.groups_from_partials));
-    registry.GetCounter("pietql.aggcache.rows_refined")
-        .Add(static_cast<int64_t>(st.rows_refined));
-    registry.GetCounter("pietql.aggcache.fringe_rows")
-        .Add(static_cast<int64_t>(st.fringe_rows));
-  }
-
-  obs::TraceSpan agg_span(trace, "aggregate");
-  agg_span.Attr("kind",
-                mo.agg.kind == MoAggregate::Kind::kCountAll ? "count_all"
-                : mo.agg.kind == MoAggregate::Kind::kCountDistinctOid
-                    ? "count_distinct_oid"
-                    : "rate_per_hour");
-  if (!mo.group_by_level) {
-    // Scalar: Σ samples, |∪ oids|, or Σ|oids_b| / #buckets — each equal to
-    // the tuple-scan aggregate because the per-bucket oid lists are exactly
-    // the distinct member Oids of that bucket.
-    switch (mo.agg.kind) {
-      case MoAggregate::Kind::kCountAll:
-        result.scalar = Value(member_samples);
-        break;
-      case MoAggregate::Kind::kCountDistinctOid: {
-        std::vector<ObjectId> all;
-        for (const auto& [bucket, agg] : served.per_bucket) {
-          all.insert(all.end(), agg.oids.begin(), agg.oids.end());
-        }
-        std::sort(all.begin(), all.end());
-        all.erase(std::unique(all.begin(), all.end()), all.end());
-        result.scalar = Value(static_cast<int64_t>(all.size()));
-        break;
-      }
-      case MoAggregate::Kind::kRatePerHour: {
-        if (served.per_bucket.empty()) {
-          result.scalar = Value(0.0);
-          break;
-        }
-        int64_t pairs = 0;
-        for (const auto& [bucket, agg] : served.per_bucket) {
-          pairs += static_cast<int64_t>(agg.oids.size());
-        }
-        result.scalar =
-            Value(static_cast<double>(pairs) /
-                  static_cast<double>(served.per_bucket.size()));
-        break;
-      }
-    }
-    return result;
-  }
-
-  // Grouped: every bucket maps to one group key (the gate excluded
-  // sub-hour group levels, so the rollup is constant on each bucket and
-  // the mid-bucket probe yields the key every tuple would). Buckets
-  // merge into groups in Value order, matching the uncached std::map.
-  struct GroupAgg {
-    int64_t samples = 0;
-    int64_t pairs = 0;
-    int64_t hours = 0;
-    std::vector<ObjectId> oids;
-  };
-  std::map<Value, GroupAgg> groups;
-  for (const auto& [bucket, agg] : served.per_bucket) {
-    PIET_ASSIGN_OR_RETURN(
-        Value key,
-        db_->time_dimension().Rollup(
-            *mo.group_by_level,
-            TimePoint(static_cast<double>(bucket) + 1800.0)));
-    GroupAgg& g = groups[key];
-    g.samples += agg.samples;
-    g.pairs += static_cast<int64_t>(agg.oids.size());
-    ++g.hours;
-    if (mo.agg.kind == MoAggregate::Kind::kCountDistinctOid) {
-      g.oids.insert(g.oids.end(), agg.oids.begin(), agg.oids.end());
-    }
-  }
-  agg_span.Attr("groups", static_cast<uint64_t>(groups.size()));
-  FactTable table = FactTable::Make({*mo.group_by_level}, {"value"});
-  for (auto& [key, g] : groups) {
-    Value value;
-    switch (mo.agg.kind) {
-      case MoAggregate::Kind::kCountAll:
-        value = Value(g.samples);
-        break;
-      case MoAggregate::Kind::kCountDistinctOid: {
-        std::sort(g.oids.begin(), g.oids.end());
-        g.oids.erase(std::unique(g.oids.begin(), g.oids.end()),
-                     g.oids.end());
-        value = Value(static_cast<int64_t>(g.oids.size()));
-        break;
-      }
-      case MoAggregate::Kind::kRatePerHour:
-        value = Value(static_cast<double>(g.pairs) /
-                      static_cast<double>(g.hours));
-        break;
-    }
-    PIET_RETURN_NOT_OK(table.Append({key, value}));
-  }
-  result.table = std::move(table);
-  return result;
+  intersect_span.Attr("rows_scanned",
+                      static_cast<uint64_t>(st.rows_refined + st.fringe_rows));
+  intersect_span.Attr("tuples",
+                      static_cast<uint64_t>(gamma::Tuples(served.per_bucket)));
 }
 
 analysis::estimate::Catalog Evaluator::BuildEstimateCatalog(

@@ -150,12 +150,13 @@ class Evaluator {
                                  gis::GeometryId idb) const;
   Result<bool> ElementContains(const gis::Layer& a, gis::GeometryId ida,
                                const gis::Layer& b, gis::GeometryId idb) const;
-  /// Renders one aggregate-cache serve as the query result, keeping the
-  /// uncached span taxonomy (moft_intersect + aggregate, with the cache's
-  /// decomposition in a nested agg_cache span) and bit-identical values.
-  Result<QueryResult> ServeAggregateFromCache(
-      const MoQuery& mo, const aggcache::RegionAggregate& served,
-      QueryResult result, obs::TraceCollector* trace, bool obs_on) const;
+  /// Records one aggregate-cache serve as the moft_intersect span of the
+  /// scan it replaces (so EXPLAIN ANALYZE trees keep moft_intersect and
+  /// aggregate as siblings in every mode), with the cache's decomposition
+  /// in a nested agg_cache span.
+  void TraceCacheServe(const MoQuery& mo,
+                       const aggcache::RegionAggregate& served,
+                       obs::TraceCollector* trace) const;
 
   /// The estimator's view of the database: schema instance, overlay
   /// coverage, the named MOFT's storage stats, and this evaluator's modes.

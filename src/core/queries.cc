@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "core/gamma.h"
 #include "core/summable.h"
 #include "olap/aggregate.h"
 
@@ -16,27 +17,26 @@ using temporal::TimePoint;
 
 namespace {
 
-// Hour bucket (start-of-hour seconds) of a fact-table `t` column value.
-// Shares temporal::HourBucketKey with the Time dimension's "hourBucket"
-// rollup and the overlay aggregate cache.
-int64_t HourBucketOf(double t_seconds) {
-  return temporal::HourBucketKey(TimePoint(t_seconds));
+// Region C's γ state over hour buckets: served by the aggregate cache when
+// the overlay strategy allows it, else folded in the scan.
+Result<gamma::State> RegionState(const QueryEngine& engine,
+                                 const std::string& moft,
+                                 const std::string& layer,
+                                 const GeometryPredicate& pred,
+                                 const TimePredicate& when, Strategy strategy) {
+  if (strategy == Strategy::kOverlay) {
+    if (auto cached = engine.CachedRegionAggregate(moft, layer, pred, when)) {
+      return std::move(cached->per_bucket);
+    }
+  }
+  return engine.RegionObjects(moft, layer, pred, when, strategy);
 }
 
-// Builds a PerHourResult from distinct (Oid, hour) pairs.
-template <typename Pairs>
-PerHourResult FromPairs(const Pairs& pairs) {
-  PerHourResult out;
-  std::set<int64_t> hours;
-  for (const auto& [oid, hour] : pairs) {
-    hours.insert(hour);
-  }
-  out.tuple_count = static_cast<int64_t>(pairs.size());
-  out.hour_count = static_cast<int64_t>(hours.size());
-  out.per_hour = hours.empty() ? 0.0
-                               : static_cast<double>(pairs.size()) /
-                                     static_cast<double>(hours.size());
-  return out;
+// Remark 1's rate: distinct (Oid, hour) pairs over distinct hours.
+PerHourResult PerHour(const gamma::State& state) {
+  const gamma::Totals totals =
+      gamma::Finish(state, gamma::Function::kRatePerHour);
+  return {totals.pairs, totals.hours, totals.rate()};
 }
 
 }  // namespace
@@ -47,23 +47,9 @@ Result<PerHourResult> CountPerHourInRegion(const QueryEngine& engine,
                                            const GeometryPredicate& pred,
                                            const TimePredicate& when,
                                            Strategy strategy) {
-  if (strategy == Strategy::kOverlay) {
-    // The cache's per-bucket distinct-Oid sets are exactly the
-    // (Oid, hour) pairs the scan would produce.
-    if (auto cached = engine.CachedRegionAggregate(moft, layer, pred, when)) {
-      std::set<std::pair<int64_t, int64_t>> pairs;
-      for (const auto& [bucket, agg] : cached->per_bucket) {
-        for (const ObjectId oid : agg.oids) {
-          pairs.emplace(oid, bucket);
-        }
-      }
-      return FromPairs(pairs);
-    }
-  }
-  PIET_ASSIGN_OR_RETURN(auto pairs,
-                        engine.RegionObjects(moft, layer, pred, when, strategy,
-                                             /*per_hour=*/true));
-  return FromPairs(pairs);
+  PIET_ASSIGN_OR_RETURN(const gamma::State state,
+                        RegionState(engine, moft, layer, pred, when, strategy));
+  return PerHour(state);
 }
 
 Result<int64_t> CountObjectsInRegion(const QueryEngine& engine,
@@ -75,19 +61,9 @@ Result<int64_t> CountObjectsInRegion(const QueryEngine& engine,
                                      Strategy strategy) {
   GeometryPredicate pred = GeometryPredicate::AlphaEquals(
       &engine.db().gis(), attribute, member);
-  if (strategy == Strategy::kOverlay) {
-    if (auto cached = engine.CachedRegionAggregate(moft, layer, pred, when)) {
-      std::set<ObjectId> oids;
-      for (const auto& [bucket, agg] : cached->per_bucket) {
-        oids.insert(agg.oids.begin(), agg.oids.end());
-      }
-      return static_cast<int64_t>(oids.size());
-    }
-  }
-  PIET_ASSIGN_OR_RETURN(auto oids,
-                        engine.RegionObjects(moft, layer, pred, when, strategy,
-                                             /*per_hour=*/false));
-  return static_cast<int64_t>(oids.size());
+  PIET_ASSIGN_OR_RETURN(const gamma::State state,
+                        RegionState(engine, moft, layer, pred, when, strategy));
+  return gamma::Finish(state, gamma::Function::kCountDistinctOid).objects;
 }
 
 Result<DensityResult> MaxStreetDensity(const QueryEngine& engine,
@@ -241,15 +217,16 @@ Result<PerHourResult> CountNearNodesPerHour(const QueryEngine& engine,
                                             double radius,
                                             const TimePredicate& when,
                                             bool interpolated) {
-  std::set<std::pair<int64_t, int64_t>> pairs;
+  const gamma::Granule hours;
+  std::vector<gamma::Run> runs;
   if (!interpolated) {
     PIET_ASSIGN_OR_RETURN(
         FactTable near, engine.SamplesNearNodes(moft, node_layer, radius, when));
     PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
     PIET_ASSIGN_OR_RETURN(size_t t_idx, near.ColumnIndex("t"));
     for (const Row& r : near.rows()) {
-      pairs.emplace(r[oid_idx].AsIntUnchecked(),
-                    HourBucketOf(r[t_idx].AsDoubleUnchecked()));
+      gamma::Fold(&runs, hours.Of(r[t_idx].AsDoubleUnchecked()),
+                  r[oid_idx].AsIntUnchecked());
     }
   } else {
     PIET_ASSIGN_OR_RETURN(
@@ -259,15 +236,15 @@ Result<PerHourResult> CountNearNodesPerHour(const QueryEngine& engine,
     PIET_ASSIGN_OR_RETURN(size_t enter_idx, near.ColumnIndex("enter"));
     PIET_ASSIGN_OR_RETURN(size_t leave_idx, near.ColumnIndex("leave"));
     for (const Row& r : near.rows()) {
-      int64_t h0 = HourBucketOf(r[enter_idx].AsDoubleUnchecked());
-      int64_t h1 = HourBucketOf(r[leave_idx].AsDoubleUnchecked());
-      for (int64_t h = h0; h <= h1;
-           h += static_cast<int64_t>(temporal::kHour)) {
-        pairs.emplace(r[oid_idx].AsIntUnchecked(), h);
+      // Every hour the stay overlaps.
+      const double last = hours.Of(r[leave_idx].AsDoubleUnchecked());
+      for (double h = hours.Of(r[enter_idx].AsDoubleUnchecked()); h <= last;
+           h += temporal::kHour) {
+        gamma::Fold(&runs, h, r[oid_idx].AsIntUnchecked());
       }
     }
   }
-  return FromPairs(pairs);
+  return PerHour(gamma::Build(std::move(runs)));
 }
 
 Result<double> TotalMassInRegions(const QueryEngine& engine,
@@ -316,26 +293,19 @@ Result<FactTable> WaitingAtStopPerMinute(const QueryEngine& engine,
   PIET_ASSIGN_OR_RETURN(size_t node_idx, near.ColumnIndex("node"));
   PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
 
-  // Re-key by minute and count distinct objects at the requested stop.
-  std::map<std::string, std::set<int64_t>> per_minute;
+  // COUNT(DISTINCT OID) at the requested stop, grouped by minute.
+  const gamma::Granule instants("minute");
+  std::vector<gamma::Run> runs;
   for (const Row& r : near.rows()) {
-    if (r[node_idx].AsIntUnchecked() != stop) {
-      continue;
+    if (r[node_idx].AsIntUnchecked() == stop) {
+      gamma::Fold(&runs, instants.Of(r[t_idx].AsDoubleUnchecked()),
+                  r[oid_idx].AsIntUnchecked());
     }
-    auto minute = engine.db().time_dimension().Rollup(
-        "minute", TimePoint(r[t_idx].AsDoubleUnchecked()));
-    if (!minute.ok()) {
-      continue;
-    }
-    per_minute[minute.ValueOrDie().AsStringUnchecked()].insert(
-        r[oid_idx].AsIntUnchecked());
   }
-  FactTable out = olap::FactTable::Make({"minute"}, {"waiting"});
-  for (const auto& [minute, oids] : per_minute) {
-    PIET_RETURN_NOT_OK(
-        out.Append({Value(minute), Value(static_cast<int64_t>(oids.size()))}));
-  }
-  return out;
+  return gamma::FinishGrouped(gamma::Build(std::move(runs)),
+                              gamma::Function::kCountDistinctOid,
+                              engine.db().time_dimension(), "minute",
+                              "waiting");
 }
 
 }  // namespace piet::core::queries

@@ -98,12 +98,15 @@ Status Moft::Add(ObjectId oid, TimePoint t, geometry::Point pos) {
         "Moft opened from a block file is read-only");
   }
   // NaN defeats the duplicate index (NaN != NaN) and the seal's strict
-  // (oid, t) order; non-finite coordinates break every geometric kernel.
-  if (!std::isfinite(t.seconds) || !std::isfinite(pos.x) ||
+  // (oid, t) order; the calendar's rollups handle only its range, which
+  // excludes NaN and ±inf; non-finite coordinates break every geometric
+  // kernel.
+  if (!temporal::kCalendarRange.Contains(t) || !std::isfinite(pos.x) ||
       !std::isfinite(pos.y)) {
     return Status::InvalidArgument(
         "object " + std::to_string(oid) +
-        ": sample time and position must be finite");
+        ": sample time must lie in civil years 0001-9999 and position must "
+        "be finite");
   }
   auto [it, inserted] = index_.try_emplace(SampleKey{oid, t.seconds}, pos);
   if (!inserted) {

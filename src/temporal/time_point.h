@@ -53,6 +53,20 @@ inline constexpr Duration kHour = 3600.0;
 inline constexpr Duration kDay = 86400.0;
 inline constexpr Duration kWeek = 7.0 * kDay;
 
+/// A half-open range of instants [begin, end); Contains(NaN) is false.
+struct TimeRange {
+  double begin;
+  double end;
+  constexpr bool Contains(TimePoint t) const {
+    return begin <= t.seconds && t.seconds < end;
+  }
+};
+
+/// The instants the calendar handles: civil years 0001 through 9999. ToCivil
+/// walks one year at a time and HourBucketKey casts to int64_t, so Moft::Add
+/// refuses sample times outside it and analyses may assume none lies there.
+inline constexpr TimeRange kCalendarRange{-63082281600.0, 252455616000.0};
+
 }  // namespace piet::temporal
 
 #endif  // PIET_TEMPORAL_TIME_POINT_H_

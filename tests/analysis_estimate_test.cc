@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -10,12 +9,10 @@
 #include "analysis/lint/corpus.h"
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
+#include "era_city.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "temporal/time_point.h"
-#include "workload/city.h"
 #include "workload/scenario.h"
-#include "workload/trajectories.h"
 
 namespace piet::analysis::estimate {
 namespace {
@@ -28,14 +25,8 @@ using obs::MetricsRegistry;
 using obs::QueryRecord;
 
 // ---------------------------------------------------------------------------
-// Fixture: a synthetic city whose cars moft is staggered across eras (object
-// spans shifted by whole multiples of the trajectory duration), rebuilt in
-// each storage tier. The stagger gives the zonemaps real skipping structure;
-// the tiers exercise the decoded/skipped accounting the estimator bounds.
-
-constexpr double kBase = 1767657600.0;  // 2026-01-06 00:00:00 UTC, hour-aligned.
-constexpr double kDuration = 2.0 * 3600.0;
-constexpr int kEras = 3;
+// Fixture: the era city (tests/era_city.h) rebuilt in each storage tier.
+// The tiers exercise the decoded/skipped accounting the estimator bounds.
 
 enum class Tier { kRaw, kCompressed, kSpilled };
 
@@ -52,46 +43,14 @@ const char* TierName(Tier tier) {
 }
 
 std::unique_ptr<core::GeoOlapDatabase> MakeCityDb(Tier tier) {
-  workload::CityConfig cc;
-  cc.seed = 2026;
-  cc.grid_cols = 6;
-  cc.grid_rows = 6;
-  auto city_or = workload::GenerateCity(cc);
-  EXPECT_TRUE(city_or.ok()) << city_or.status().ToString();
-  workload::City city = std::move(city_or).ValueOrDie();
-
-  workload::TrajectoryConfig tc;
-  tc.seed = 11;
-  tc.num_objects = 36;
-  tc.start = temporal::TimePoint(kBase);
-  tc.duration = kDuration;
-  tc.sample_period = 120.0;
-  auto gen_or = workload::GenerateTrajectories(city, tc);
-  EXPECT_TRUE(gen_or.ok()) << gen_or.status().ToString();
-  const moving::MoftColumns& gen = gen_or.ValueOrDie().Columns();
-
   moving::BlockOptions opts;
   if (tier != Tier::kRaw) {
     opts.block_rows = 256;
     opts.compress = true;
     opts.spill_dir = ::testing::TempDir();
   }
-  moving::Moft cars;
-  cars.SetBlockOptions(opts);
-  for (size_t sp = 0; sp < gen.spans.size(); ++sp) {
-    const double offset =
-        kDuration * static_cast<double>(
-                        (sp * static_cast<size_t>(kEras)) / gen.spans.size());
-    for (size_t i = gen.spans[sp].begin; i < gen.spans[sp].end; ++i) {
-      moving::Sample s = gen.at(i);
-      (void)cars.Add(s.oid, temporal::TimePoint(s.t.seconds + offset), s.pos);
-    }
-  }
-  (void)cars.Scan();  // Seal.
-
-  std::unique_ptr<core::GeoOlapDatabase> db = std::move(city.db);
-  EXPECT_TRUE(db->AddMoft("cars", std::move(cars)).ok());
-  EXPECT_TRUE(db->BuildOverlay({city.neighborhoods_layer}).ok());
+  std::unique_ptr<core::GeoOlapDatabase> db =
+      test_support::MakeEraCity(opts, /*overlay=*/true);
   const moving::Moft* stored = db->GetMoft("cars").ValueOrDie();
   if (tier == Tier::kSpilled) {
     EXPECT_TRUE(stored->SpillToDisk().ok());
@@ -101,79 +60,6 @@ std::unique_ptr<core::GeoOlapDatabase> MakeCityDb(Tier tier) {
   return db;
 }
 
-// Seeded random queries over every clause form the estimator models:
-// inside_result / passes_through / near / time_only, windowed (including
-// inverted and out-of-range windows) and unwindowed, with every rollup
-// level. Deterministic so failures replay.
-std::vector<std::string> MakeQueries(uint64_t seed) {
-  std::mt19937 rng(seed);
-  auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
-  auto stamp = [](double s) {
-    return std::to_string(static_cast<int64_t>(s));
-  };
-  const double span = kEras * kDuration;
-  std::vector<std::string> out;
-  for (int i = 0; i < 48; ++i) {
-    std::string geo = "SELECT layer.neighborhoods; FROM City;";
-    switch (pick(3)) {
-      case 1:
-        geo += " WHERE ATTR(layer.neighborhoods, income) < 1500";
-        break;
-      case 2:
-        geo += " WHERE ATTR(layer.neighborhoods, income) < 0";
-        break;
-      default:
-        break;
-    }
-    std::string q = geo;
-    q += " | SELECT ";
-    q += pick(2) == 0 ? "COUNT(*)" : "COUNT(DISTINCT OID)";
-    q += " FROM cars WHERE ";
-    const int clause = pick(4);
-    switch (clause) {
-      case 0:
-        q += "INSIDE RESULT";
-        break;
-      case 1:
-        q += "PASSES THROUGH RESULT";
-        break;
-      case 2:
-        q += "NEAR(layer.stops, 60)";
-        break;
-      default:
-        break;  // time_only: the window below is the whole clause.
-    }
-    const bool windowed = clause == 3 || pick(2) == 0;
-    if (windowed) {
-      const int steps = static_cast<int>(span / 300.0) + 12;
-      const double a = kBase + 300.0 * pick(steps) - 1800.0;
-      const double b = kBase + 300.0 * pick(steps) - 1800.0;
-      if (clause != 3) {
-        q += " AND ";
-      }
-      q += "T BETWEEN " + stamp(a) + " AND " + stamp(b);
-    }
-    switch (pick(6)) {
-      case 0:
-        q += " GROUP BY TIME.hour";
-        break;
-      case 1:
-        q += " GROUP BY TIME.minute";
-        break;
-      case 2:
-        q += " GROUP BY TIME.timeId";
-        break;
-      case 3:
-        q += " GROUP BY TIME.timeOfDay";
-        break;
-      default:
-        break;
-    }
-    out.push_back(std::move(q));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Property: for every successfully evaluated query, the flight-recorder
 // counters land inside the static intervals — across storage tiers and
@@ -181,7 +67,7 @@ std::vector<std::string> MakeQueries(uint64_t seed) {
 
 TEST(EstimateSoundnessTest, FlightCountersLandInsideStaticIntervals) {
   obs::SetEnabled(true);
-  const std::vector<std::string> queries = MakeQueries(7);
+  const std::vector<std::string> queries = test_support::MakeEraQueries(7);
   for (Tier tier : {Tier::kRaw, Tier::kCompressed, Tier::kSpilled}) {
     std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
     core::pietql::Evaluator eval(db.get());
@@ -285,7 +171,7 @@ TEST(EstimateSoundnessTest, InexactEmptyRegionAdmitsTheSkippedScan) {
 
 TEST(EstimateByteIdentityTest, ResultsMatchWithEstimatorOnAndOff) {
   obs::SetEnabled(false);
-  const std::vector<std::string> queries = MakeQueries(13);
+  const std::vector<std::string> queries = test_support::MakeEraQueries(13);
   for (int threads : {1, 4}) {
     // Two identically-built databases so cache warm-up states stay aligned.
     std::unique_ptr<core::GeoOlapDatabase> db_off = MakeCityDb(Tier::kCompressed);
@@ -359,6 +245,43 @@ TEST(ExplainEstimateTest, GoldenOverFigure1) {
             "cache_servable=no\n"
             "  aggregate       kind=count_distinct_oid result_rows=[1,1]\n"
             "cost ~ 576 (bytes_decoded=[0,0])");
+}
+
+// A window far past the calendar's range, met with an hour mask: the time
+// domain's feasibility walk steps hour by hour, and at 1e20 s a one-hour
+// step no longer advances t. The estimate, the analyze stage and the
+// evaluation must all finish, and the estimate must hold.
+TEST(ExplainEstimateTest, WindowsPastTheCalendarFinishAndStaySound) {
+  const std::unique_ptr<core::GeoOlapDatabase> db = Figure1WithoutBlocks();
+  core::pietql::Evaluator eval(db.get());
+  eval.set_estimate_mode(EstimateMode::kOn);
+  eval.set_admission_budget(AdmissionBudget{});
+  eval.set_check_mode(CheckMode::kWarn);
+  obs::SetEnabled(true);
+  FlightRecorder::Options opts;
+  opts.capacity = 8;
+  FlightRecorder::Global().Configure(opts);
+  for (const char* t : {"1e20", "1e300", "-1e300"}) {
+    SCOPED_TRACE(t);
+    const std::string q =
+        std::string("SELECT layer.Ln; FROM PietSchema; | SELECT COUNT(*) "
+                    "FROM FMbus WHERE T BETWEEN ") +
+        t + " AND " + t + " AND TIME.hour = 5";
+    auto explained = eval.ExplainEstimate(q);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    auto result = eval.EvaluateString(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.ValueOrDie().scalar, Value(int64_t{0}));
+    const std::vector<QueryRecord> flight =
+        FlightRecorder::Global().Snapshot();
+    ASSERT_FALSE(flight.empty());
+    ASSERT_TRUE(flight.back().has_estimate);
+    EXPECT_EQ(flight.back().EstimateViolation(), "");
+  }
+  FlightRecorder::Options off;
+  off.capacity = 0;
+  FlightRecorder::Global().Configure(off);
+  obs::SetEnabled(false);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Oracle for the γ fold of the sample-semantics region counts:
 // queries::CountPerHourInRegion and CountObjectsInRegion fold region C into
-// distinct (Oid, hour) keys inside the scan (QueryEngine::RegionObjects).
+// γ's per-hour state inside the scan (QueryEngine::RegionObjects).
 // The reference is built here the way the helpers built it before the
 // fold: SampleRegion's rows inserted into a std::set. Every strategy runs
 // over raw and compressed blocks, hot, released and spilled, at 1 and 4
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
@@ -154,6 +155,19 @@ std::set<Key> ReferencePairs(const QueryEngine& engine, const City& city,
   return pairs;
 }
 
+/// The (Oid, hour bucket) keys of γ's state, ascending; an Oid listed
+/// twice in one bucket shows as a repeated key.
+std::vector<Key> Keys(const core::gamma::State& state) {
+  std::vector<Key> keys;
+  for (const auto& [bucket, partial] : state) {
+    for (const ObjectId oid : partial.oids) {
+      keys.emplace_back(oid, static_cast<int64_t>(bucket));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 class RegionFoldOracleTest : public ::testing::TestWithParam<FoldParam> {};
 
 TEST_P(RegionFoldOracleTest, CountsMatchSampleRegionSets) {
@@ -211,11 +225,13 @@ TEST_P(RegionFoldOracleTest, CountsMatchSampleRegionSets) {
       EXPECT_TRUE(want.empty());
     }
 
-    // The fold: sorted-unique keys with the scan's counters.
-    auto keys = engine.RegionObjects("cars", nb, pred, c.when, p.strategy,
-                                     /*per_hour=*/true);
-    ASSERT_TRUE(keys.ok()) << keys.status().ToString();
-    EXPECT_EQ(keys.ValueOrDie(), std::vector<Key>(want.begin(), want.end()));
+    // The fold: γ's state over hour buckets with the scan's counters.
+    auto state = engine.RegionObjects("cars", nb, pred, c.when, p.strategy);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(Keys(state.ValueOrDie()),
+              std::vector<Key>(want.begin(), want.end()));
+    EXPECT_EQ(core::gamma::Tuples(state.ValueOrDie()),
+              static_cast<int64_t>(rows));
     EXPECT_EQ(engine.stats().samples_scanned, scan.samples_scanned);
     EXPECT_EQ(engine.stats().point_tests, scan.point_tests);
     EXPECT_EQ(engine.stats().rows_matched, rows);

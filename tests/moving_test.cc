@@ -78,14 +78,25 @@ TEST(MoftTest, AddRejectsNonFiniteSamples) {
   EXPECT_TRUE(moft.Add(1, TimePoint(0), {0, nan}).IsInvalidArgument());
   EXPECT_TRUE(moft.Add(1, TimePoint(0), {inf, 0}).IsInvalidArgument());
   EXPECT_TRUE(moft.Add(1, TimePoint(0), {0, -inf}).IsInvalidArgument());
+  // Finite times outside civil years 0001-9999: the calendar's rollups
+  // walk years one at a time and the hour bucket is an int64_t.
+  const temporal::TimeRange range = temporal::kCalendarRange;
+  for (const double t : {1e13, -1e13, 1e20, -1e300, range.end,
+                         std::nextafter(range.begin, -inf)}) {
+    EXPECT_TRUE(moft.Add(1, TimePoint(t), {0, 0}).IsInvalidArgument()) << t;
+  }
   EXPECT_EQ(moft.num_samples(), 0u);
   ASSERT_TRUE(moft.Add(1, TimePoint(0), {0, 0}).ok());
-  EXPECT_EQ(moft.num_samples(), 1u);
+  ASSERT_TRUE(moft.Add(1, TimePoint(range.begin), {0, 0}).ok());
+  ASSERT_TRUE(
+      moft.Add(1, TimePoint(std::nextafter(range.end, 0.0)), {0, 0}).ok());
+  EXPECT_EQ(moft.num_samples(), 3u);
 }
 
 TEST(MoftTest, CsvRejectsNonFiniteValuesWithLineNumber) {
   for (const char* row : {"1,nan,3,4", "1,2,inf,4", "1,2,3,-inf", "nan,2,3,4",
-                          "1e300,2,3,4"}) {
+                          "1e300,2,3,4", "1,1e13,3,4", "1,-1e18,3,4",
+                          "1,2.6e11,3,4"}) {
     std::istringstream in(std::string("# header\n1,1,0,0\n") + row + "\n");
     Result<Moft> parsed = Moft::ReadCsv(in);
     ASSERT_FALSE(parsed.ok()) << row;

@@ -582,6 +582,9 @@ TEST_F(FlightSixBusTest, ResultsBitIdenticalWithTelemetryOnAndOff) {
   const std::vector<std::string> baseline4 = run_all(4);
 
   SetEnabled(true);
+  // The sampler's first tick reads the counters' whole history, so queries
+  // of earlier tests in this process must not be in it.
+  MetricsRegistry::Global().Reset();
   FlightRecorder::Options opts;
   opts.capacity = 16;
   opts.slow_threshold_ms = 0;
