@@ -111,6 +111,42 @@ if grep -nE "(HourBucketKey|StartOfHour)\(" \
   exit 1
 fi
 
+# The LIT hot path (batch::LegRefiner) refines legs through the
+# allocation-free form of the segment/polygon kernel, which writes into
+# caller-owned cuts/out buffers (DESIGN.md §12). The vector-returning
+# SegmentInsideIntervals allocates per (leg, polygon) pair, so no code
+# under src/core/ may call it: every call there passes four arguments.
+if ! python3 - <<'PY'
+import pathlib
+import re
+import sys
+
+bad = []
+for path in sorted(pathlib.Path("src/core").rglob("*")):
+    if path.suffix not in (".h", ".cc", ".cpp"):
+        continue
+    text = re.sub(r"//[^\n]*", "", path.read_text())
+    for call in re.finditer(r"\bSegmentInsideIntervals\s*\(", text):
+        depth, args, i = 1, 1, call.end()
+        while i < len(text) and depth:
+            if text[i] in "([{":
+                depth += 1
+            elif text[i] in ")]}":
+                depth -= 1
+            elif text[i] == "," and depth == 1:
+                args += 1
+            i += 1
+        if args < 4:
+            bad.append(f"{path}:{text.count(chr(10), 0, call.start()) + 1}")
+print("\n".join(bad), end="\n" if bad else "")
+sys.exit(1 if bad else 0)
+PY
+then
+  echo "error: src/core/ calls SegmentInsideIntervals only with caller-owned" \
+       "cuts/out buffers (the four-argument form)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

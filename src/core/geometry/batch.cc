@@ -1,12 +1,13 @@
 #include "core/geometry/batch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "geometry/predicates.h"
 #include "geometry/segment.h"
-#include "geometry/segment_polygon.h"
 
 namespace piet::core::batch {
 
@@ -246,8 +247,12 @@ LegRefiner::LegRefiner(std::vector<const geometry::Polygon*> polys)
     : polys_(std::move(polys)),
       extent_(ExtentOf(polys_)),
       grid_(extent_, CellsPerAxis(polys_.size())) {
+  boxes_.reserve(polys_.size());
   for (size_t q = 0; q < polys_.size(); ++q) {
-    grid_.Insert(polys_[q]->Bounds(), static_cast<index::GridIndex::Id>(q));
+    const geometry::BoundingBox b = polys_[q]->Bounds();
+    grid_.Insert(b, static_cast<index::GridIndex::Id>(q));
+    boxes_.push_back({b, std::max({std::abs(b.min_x), std::abs(b.min_y),
+                                   std::abs(b.max_x), std::abs(b.max_y)})});
   }
 }
 
@@ -267,6 +272,9 @@ size_t LegRefiner::Refine(std::span<const double> ts,
     s.distance[q] = 0.0;
   }
   s.hit.clear();
+  s.corridor_rejects = 0;
+  s.stationary_reuses = 0;
+  s.idle_valid = false;
   const size_t n = ts.size();
   if (n == 0 || polys_.empty()) {
     return 0;
@@ -286,6 +294,17 @@ size_t LegRefiner::Refine(std::span<const double> ts,
     return 0;
   }
 
+  // The corridor margin (DESIGN.md §12): a box corner whose computed cross
+  // product with the leg exceeds kCorridorEps·(1+M)·(|dx|+|dy|), M the
+  // largest absolute coordinate of the leg and the box, is on that side of
+  // the leg's line whatever the rounding of the cross product and of the
+  // kernel's At(t). Past kMaxCorridorCoord the products could overflow, and
+  // a margin below the smallest normal double could underflow, so such
+  // legs and polygons always take the exact kernel.
+  constexpr double kCorridorEps = 1e-9;
+  constexpr double kMaxCorridorCoord = 1e150;
+  constexpr geometry::ParamInterval kWholeLeg{0.0, 1.0};
+
   size_t refines = 0;
   for (size_t i = 0; i + 1 < n; ++i) {
     const geometry::Segment leg(Point(xs[i], ys[i]),
@@ -294,22 +313,12 @@ size_t LegRefiner::Refine(std::span<const double> ts,
     if (!box.Intersects(extent_)) {
       continue;
     }
-    const uint64_t stamp = ++s.stamp;
     const double t0 = ts[i];
     const temporal::Duration span = ts[i + 1] - ts[i];
     double leg_len = -1.0;  // Computed on the leg's first inside piece.
-    grid_.VisitBox(box, [&](index::GridIndex::Id id) {
-      const auto q = static_cast<uint32_t>(id);
-      if (s.seen[q] == stamp) {
-        return;
-      }
-      s.seen[q] = stamp;
-      ++refines;
-      const std::vector<geometry::ParamInterval> ivs =
-          geometry::SegmentInsideIntervals(leg, *polys_[q]);
-      if (ivs.empty()) {
-        return;
-      }
+    // Appends the kernel's answer `ivs` for polygon q over this leg.
+    auto append = [&](uint32_t q,
+                      std::span<const geometry::ParamInterval> ivs) {
       std::vector<temporal::Interval>& pieces = s.pieces[q];
       if (pieces.empty()) {
         s.hit.push_back(q);
@@ -324,6 +333,71 @@ size_t LegRefiner::Refine(std::span<const double> ts,
           s.distance[q] += leg_len * iv.Length();
         }
       }
+    };
+
+    const bool idle = leg.a == leg.b;
+    if (idle) {
+      // The kernel answers a stationary leg by Contains(point) alone, so
+      // the previous stationary leg at the same bits answers this one.
+      const auto bx = std::bit_cast<uint64_t>(leg.a.x);
+      const auto by = std::bit_cast<uint64_t>(leg.a.y);
+      if (s.idle_valid && s.idle_x == bx && s.idle_y == by) {
+        for (const uint32_t q : s.idle_hits) {
+          append(q, {&kWholeLeg, 1});
+        }
+        s.stationary_reuses += s.idle_candidates;
+        continue;
+      }
+      s.idle_valid = true;
+      s.idle_x = bx;
+      s.idle_y = by;
+      s.idle_candidates = 0;
+      s.idle_hits.clear();
+    }
+
+    const double dx = leg.b.x - leg.a.x;
+    const double dy = leg.b.y - leg.a.y;
+    const double leg_mag = std::max({std::abs(leg.a.x), std::abs(leg.a.y),
+                                     std::abs(leg.b.x), std::abs(leg.b.y)});
+    const double scale = kCorridorEps * (std::abs(dx) + std::abs(dy));
+    const bool corridor = !idle && leg_mag <= kMaxCorridorCoord &&
+                          scale >= std::numeric_limits<double>::min();
+    const uint64_t stamp = ++s.stamp;
+    grid_.VisitBox(box, [&](index::GridIndex::Id id) {
+      const auto q = static_cast<uint32_t>(id);
+      if (s.seen[q] == stamp) {
+        return;
+      }
+      s.seen[q] = stamp;
+      if (idle) {
+        ++s.idle_candidates;
+      } else if (corridor && boxes_[q].magnitude <= kMaxCorridorCoord) {
+        // The smallest and largest computed corner cross products:
+        // fl(u - v) is monotone in u and v, so these are the extremes of
+        // the four corners' fl(dx·(y - a.y) - dy·(x - a.x)).
+        const geometry::BoundingBox& b = boxes_[q].box;
+        const double u0 = dx * (b.min_y - leg.a.y);
+        const double u1 = dx * (b.max_y - leg.a.y);
+        const double v0 = dy * (b.min_x - leg.a.x);
+        const double v1 = dy * (b.max_x - leg.a.x);
+        const double lo = std::min(u0, u1) - std::max(v0, v1);
+        const double hi = std::max(u0, u1) - std::min(v0, v1);
+        const double margin =
+            scale * (1.0 + std::max(leg_mag, boxes_[q].magnitude));
+        if (lo > margin || hi < -margin) {
+          ++s.corridor_rejects;
+          return;
+        }
+      }
+      ++refines;
+      geometry::SegmentInsideIntervals(leg, *polys_[q], &s.cuts, &s.ivs);
+      if (s.ivs.empty()) {
+        return;
+      }
+      if (idle) {
+        s.idle_hits.push_back(q);
+      }
+      append(q, s.ivs);
     });
   }
   std::sort(s.hit.begin(), s.hit.end());

@@ -9,6 +9,7 @@
 
 #include "geometry/box.h"
 #include "geometry/polygon.h"
+#include "geometry/segment_polygon.h"
 #include "index/grid.h"
 #include "moving/moft_columns.h"
 #include "temporal/interval.h"
@@ -160,10 +161,10 @@ class PolygonSetBatcher {
   std::vector<PolygonBatcher> batchers_;
 };
 
-/// Per-worker state of LegRefiner::Refine: per-polygon accumulators and
-/// the polygons the last refined object touched. Keep one per worker chunk,
-/// like BatchScratch, and use it with a single refiner; once warm, a
-/// refine allocates only what SegmentInsideIntervals returns.
+/// Per-worker state of LegRefiner::Refine: per-polygon accumulators, the
+/// polygons the last refined object touched and the exact kernel's
+/// buffers. Keep one per worker chunk, like BatchScratch, and use it with
+/// a single refiner; once warm, a refine allocates nothing.
 struct LegScratch {
   /// Per polygon: the object's inside time pieces, in leg order. Their
   /// IntervalSet is moving::InsideIntervals of that polygon.
@@ -177,16 +178,42 @@ struct LegScratch {
   /// polygon bucketed in several grid cells the leg's box overlaps).
   std::vector<uint64_t> seen;
   uint64_t stamp = 0;
+  /// Of the last Refine: grid candidates of moving legs dropped by the
+  /// corridor test, and candidates of stationary legs answered from the
+  /// previous stationary leg at the same point. Neither is an exact
+  /// kernel call, so with Refine's return value they add up to the
+  /// object's (leg, polygon) box-overlap pairs.
+  size_t corridor_rejects = 0;
+  size_t stationary_reuses = 0;
+
+  /// Working buffers of the exact kernel, SegmentInsideIntervals.
+  std::vector<double> cuts;
+  std::vector<geometry::ParamInterval> ivs;
+  /// The last stationary leg refined exactly within this Refine: the bits
+  /// of its point, its grid candidates and the polygons containing it.
+  bool idle_valid = false;
+  uint64_t idle_x = 0;
+  uint64_t idle_y = 0;
+  size_t idle_candidates = 0;
+  std::vector<uint32_t> idle_hits;
 };
 
 /// Leg-major trajectory refine (the Sec. 5 "intersect trajectory segments
 /// with those geometries" step) for a fixed set of polygons. Built once per
 /// query over the qualifying polygons, it buckets their boxes in a uniform
-/// grid; each object's legs are then walked once and every leg is refined
-/// exactly only against the polygons whose box meets the leg's box. A
-/// skipped pair is one SegmentInsideIntervals would reject by its own
-/// bounds test, and each polygon's pieces and distance sum are produced in
-/// the same leg order as the per-polygon moving::InsideIntervals /
+/// grid; each object's legs are then walked once and a leg meets only the
+/// polygons whose box meets the leg's box (a skipped pair is one
+/// SegmentInsideIntervals rejects by its own bounds test). Two shortcuts
+/// answer a pair without the exact kernel, each with the kernel's own
+/// answer (DESIGN.md §12):
+///  - corridor reject: a moving leg whose supporting line has all four
+///    corners of the polygon's box on one side, by more than a rounding
+///    margin, is inside the polygon nowhere (the kernel returns {});
+///  - stationary reuse: a stationary leg at the bit-identical point of the
+///    previous stationary leg contains-tests to the same polygons, so it
+///    repeats their {0, 1} piece.
+/// Each polygon's pieces and distance sum are produced in the same leg
+/// order as the per-polygon moving::InsideIntervals /
 /// DistanceTravelledInside loops, so every result is bit-identical to them.
 class LegRefiner {
  public:
@@ -214,7 +241,15 @@ class LegRefiner {
   }
 
  private:
+  /// A polygon's box and its largest absolute coordinate (the corridor
+  /// test's inputs), kept beside the grid for locality.
+  struct Box {
+    geometry::BoundingBox box;
+    double magnitude = 0.0;
+  };
+
   std::vector<const geometry::Polygon*> polys_;
+  std::vector<Box> boxes_;
   geometry::BoundingBox extent_;
   index::GridIndex grid_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geometry/predicates.h"
 
@@ -31,17 +32,40 @@ void CollectEdgeCuts(const Segment& s, Point a, Point b,
   }
 }
 
-// Merges sorted candidate cut parameters into maximal inside intervals by
+// Appends the cuts of every edge of `ring` whose bounding box meets `box`,
+// in edge order. An edge whose box misses the segment's shares no point
+// with the segment, and the sign-exact orientation tests of
+// IntersectSegments can only confirm that (kNone), so skipping the edge
+// changes no cut.
+void CollectRingCuts(const Segment& s, const BoundingBox& box,
+                     const Ring& ring, std::vector<double>* cuts) {
+  const std::vector<Point>& v = ring.vertices();
+  const size_t n = v.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Point a = v[i];
+    const Point b = v[i + 1 == n ? 0 : i + 1];
+    if ((a.x < box.min_x && b.x < box.min_x) ||
+        (a.x > box.max_x && b.x > box.max_x) ||
+        (a.y < box.min_y && b.y < box.min_y) ||
+        (a.y > box.max_y && b.y > box.max_y)) {
+      continue;
+    }
+    CollectEdgeCuts(s, a, b, cuts);
+  }
+}
+
+// Merges the candidate cut parameters into maximal inside intervals by
 // midpoint testing each elementary sub-interval against the polygon.
-std::vector<ParamInterval> BuildIntervals(const Segment& s,
-                                          const Polygon& polygon,
-                                          std::vector<double> cuts) {
+void BuildIntervals(const Segment& s, const Polygon& polygon,
+                    std::vector<double>* cuts_buf,
+                    std::vector<ParamInterval>* out_buf) {
+  std::vector<double>& cuts = *cuts_buf;
+  std::vector<ParamInterval>& out = *out_buf;
   cuts.push_back(0.0);
   cuts.push_back(1.0);
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  std::vector<ParamInterval> out;
   auto push = [&out](double t0, double t1) {
     if (!out.empty() && out.back().t1 == t0) {
       out.back().t1 = t1;  // Coalesce adjacent intervals.
@@ -77,35 +101,44 @@ std::vector<ParamInterval> BuildIntervals(const Segment& s,
             [](const ParamInterval& a, const ParamInterval& b) {
               return a.t0 < b.t0;
             });
-  return out;
 }
 
 }  // namespace
 
-std::vector<ParamInterval> SegmentInsideIntervals(const Segment& s,
-                                                  const Polygon& polygon) {
+void SegmentInsideIntervals(const Segment& s, const Polygon& polygon,
+                            std::vector<double>* cuts,
+                            std::vector<ParamInterval>* out) {
+  cuts->clear();
+  out->clear();
   if (!polygon.Bounds().Intersects(s.Bounds())) {
-    return {};
+    return;
   }
   if (s.a == s.b) {
     if (polygon.Contains(s.a)) {
-      return {{0.0, 1.0}};
+      out->push_back({0.0, 1.0});
     }
-    return {};
+    return;
   }
-  std::vector<double> cuts;
-  const Ring& shell = polygon.shell();
-  for (size_t i = 0; i < shell.size(); ++i) {
-    Segment e = shell.edge(i);
-    CollectEdgeCuts(s, e.a, e.b, &cuts);
-  }
+  // The edge box test needs a box that holds both endpoints; a non-finite
+  // segment gets an unbounded one, so none of its edges is skipped.
+  const bool finite = std::isfinite(s.a.x) && std::isfinite(s.a.y) &&
+                      std::isfinite(s.b.x) && std::isfinite(s.b.y);
+  const double inf = std::numeric_limits<double>::infinity();
+  const BoundingBox box =
+      finite ? s.Bounds() : BoundingBox(-inf, -inf, inf, inf);
+  CollectRingCuts(s, box, polygon.shell(), cuts);
   for (const Ring& hole : polygon.holes()) {
-    for (size_t i = 0; i < hole.size(); ++i) {
-      Segment e = hole.edge(i);
-      CollectEdgeCuts(s, e.a, e.b, &cuts);
-    }
+    CollectRingCuts(s, box, hole, cuts);
   }
-  return BuildIntervals(s, polygon, std::move(cuts));
+  BuildIntervals(s, polygon, cuts, out);
+}
+
+std::vector<ParamInterval> SegmentInsideIntervals(const Segment& s,
+                                                  const Polygon& polygon) {
+  std::vector<double> cuts;
+  std::vector<ParamInterval> out;
+  SegmentInsideIntervals(s, polygon, &cuts, &out);
+  return out;
 }
 
 bool SegmentIntersectsPolygon(const Segment& s, const Polygon& polygon) {

@@ -34,6 +34,14 @@ struct ParamInterval {
 std::vector<ParamInterval> SegmentInsideIntervals(const Segment& s,
                                                   const Polygon& polygon);
 
+/// The same intervals, written into `*out` (cleared first) with `*cuts` as
+/// working storage: allocation-free once both buffers are warm. This is
+/// the one implementation; the form above wraps it. Edges whose bounding
+/// box misses the segment's are not intersected (they cannot cut it).
+void SegmentInsideIntervals(const Segment& s, const Polygon& polygon,
+                            std::vector<double>* cuts,
+                            std::vector<ParamInterval>* out);
+
 /// True if any point of `s` lies inside or on `polygon`.
 bool SegmentIntersectsPolygon(const Segment& s, const Polygon& polygon);
 

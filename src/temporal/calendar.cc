@@ -12,19 +12,35 @@ namespace {
 // Epoch 2000-01-01 was a Saturday.
 constexpr int kEpochDayOfWeek = 5;  // index of Saturday in our Monday-based enum
 
-// Days from the epoch (2000-01-01) to the first day of `year`.
-int64_t DaysToYear(int year) {
-  int64_t days = 0;
-  if (year >= 2000) {
-    for (int y = 2000; y < year; ++y) {
-      days += IsLeapYear(y) ? 366 : 365;
-    }
-  } else {
-    for (int y = year; y < 2000; ++y) {
-      days -= IsLeapYear(y) ? 366 : 365;
-    }
-  }
-  return days;
+// Days from 0000-03-01 to the epoch (2000-01-01). The conversions below
+// count days in 400-year eras that start on March 1st, so a leap day is
+// the last day of its era-year (H. Hinnant's days_from_civil /
+// civil_from_days): constant time for every year, proleptic Gregorian.
+constexpr int64_t kEpochFromMarch0 = 730425;
+
+// Days from the epoch to year-month-day (month 1-12, day 1-31).
+int64_t DaysFromCivil(int64_t year, int month, int day) {
+  year -= month <= 2 ? 1 : 0;
+  const int64_t era = (year >= 0 ? year : year - 399) / 400;
+  const int64_t yoe = year - era * 400;  // [0, 399]
+  const int64_t mp = month > 2 ? month - 3 : month + 9;  // [0, 11]
+  const int64_t doy = (153 * mp + 2) / 5 + day - 1;  // [0, 365]
+  const int64_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;  // [0, 146096]
+  return era * 146097 + doe - kEpochFromMarch0;
+}
+
+// Inverse of DaysFromCivil.
+void CivilFromDays(int64_t days, int64_t* year, int* month, int* day) {
+  days += kEpochFromMarch0;
+  const int64_t era = (days >= 0 ? days : days - 146096) / 146097;
+  const int64_t doe = days - era * 146097;  // [0, 146096]
+  const int64_t yoe =
+      (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;  // [0, 399]
+  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0, 365]
+  const int64_t mp = (5 * doy + 2) / 153;  // [0, 11]
+  *day = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
+  *month = static_cast<int>(mp < 10 ? mp + 3 : mp - 9);
+  *year = yoe + era * 400 + (*month <= 2 ? 1 : 0);
 }
 
 }  // namespace
@@ -100,26 +116,9 @@ CivilTime ToCivil(TimePoint t) {
   double seconds_in_day = t.seconds - day_count_d * kDay;
 
   CivilTime out;
-  // Find the year.
-  int year = 2000;
-  int64_t days = day_count;
-  while (days < 0) {
-    --year;
-    days += IsLeapYear(year) ? 366 : 365;
-  }
-  while (days >= (IsLeapYear(year) ? 366 : 365)) {
-    days -= IsLeapYear(year) ? 366 : 365;
-    ++year;
-  }
-  out.year = year;
-  // Find the month and day.
-  int month = 1;
-  while (days >= DaysInMonth(year, month)) {
-    days -= DaysInMonth(year, month);
-    ++month;
-  }
-  out.month = month;
-  out.day = static_cast<int>(days) + 1;
+  int64_t year = 0;
+  CivilFromDays(day_count, &year, &out.month, &out.day);
+  out.year = static_cast<int>(year);
 
   out.hour = static_cast<int>(seconds_in_day / kHour);
   double rem = seconds_in_day - out.hour * kHour;
@@ -139,11 +138,7 @@ Result<TimePoint> FromCivil(const CivilTime& civil) {
       civil.minute > 59 || civil.second < 0.0 || civil.second >= 60.0) {
     return Status::InvalidArgument("time of day out of range");
   }
-  int64_t days = DaysToYear(civil.year);
-  for (int m = 1; m < civil.month; ++m) {
-    days += DaysInMonth(civil.year, m);
-  }
-  days += civil.day - 1;
+  const int64_t days = DaysFromCivil(civil.year, civil.month, civil.day);
   double seconds = static_cast<double>(days) * kDay + civil.hour * kHour +
                    civil.minute * kMinute + civil.second;
   return TimePoint(seconds);

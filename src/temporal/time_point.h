@@ -62,9 +62,10 @@ struct TimeRange {
   }
 };
 
-/// The instants the calendar handles: civil years 0001 through 9999. ToCivil
-/// walks one year at a time and HourBucketKey casts to int64_t, so Moft::Add
-/// refuses sample times outside it and analyses may assume none lies there.
+/// The instants the calendar handles: civil years 0001 through 9999. Far
+/// outside it the calendar's integer year, day and hour counts overflow, so
+/// Moft::Add refuses sample times outside it and analyses may assume none
+/// lies there.
 inline constexpr TimeRange kCalendarRange{-63082281600.0, 252455616000.0};
 
 }  // namespace piet::temporal

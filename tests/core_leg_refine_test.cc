@@ -2,8 +2,9 @@
 // polygon-major reference it replaces: for every polygon of a set, the
 // per-polygon moving::InsideIntervals / DistanceTravelledInside over the
 // same trajectory. Endpoints and distances must be ==-equal, not merely
-// close — the kernel only skips (leg, polygon) pairs SegmentInsideIntervals
-// rejects by its own bounds test, in the same leg order.
+// close — every (leg, polygon) pair the refiner does not hand to
+// SegmentInsideIntervals is one whose answer is known: a box miss, a
+// corridor reject or a stationary leg at the previous stationary point.
 //
 // The second half is an operator-level oracle: the four LIT front ends
 // (TrajectoryRegion, TrajectoryAggregates, ObjectsAlwaysWithin with
@@ -31,6 +32,7 @@
 #include "core/engine.h"
 #include "core/geometry/batch.h"
 #include "core/pietql/evaluator.h"
+#include "corner_leg.h"
 #include "geometry/polygon.h"
 #include "moving/block_store.h"
 #include "moving/moft.h"
@@ -46,6 +48,7 @@ namespace {
 using core::batch::LegRefiner;
 using core::batch::LegScratch;
 using geometry::BoundingBox;
+using geometry::CornerLeg;
 using geometry::Point;
 using geometry::Polygon;
 using geometry::Ring;
@@ -217,6 +220,38 @@ std::vector<std::vector<TimedPoint>> Trajectories(
                      {next_t(), {ext.min_x - 1, y}}});
     }
   }
+  // Idle runs: broken by a move back to the same point (A A A B A A), on a
+  // vertex, and on an edge midpoint (a shared edge in the grid set).
+  for (size_t k = 0; k < polys.size() && k < 12; ++k) {
+    const std::vector<Point>& v = polys[k].shell().vertices();
+    const Point a = polys[k].Bounds().Center();
+    const Point m((v[0].x + v[1].x) / 2.0, (v[0].y + v[1].y) / 2.0);
+    out.push_back({{next_t(), a}, {next_t(), a}, {next_t(), a},
+                   {next_t(), v[1]}, {next_t(), a}, {next_t(), a}});
+    out.push_back({{next_t(), v[1]}, {next_t(), v[1]}, {next_t(), v[1]},
+                   {next_t(), m}, {next_t(), m}, {next_t(), m},
+                   {next_t(), v[1]}, {next_t(), v[1]}});
+  }
+  // Stationary legs at +0 and -0: equal points, different bits (each is
+  // refined exactly, none reuses the other's answer).
+  {
+    const double y = ext.min_y + 0.5 * h;
+    out.push_back({{next_t(), {0.0, y}}, {next_t(), {-0.0, y}},
+                   {next_t(), {0.0, y}}, {next_t(), {0.0, y}},
+                   {next_t(), {-0.0, y}}, {next_t(), {-0.0, y}}});
+  }
+  // Legs passing a polygon-box corner at 0, 1 ulp, 1/2 and 2 corridor
+  // margins: only the last is past the margin.
+  for (size_t k = 0; k < polys.size() && k < 10; ++k) {
+    for (int corner = 0; corner < 4; ++corner) {
+      for (const auto& [margins, ulp] :
+           {std::pair{0.0, false}, {0.0, true}, {0.5, false}, {2.0, false}}) {
+        const geometry::Segment leg =
+            CornerLeg(polys[k].Bounds(), corner, margins, ulp);
+        out.push_back({{next_t(), leg.a}, {next_t(), leg.b}});
+      }
+    }
+  }
   // Legs entirely outside the extent (and one crossing over it).
   out.push_back({{next_t(), {ext.max_x + 2 * w, ext.min_y}},
                  {next_t(), {ext.max_x + 3 * w, ext.max_y}},
@@ -226,10 +261,24 @@ std::vector<std::vector<TimedPoint>> Trajectories(
   return out;
 }
 
-void ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
-                               const std::vector<TimedPoint>& points,
-                               const LegRefiner& refiner, LegScratch* scratch,
-                               const std::string& tag) {
+/// How one Refine answered its (leg, polygon) box-overlap pairs.
+struct RefineCounts {
+  size_t refines = 0;
+  size_t corridor_rejects = 0;
+  size_t stationary_reuses = 0;
+
+  void Add(const RefineCounts& o) {
+    refines += o.refines;
+    corridor_rejects += o.corridor_rejects;
+    stationary_reuses += o.stationary_reuses;
+  }
+};
+
+RefineCounts ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
+                                       const std::vector<TimedPoint>& points,
+                                       const LegRefiner& refiner,
+                                       LegScratch* scratch,
+                                       const std::string& tag) {
   std::vector<double> ts, xs, ys;
   for (const TimedPoint& tp : points) {
     ts.push_back(tp.t.seconds);
@@ -242,15 +291,21 @@ void ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
           TrajectorySample::Create(points).ValueOrDie())
           .ValueOrDie();
 
-  // Completeness of the grid probe: exactly one refine per (leg, polygon)
-  // pair whose boxes meet.
+  // Completeness of the grid probe: every (leg, polygon) pair whose boxes
+  // meet is answered exactly once — by the exact kernel, a corridor reject
+  // or a stationary reuse.
   size_t box_pairs = 0;
   for (const LinearTrajectory::Leg& leg : traj.Legs()) {
     for (const Polygon& pg : polys) {
       box_pairs += pg.Bounds().Intersects(leg.AsSegment().Bounds()) ? 1 : 0;
     }
   }
-  EXPECT_EQ(refines, box_pairs) << tag;
+  const RefineCounts counts{refines, scratch->corridor_rejects,
+                            scratch->stationary_reuses};
+  EXPECT_EQ(counts.refines + counts.corridor_rejects +
+                counts.stationary_reuses,
+            box_pairs)
+      << tag;
 
   EXPECT_TRUE(std::is_sorted(scratch->hit.begin(), scratch->hit.end()))
       << tag;
@@ -268,7 +323,10 @@ void ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
       continue;
     }
     const IntervalSet got(scratch->pieces[q]);
-    ASSERT_EQ(got.size(), expected.size()) << where;
+    EXPECT_EQ(got.size(), expected.size()) << where;
+    if (got.size() != expected.size()) {
+      continue;
+    }
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got.intervals()[i].begin.seconds,
                 expected.intervals()[i].begin.seconds)
@@ -279,10 +337,12 @@ void ExpectMatchesPolygonMajor(const std::vector<Polygon>& polys,
     }
     EXPECT_EQ(scratch->distance[q], expected_dist) << where;
   }
+  return counts;
 }
 
 TEST(LegRefinerTest, MatchesPolygonMajorKernelsBitForBit) {
   Random rng(20261017);
+  RefineCounts total;
   for (const PolygonSet& set : PolygonSets(&rng)) {
     std::vector<const Polygon*> ptrs;
     for (const Polygon& p : set.polys) {
@@ -295,10 +355,82 @@ TEST(LegRefinerTest, MatchesPolygonMajorKernelsBitForBit) {
     const std::vector<std::vector<TimedPoint>> trajs =
         Trajectories(&rng, set.polys);
     for (size_t k = 0; k < trajs.size(); ++k) {
-      ExpectMatchesPolygonMajor(set.polys, trajs[k], refiner, &scratch,
-                                set.name + " trajectory " + std::to_string(k));
+      total.Add(ExpectMatchesPolygonMajor(
+          set.polys, trajs[k], refiner, &scratch,
+          set.name + " trajectory " + std::to_string(k)));
     }
   }
+  // Both shortcuts are exercised, and most pairs still refine exactly.
+  EXPECT_GT(total.corridor_rejects, 0u);
+  EXPECT_GT(total.stationary_reuses, 0u);
+  EXPECT_GT(total.refines, total.corridor_rejects + total.stationary_reuses);
+}
+
+TEST(LegRefinerTest, CorridorRejectsOnlyPastTheMargin) {
+  // A rectangle near the origin and one far out (the margin scales with
+  // the largest coordinate). Rectangle corners are polygon vertices, so a
+  // leg through a corner touches the polygon there.
+  for (const Polygon& pg :
+       {Rect(0, 0, 4, 2), Rect(1e6 + 0.5, -1e6, 1e6 + 64.5, -1e6 + 3.25)}) {
+    const LegRefiner refiner({&pg});
+    LegScratch scratch;
+    for (int corner = 0; corner < 4; ++corner) {
+      for (const auto& [margins, ulp] :
+           {std::pair{0.0, false}, {0.0, true}, {0.5, false}, {2.0, false}}) {
+        const geometry::Segment leg =
+            CornerLeg(pg.Bounds(), corner, margins, ulp);
+        const std::string tag = pg.Bounds().ToString() + " corner " +
+                                std::to_string(corner) + " margins " +
+                                std::to_string(margins) +
+                                (ulp ? " +1ulp" : "");
+        const RefineCounts counts = ExpectMatchesPolygonMajor(
+            {pg}, {{TimePoint(10), leg.a}, {TimePoint(20), leg.b}}, refiner,
+            &scratch, tag);
+        EXPECT_EQ(counts.corridor_rejects, margins > 1.0 ? 1u : 0u) << tag;
+        EXPECT_EQ(counts.refines, margins > 1.0 ? 0u : 1u) << tag;
+        if (margins == 0.0 && !ulp) {
+          // Through the corner: a single touch point.
+          ASSERT_EQ(scratch.hit, std::vector<uint32_t>{0}) << tag;
+          ASSERT_EQ(scratch.pieces[0].size(), 1u) << tag;
+          EXPECT_EQ(scratch.pieces[0][0].begin, scratch.pieces[0][0].end)
+              << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(LegRefinerTest, StationaryRunsReuseOnlyBitIdenticalPoints) {
+  const Polygon sq = Rect(0, 0, 2, 2);
+  const Polygon right = Rect(2, 0, 4, 2);
+  const LegRefiner refiner({&sq, &right});
+  LegScratch scratch;
+  // A A A B A A on the shared edge x = 2: the A legs after the first reuse
+  // its two hits (both polygons contain the edge point), the B leg and the
+  // legs moving between A and B refine exactly.
+  const Point a(2, 1);
+  const Point b(1, 1);
+  const std::vector<TimedPoint> run = {
+      {TimePoint(0), a}, {TimePoint(1), a}, {TimePoint(2), a},
+      {TimePoint(3), b}, {TimePoint(4), a}, {TimePoint(5), a}};
+  const RefineCounts counts =
+      ExpectMatchesPolygonMajor({sq, right}, run, refiner, &scratch, "AAABAA");
+  // Legs: AA (exact, 2 pairs), AA (reuse, 2), AB (exact, 2: the leg's box
+  // touches `right` at x = 2), BA (exact, 2), AA (reuse, 2).
+  EXPECT_EQ(counts.stationary_reuses, 4u);
+  EXPECT_EQ(counts.refines, 6u);
+  EXPECT_EQ(scratch.hit, (std::vector<uint32_t>{0, 1}));
+
+  // +0 and -0 compare equal but differ in bits: each change of sign
+  // refines exactly (one candidate, `sq`, on its left edge x = 0).
+  const std::vector<TimedPoint> signs = {{TimePoint(0), {0.0, 1.0}},
+                                         {TimePoint(1), {-0.0, 1.0}},
+                                         {TimePoint(2), {0.0, 1.0}},
+                                         {TimePoint(3), {0.0, 1.0}}};
+  const RefineCounts zero =
+      ExpectMatchesPolygonMajor({sq, right}, signs, refiner, &scratch, "+-0");
+  EXPECT_EQ(zero.stationary_reuses, 0u);
+  EXPECT_EQ(zero.refines, 3u);
 }
 
 TEST(LegRefinerTest, SingleSampleUsesContainment) {
@@ -876,6 +1008,37 @@ TEST(LegRefineOracleTest, ZeroMeasureWindowsAgreeWithSamplesAndSnapshot) {
                 always.end())
         << (trajectory ? "trajectory" : "sample") << " semantics";
   }
+}
+
+// Non-vacuity on real movement: over a seeded random-waypoint city (plus
+// the stationary object Pack adds), both shortcuts fire, and every object
+// still matches the polygon-major reference bit for bit.
+TEST(LegRefineOracleTest, ShortcutsFireOnARandomWaypointCity) {
+  std::shared_ptr<City> city = MakeCity(1, Tier::kRaw);
+  const gis::Layer* layer =
+      city->db->gis().GetLayer(city->neighborhoods_layer).ValueOrDie();
+  std::vector<Polygon> polys;
+  for (gis::GeometryId id : layer->ids()) {
+    polys.push_back(*layer->GetPolygon(id).ValueOrDie());
+  }
+  std::vector<const Polygon*> ptrs;
+  for (const Polygon& p : polys) {
+    ptrs.push_back(&p);
+  }
+  const LegRefiner refiner(ptrs);
+  LegScratch scratch;
+  const Moft* moft = city->db->GetMoft("cars").ValueOrDie();
+  RefineCounts total;
+  for (ObjectId oid : moft->ObjectIds()) {
+    const TrajectorySample sample =
+        TrajectorySample::FromMoft(*moft, oid).ValueOrDie();
+    total.Add(ExpectMatchesPolygonMajor(polys, sample.points(), refiner,
+                                        &scratch,
+                                        "object " + std::to_string(oid)));
+  }
+  EXPECT_GT(total.refines, 0u);
+  EXPECT_GT(total.corridor_rejects, 0u);
+  EXPECT_GT(total.stationary_reuses, 0u);
 }
 
 }  // namespace

@@ -57,6 +57,13 @@ struct FoldParam {
   Tier tier;
   int threads;
 };
+// Without a PrintTo, gtest prints the parameter's raw bytes into the test
+// names ctest registers. With no padding those bytes are the three field
+// values, so the names are the same in every build; a field that adds
+// padding must come with a PrintTo (like OracleParam's in
+// core_gamma_oracle_test.cc).
+static_assert(sizeof(FoldParam) ==
+              sizeof(Strategy) + sizeof(Tier) + sizeof(int));
 
 /// `base` re-packed into block_rows-sized blocks (the PIET_BLOCK_ROWS
 /// knob), raw or compressed, with the hot tier kept, released or spilled.

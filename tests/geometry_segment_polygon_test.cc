@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
+#include "corner_leg.h"
+#include "geometry/predicates.h"
 #include "geometry/segment_polygon.h"
 
 namespace piet::geometry {
@@ -234,6 +239,246 @@ TEST_P(WithinDistanceProperty, IntervalsMatchSampledDistance) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, WithinDistanceProperty,
                          ::testing::Range(0, 10));
+
+// ---------------------------------------------------------------------------
+// Frozen-kernel oracle: the segment/polygon kernel as it was before the edge
+// box test and the caller-owned buffers, copied verbatim. The live kernel
+// must return ==-equal intervals (every endpoint bit-identical) on a seeded
+// sweep of the shapes where skipping an edge could matter.
+// ---------------------------------------------------------------------------
+
+namespace frozen {
+
+// Appends to `cuts` every parameter t in [0,1] at which segment `s`
+// meets edge [a, b]. Collinear overlaps contribute both overlap endpoints.
+void CollectEdgeCuts(const Segment& s, Point a, Point b,
+                     std::vector<double>* cuts) {
+  SegmentIntersection isect = IntersectSegments(s.a, s.b, a, b);
+  if (isect.kind == SegmentIntersectionKind::kNone) {
+    return;
+  }
+  Point d = s.b - s.a;
+  double len2 = Dot(d, d);
+  auto param_of = [&](Point p) {
+    if (len2 == 0.0) {
+      return 0.0;
+    }
+    return std::clamp(Dot(p - s.a, d) / len2, 0.0, 1.0);
+  };
+  cuts->push_back(param_of(isect.p0));
+  if (isect.kind == SegmentIntersectionKind::kOverlap) {
+    cuts->push_back(param_of(isect.p1));
+  }
+}
+
+// Merges sorted candidate cut parameters into maximal inside intervals by
+// midpoint testing each elementary sub-interval against the polygon.
+std::vector<ParamInterval> BuildIntervals(const Segment& s,
+                                          const Polygon& polygon,
+                                          std::vector<double> cuts) {
+  cuts.push_back(0.0);
+  cuts.push_back(1.0);
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  std::vector<ParamInterval> out;
+  auto push = [&out](double t0, double t1) {
+    if (!out.empty() && out.back().t1 == t0) {
+      out.back().t1 = t1;  // Coalesce adjacent intervals.
+    } else {
+      out.push_back({t0, t1});
+    }
+  };
+
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    double t0 = cuts[i];
+    double t1 = cuts[i + 1];
+    Point mid = s.At((t0 + t1) / 2.0);
+    if (polygon.Contains(mid)) {
+      push(t0, t1);
+    }
+  }
+
+  // Isolated touch points: a cut point inside the polygon that is not
+  // covered by any interval contributes a zero-length interval.
+  for (double t : cuts) {
+    bool covered = false;
+    for (const ParamInterval& iv : out) {
+      if (t >= iv.t0 && t <= iv.t1) {
+        covered = true;
+        break;
+      }
+    }
+    if (!covered && polygon.Contains(s.At(t))) {
+      out.push_back({t, t});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ParamInterval& a, const ParamInterval& b) {
+              return a.t0 < b.t0;
+            });
+  return out;
+}
+
+std::vector<ParamInterval> SegmentInsideIntervals(const Segment& s,
+                                                  const Polygon& polygon) {
+  if (!polygon.Bounds().Intersects(s.Bounds())) {
+    return {};
+  }
+  if (s.a == s.b) {
+    if (polygon.Contains(s.a)) {
+      return {{0.0, 1.0}};
+    }
+    return {};
+  }
+  std::vector<double> cuts;
+  const Ring& shell = polygon.shell();
+  for (size_t i = 0; i < shell.size(); ++i) {
+    Segment e = shell.edge(i);
+    CollectEdgeCuts(s, e.a, e.b, &cuts);
+  }
+  for (const Ring& hole : polygon.holes()) {
+    for (size_t i = 0; i < hole.size(); ++i) {
+      Segment e = hole.edge(i);
+      CollectEdgeCuts(s, e.a, e.b, &cuts);
+    }
+  }
+  return BuildIntervals(s, polygon, std::move(cuts));
+}
+
+}  // namespace frozen
+
+/// A polygon with holes from raw vertex lists.
+Polygon WithHoles(std::vector<Point> shell,
+                  std::vector<std::vector<Point>> holes) {
+  std::vector<Ring> rings;
+  for (std::vector<Point>& h : holes) {
+    rings.push_back(Ring::Create(std::move(h)).ValueOrDie());
+  }
+  return Polygon::Create(Ring::Create(std::move(shell)).ValueOrDie(),
+                         std::move(rings))
+      .ValueOrDie();
+}
+
+/// A star-shaped (simple, usually non-convex) polygon around `c`.
+Polygon RandomStar(Random* rng, Point c, double r, int n) {
+  std::vector<Point> v;
+  for (int i = 0; i < n; ++i) {
+    const double a = 2.0 * 3.141592653589793 * i / n;
+    const double rr = r * rng->UniformDouble(0.35, 1.0);
+    v.emplace_back(c.x + rr * std::cos(a), c.y + rr * std::sin(a));
+  }
+  return Polygon::Create(Ring::Create(std::move(v)).ValueOrDie()).ValueOrDie();
+}
+
+std::vector<Polygon> OraclePolygons(Random* rng) {
+  std::vector<Polygon> out;
+  // Unit blocks sharing edges (a city grid), one with a far offset.
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 3; ++x) {
+      out.push_back(MakeRectangle(x, y, x + 1, y + 1));
+    }
+  }
+  out.push_back(MakeRectangle(1e6, -1e6, 1e6 + 250.5, -1e6 + 125.25));
+  // Holes, including a non-convex one.
+  out.push_back(WithHoles({{0, 0}, {10, 0}, {10, 10}, {0, 10}},
+                          {{{2, 2}, {4, 2}, {4, 4}, {2, 4}},
+                           {{6, 6}, {8, 6}, {7, 8}}}));
+  out.push_back(WithHoles({{12, 0}, {20, 0}, {20, 8}, {12, 8}},
+                          {{{14, 2}, {18, 2}, {18, 6}, {16, 3}, {14, 6}}}));
+  // Stars at city-like coordinates.
+  for (int i = 0; i < 6; ++i) {
+    out.push_back(RandomStar(rng,
+                             {rng->UniformDouble(0, 3000),
+                              rng->UniformDouble(0, 3000)},
+                             rng->UniformDouble(5, 400), 5 + i));
+  }
+  return out;
+}
+
+std::vector<Segment> OracleSegments(Random* rng,
+                                    const std::vector<Polygon>& polys) {
+  std::vector<Segment> out;
+  for (const Polygon& pg : polys) {
+    const BoundingBox b = pg.Bounds();
+    const double w = b.width();
+    const double h = b.height();
+    auto random_point = [&] {
+      return Point(rng->UniformDouble(b.min_x - 0.3 * w, b.max_x + 0.3 * w),
+                   rng->UniformDouble(b.min_y - 0.3 * h, b.max_y + 0.3 * h));
+    };
+    // Random segments around and across the polygon.
+    for (int i = 0; i < 60; ++i) {
+      out.emplace_back(random_point(), random_point());
+    }
+    std::vector<const Ring*> rings = {&pg.shell()};
+    for (const Ring& hole : pg.holes()) {
+      rings.push_back(&hole);
+    }
+    for (const Ring* ring : rings) {
+      for (size_t i = 0; i < ring->size(); ++i) {
+        const Segment e = ring->edge(i);
+        // Legs collinear with the edge: inside it, overlapping one end,
+        // touching an end, and disjoint beyond either end.
+        static constexpr double kAlong[][2] = {
+            {0.25, 0.75}, {-0.5, 0.5}, {0.5, 1.5}, {-1.0, 0.0},
+            {1.0, 2.0},   {-2.0, -1.0}, {1.5, 3.0}, {-0.5, 1.5}};
+        for (const auto& [t0, t1] : kAlong) {
+          out.emplace_back(e.At(t0), e.At(t1));
+        }
+        // Legs ending at, starting at and passing through the vertex.
+        const Point v = e.a;
+        const Point p = random_point();
+        out.emplace_back(p, v);
+        out.emplace_back(v, p);
+        out.emplace_back(p, v + (v - p));
+        // Degenerate legs: on the vertex and on the edge's midpoint.
+        out.emplace_back(v, v);
+        out.emplace_back(e.At(0.5), e.At(0.5));
+      }
+    }
+    const Point center = b.Center();
+    out.emplace_back(center, center);
+    const Point p = random_point();
+    out.emplace_back(p, p);
+    // Legs passing each box corner at 0, 1 ulp, 1/2 and 2 corridor margins.
+    for (int corner = 0; corner < 4; ++corner) {
+      out.push_back(CornerLeg(b, corner, 0.0, false));
+      out.push_back(CornerLeg(b, corner, 0.0, true));
+      out.push_back(CornerLeg(b, corner, 0.5, false));
+      out.push_back(CornerLeg(b, corner, 2.0, false));
+    }
+  }
+  return out;
+}
+
+TEST(SegmentInsideIntervalsOracleTest, MatchesFrozenKernelBitForBit) {
+  Random rng(20261018);
+  const std::vector<Polygon> polys = OraclePolygons(&rng);
+  const std::vector<Segment> segs = OracleSegments(&rng, polys);
+  // Buffers reused across every call: each call must clear them.
+  std::vector<double> cuts;
+  std::vector<ParamInterval> ivs;
+  size_t nonempty = 0;
+  size_t touches = 0;
+  for (const Polygon& pg : polys) {
+    for (const Segment& s : segs) {
+      const std::vector<ParamInterval> want =
+          frozen::SegmentInsideIntervals(s, pg);
+      SegmentInsideIntervals(s, pg, &cuts, &ivs);
+      ASSERT_TRUE(ivs == want) << s.a.ToString() << "-" << s.b.ToString()
+                               << " vs " << pg.ToString();
+      ASSERT_TRUE(SegmentInsideIntervals(s, pg) == want);
+      nonempty += want.empty() ? 0 : 1;
+      for (const ParamInterval& iv : want) {
+        touches += iv.t0 == iv.t1 ? 1 : 0;
+      }
+    }
+  }
+  // The sweep reaches the kernel's interesting answers, not just {}.
+  EXPECT_GT(nonempty, 1000u);
+  EXPECT_GT(touches, 50u);
+}
 
 }  // namespace
 }  // namespace piet::geometry

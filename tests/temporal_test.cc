@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "common/random.h"
 #include "temporal/calendar.h"
 #include "temporal/interval.h"
@@ -47,6 +51,114 @@ TEST(CalendarTest, CivilRoundTrip) {
     EXPECT_EQ(back.hour, c.hour);
     EXPECT_EQ(back.minute, c.minute);
     EXPECT_NEAR(back.second, c.second, 1e-6);
+  }
+}
+
+// The year- and month-walking conversions the closed form replaced, kept
+// verbatim as the oracle (each costs O(|year - 2000|) per call).
+int64_t LoopDaysToYear(int year) {
+  int64_t days = 0;
+  if (year >= 2000) {
+    for (int y = 2000; y < year; ++y) {
+      days += IsLeapYear(y) ? 366 : 365;
+    }
+  } else {
+    for (int y = year; y < 2000; ++y) {
+      days -= IsLeapYear(y) ? 366 : 365;
+    }
+  }
+  return days;
+}
+
+CivilTime LoopToCivil(TimePoint t) {
+  double day_count_d = std::floor(t.seconds / kDay);
+  int64_t day_count = static_cast<int64_t>(day_count_d);
+  double seconds_in_day = t.seconds - day_count_d * kDay;
+
+  CivilTime out;
+  // Find the year.
+  int year = 2000;
+  int64_t days = day_count;
+  while (days < 0) {
+    --year;
+    days += IsLeapYear(year) ? 366 : 365;
+  }
+  while (days >= (IsLeapYear(year) ? 366 : 365)) {
+    days -= IsLeapYear(year) ? 366 : 365;
+    ++year;
+  }
+  out.year = year;
+  // Find the month and day.
+  int month = 1;
+  while (days >= DaysInMonth(year, month)) {
+    days -= DaysInMonth(year, month);
+    ++month;
+  }
+  out.month = month;
+  out.day = static_cast<int>(days) + 1;
+
+  out.hour = static_cast<int>(seconds_in_day / kHour);
+  double rem = seconds_in_day - out.hour * kHour;
+  out.minute = static_cast<int>(rem / kMinute);
+  out.second = rem - out.minute * kMinute;
+  return out;
+}
+
+void ExpectSameCivil(const CivilTime& got, const CivilTime& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.year, want.year) << where;
+  EXPECT_EQ(got.month, want.month) << where;
+  EXPECT_EQ(got.day, want.day) << where;
+  EXPECT_EQ(got.hour, want.hour) << where;
+  EXPECT_EQ(got.minute, want.minute) << where;
+  EXPECT_EQ(got.second, want.second) << where;
+}
+
+// Every day from 0001-01-01 to 9999-12-31: ToCivil names the day the loop
+// oracle's year offset and month walk give it, and FromCivil maps the day
+// back to the same instant (a varying time of day rides along).
+TEST(CalendarTest, ClosedFormMatchesLoopOracleOnEveryDay) {
+  size_t days_checked = 0;
+  for (int year = 1; year <= 9999; ++year) {
+    int64_t day = LoopDaysToYear(year);
+    for (int month = 1; month <= 12; ++month) {
+      for (int d = 1; d <= DaysInMonth(year, month); ++d, ++day) {
+        CivilTime want;
+        want.year = year;
+        want.month = month;
+        want.day = d;
+        const int64_t sec = ((day * 7919) % 86400 + 86400) % 86400;
+        want.hour = static_cast<int>(sec / 3600);
+        want.minute = static_cast<int>(sec / 60 % 60);
+        want.second = static_cast<double>(sec % 60);
+        const TimePoint t(static_cast<double>(day) * kDay +
+                          static_cast<double>(sec));
+        const CivilTime got = ToCivil(t);
+        if (got.year != want.year || got.month != want.month ||
+            got.day != want.day || got.hour != want.hour ||
+            got.minute != want.minute || got.second != want.second) {
+          ExpectSameCivil(got, want, want.ToString());
+          FAIL() << "first mismatch on " << want.ToString();
+        }
+        const Result<TimePoint> back = FromCivil(want);
+        ASSERT_TRUE(back.ok()) << want.ToString();
+        ASSERT_EQ(back.ValueOrDie().seconds, t.seconds) << want.ToString();
+        ++days_checked;
+      }
+    }
+  }
+  EXPECT_EQ(days_checked, 3652059u);  // 9999 years of 365.2425 days.
+}
+
+// The loop ToCivil itself, on a stride of instants over the same range and
+// beyond it (negative and five-digit years).
+TEST(CalendarTest, ClosedFormMatchesLoopToCivil) {
+  const int64_t first = LoopDaysToYear(-800);
+  const int64_t last = LoopDaysToYear(12001);
+  for (int64_t day = first; day < last; day += 997) {
+    const TimePoint t(static_cast<double>(day) * kDay + 45296.5);
+    ExpectSameCivil(ToCivil(t), LoopToCivil(t),
+                    "day " + std::to_string(day));
   }
 }
 
