@@ -12,6 +12,7 @@
 #include "analysis/lint/time_domain.h"
 #include "gis/layer.h"
 #include "temporal/interval.h"
+#include "temporal/time_dimension.h"
 #include "temporal/time_point.h"
 
 namespace piet::analysis::estimate {
@@ -64,22 +65,6 @@ int64_t SatMul(int64_t a, int64_t b) {
     return 0;
   }
   return (a > kSatCap / b) ? kSatCap : a * b;
-}
-
-bool CompareValues(const Value& lhs, pq::CompareOp op, const Value& rhs) {
-  switch (op) {
-    case pq::CompareOp::kLt:
-      return lhs < rhs;
-    case pq::CompareOp::kGt:
-      return rhs < lhs;
-    case pq::CompareOp::kLe:
-      return !(rhs < lhs);
-    case pq::CompareOp::kGe:
-      return !(lhs < rhs);
-    case pq::CompareOp::kEq:
-      return lhs == rhs;
-  }
-  return false;
 }
 
 /// Static replay of a block scan's zonemap filter over the catalog's
@@ -142,10 +127,6 @@ TimeShape SplitTimeShape(const pq::MoQuery& mo) {
   return shape;
 }
 
-bool IsSubHourLevel(std::string_view level) {
-  return level == "timeId" || level == "minute";
-}
-
 /// Hour buckets overlapped by the closed range [begin, end] (empty -> 0).
 int64_t BucketsTouched(double begin, double end, double width) {
   if (end < begin) {
@@ -206,7 +187,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
           for (GeometryId id : over) {
             auto v = layer->GetAttribute(id, cond.attribute);
             if (v.ok() &&
-                CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
+                pq::CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
               next.push_back(id);
             }
           }
@@ -343,11 +324,11 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const TimeShape shape = SplitTimeShape(*mo);
   bool rollup_sub_hour = false;
   for (const pq::MoCondition* r : shape.rollups) {
-    rollup_sub_hour = rollup_sub_hour || IsSubHourLevel(r->time_level);
+    rollup_sub_hour = rollup_sub_hour || temporal::IsSubHourLevel(r->time_level);
   }
   const bool sub_hour =
       rollup_sub_hour ||
-      (mo->group_by_level && IsSubHourLevel(*mo->group_by_level));
+      (mo->group_by_level && temporal::IsSubHourLevel(*mo->group_by_level));
 
   // The evaluator skips the scan of an INSIDE / PASSES THROUGH RESULT over
   // an empty region (PASSES THROUGH only without a sub-hour rollup). `over`

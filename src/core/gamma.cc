@@ -56,8 +56,7 @@ Totals FinishGroup(std::span<const Entry* const> group, Function f) {
 }  // namespace
 
 Granule::Granule(const std::optional<std::string>& group_level)
-    : instants_(group_level &&
-                (*group_level == "timeId" || *group_level == "minute")) {}
+    : instants_(group_level && temporal::IsSubHourLevel(*group_level)) {}
 
 double Granule::Of(double t) const { return instants_ ? t : HourOf(t); }
 

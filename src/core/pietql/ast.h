@@ -24,6 +24,24 @@ enum class CompareOp {
   kEq,
 };
 
+/// `lhs op rhs` under Value's total order: the one ATTR comparison the
+/// evaluator, the linter and the estimator all apply.
+inline bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
+  switch (op) {
+    case CompareOp::kLt:
+      return lhs < rhs;
+    case CompareOp::kGt:
+      return rhs < lhs;
+    case CompareOp::kLe:
+      return !(rhs < lhs);
+    case CompareOp::kGe:
+      return !(lhs < rhs);
+    case CompareOp::kEq:
+      return lhs == rhs;
+  }
+  return false;
+}
+
 /// One condition of the geometric part.
 struct GeoCondition {
   enum class Kind {

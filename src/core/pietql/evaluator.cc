@@ -136,26 +136,6 @@ Result<bool> Evaluator::ElementContains(const Layer& a, GeometryId ida,
   return Status::Unimplemented("unsupported CONTAINS operand");
 }
 
-namespace {
-
-bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kGt:
-      return rhs < lhs;
-    case CompareOp::kLe:
-      return !(rhs < lhs);
-    case CompareOp::kGe:
-      return !(lhs < rhs);
-    case CompareOp::kEq:
-      return lhs == rhs;
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<std::vector<GeometryId>> Evaluator::EvaluateGeoPart(
     const GeoQuery& geo, obs::TraceCollector* trace) const {
   if (geo.select.empty()) {

@@ -211,7 +211,7 @@ Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
     return temporal::IntervalSet({domain});
   }
   for (const auto& [level, member] : rollup_equals_) {
-    if (level == "timeId" || level == "minute") {
+    if (temporal::IsSubHourLevel(level)) {
       return Status::InvalidArgument(
           "MatchingIntervals requires hour-or-coarser rollup constraints; "
           "got '" +
@@ -299,7 +299,7 @@ bool TimePredicate::has_sub_hour_rollup() const {
 const std::string& TimePredicate::sub_hour_rollup_level() const {
   static const std::string kNone;
   for (const auto& entry : rollup_equals_) {
-    if (entry.first == "timeId" || entry.first == "minute") {
+    if (temporal::IsSubHourLevel(entry.first)) {
       return entry.first;
     }
   }

@@ -49,6 +49,13 @@ class TimeDimension {
   static bool RollsUp(std::string_view fine, std::string_view coarse);
 };
 
+/// True for the sub-hour levels "timeId" and "minute": the rollups finer
+/// than the hour bucket, which hour-granular machinery (the γ granule, the
+/// aggregate cache, MatchingIntervals) cannot serve.
+inline bool IsSubHourLevel(std::string_view level) {
+  return level == "timeId" || level == "minute";
+}
+
 }  // namespace piet::temporal
 
 #endif  // PIET_TEMPORAL_TIME_DIMENSION_H_
