@@ -1,7 +1,9 @@
 // Standalone Piet-QL static linter — the command-line front end of the
 // src/analysis/lint/ pass. Lints `.lint` corpus cases (schema model +
 // queries, see analysis/lint/corpus.h for the format) without evaluating
-// anything, and prints structured diagnostics with fix-its.
+// anything, and prints structured diagnostics with fix-its. Diagnostics
+// (LintQuery) and --fix edits (FixQuery) read the same static walk of
+// each query.
 //
 // Usage:
 //   pietql_lint [--json] [--figure1] [--fix] [--estimate] [case.lint ...]
@@ -9,9 +11,9 @@
 //   --figure1   lint the paper's six-bus Figure 1 scenario (schema +
 //               canonical queries); must come out clean
 //   --json      print diagnostics as a JSON array instead of text
-//   --fix       apply the plan rewriter's fix-its to each case's queries
-//               and print the rewritten Piet-QL (round-tripped through the
-//               printer) instead of linting; also verifies any
+//   --fix       apply FixQuery's answer-preserving edits to each case's
+//               queries and print the edited Piet-QL (round-tripped
+//               through the printer) instead of linting; also verifies any
 //               `expect-rewrite` directive
 //   --estimate  print the static resource estimate of each case query
 //               (against the corpus catalog: the case's schema, a quadtree
@@ -21,11 +23,11 @@
 // Exit status:
 //   0  every case matched its `expect` set (cases without `expect` lines
 //      must produce no findings) and --figure1, when given, was clean;
-//      under --fix, every fix-it applied (rewritten text re-parses, the
-//      rewrite is idempotent, and `expect-rewrite` sets matched); under
+//      under --fix, every fix-it applied (edited text re-parses, the fix
+//      is idempotent, and `expect-rewrite` sets matched); under
 //      --estimate, every `expect-estimate` interval contained its estimate
 //   1  some case missed/overshot its expectations, a clean case warned,
-//      or a --fix rewrite / --estimate check failed
+//      or a --fix edit / --estimate check failed
 //   2  usage / IO errors
 
 #include <cstdio>
@@ -38,7 +40,6 @@
 #include "analysis/lint/query_lint.h"
 #include "analysis/lint/schema_lint.h"
 #include "analysis/query_check.h"
-#include "analysis/rewrite/rewriter.h"
 #include "core/pietql/parser.h"
 #include "core/pietql/printer.h"
 #include "workload/scenario.h"
@@ -107,18 +108,19 @@ bool LintFigure1(bool json) {
   return clean;
 }
 
-/// --fix: applies the rewriter's fix-its to each of the case's queries and
-/// prints the rewritten Piet-QL. A fix-it fails to apply when the
-/// rewritten text does not re-parse, a second rewrite pass changes it
-/// again (non-idempotent), or an `expect-rewrite` directive mismatches.
+/// --fix: applies FixQuery to each of the case's queries and prints the
+/// edited Piet-QL. A fix-it fails to apply when the edited text does not
+/// re-parse, a second FixQuery pass changes it again (non-idempotent), or
+/// an `expect-rewrite` directive mismatches.
 bool FixCase(const CorpusCase& c) {
   bool ok = true;
   if (c.instance == nullptr) {
     std::printf("%s: schema-defect case, no queries to rewrite\n",
                 c.name.c_str());
   } else {
-    piet::analysis::rewrite::RewriteContext context;
+    piet::analysis::QueryContext context;
     context.gis = c.instance.get();
+    context.moft_names = c.moft_names;
     for (size_t i = 0; i < c.queries.size(); ++i) {
       auto parsed = piet::core::pietql::Parse(c.queries[i]);
       if (!parsed.ok()) {
@@ -128,13 +130,12 @@ bool FixCase(const CorpusCase& c) {
                     i + 1);
         continue;
       }
-      piet::analysis::rewrite::RewritePlan plan =
-          piet::analysis::rewrite::RewriteQuery(context,
-                                                parsed.ValueOrDie());
-      const std::string rewritten = piet::core::pietql::Print(plan.query);
+      const piet::analysis::lint::FixedQuery fixed =
+          piet::analysis::lint::FixQuery(context, parsed.ValueOrDie());
+      const std::string rewritten = piet::core::pietql::Print(fixed.query);
       std::printf("%s query %zu: %s\n", c.name.c_str(), i + 1,
                   rewritten.c_str());
-      for (const piet::analysis::rewrite::AppliedRewrite& a : plan.applied) {
+      for (const piet::analysis::lint::AppliedFix& a : fixed.applied) {
         std::printf("  applied %s [%s]: %s\n", a.rule_id.c_str(),
                     a.entity.c_str(), a.detail.c_str());
       }
@@ -145,13 +146,13 @@ bool FixCase(const CorpusCase& c) {
         ok = false;
         continue;
       }
-      piet::analysis::rewrite::RewritePlan second =
-          piet::analysis::rewrite::RewriteQuery(context,
-                                                reparsed.ValueOrDie());
-      if (piet::core::pietql::Print(second.query) != rewritten) {
-        std::printf("  FIX FAILED: rewrite is not idempotent (second pass "
+      const std::string second = piet::core::pietql::Print(
+          piet::analysis::lint::FixQuery(context, reparsed.ValueOrDie())
+              .query);
+      if (second != rewritten) {
+        std::printf("  FIX FAILED: fix is not idempotent (second pass "
                     "gave: %s)\n",
-                    piet::core::pietql::Print(second.query).c_str());
+                    second.c_str());
         ok = false;
       }
     }

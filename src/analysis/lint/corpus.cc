@@ -10,7 +10,6 @@
 
 #include "analysis/lint/query_lint.h"
 #include "analysis/query_check.h"
-#include "analysis/rewrite/rewriter.h"
 #include "core/pietql/parser.h"
 #include "geometry/wkt.h"
 #include "gis/layer.h"
@@ -182,6 +181,37 @@ std::shared_ptr<gis::GisDimensionInstance> TryBuildInstance(
     }
   }
   return instance;
+}
+
+/// OK when the sorted, unique id sets agree; otherwise InvalidArgument
+/// "<label>: missing ...; unexpected ...".
+Status CompareIdSets(const std::string& label,
+                     const std::vector<std::string>& expected,
+                     const std::vector<std::string>& have) {
+  std::vector<std::string> missing;
+  std::set_difference(expected.begin(), expected.end(), have.begin(),
+                      have.end(), std::back_inserter(missing));
+  std::vector<std::string> unexpected;
+  std::set_difference(have.begin(), have.end(), expected.begin(),
+                      expected.end(), std::back_inserter(unexpected));
+  if (missing.empty() && unexpected.empty()) {
+    return Status::OK();
+  }
+  std::ostringstream os;
+  os << label << ":";
+  if (!missing.empty()) {
+    os << " missing";
+    for (const std::string& id : missing) {
+      os << " " << id;
+    }
+  }
+  if (!unexpected.empty()) {
+    os << (missing.empty() ? "" : ";") << " unexpected";
+    for (const std::string& id : unexpected) {
+      os << " " << id;
+    }
+  }
+  return Status::InvalidArgument(os.str());
 }
 
 }  // namespace
@@ -429,9 +459,7 @@ Result<CorpusCase> ParseCorpusFile(const std::string& path) {
 
 DiagnosticList LintCase(const CorpusCase& c) {
   DiagnosticList out = LintSchema(c.model);
-  QueryContext context;
-  context.gis = c.instance.get();
-  context.moft_names = c.moft_names;
+  const QueryContext context{c.instance.get(), c.moft_names};
   for (size_t i = 0; i < c.queries.size(); ++i) {
     const std::string entity = "query " + std::to_string(i + 1);
     auto parsed = core::pietql::Parse(c.queries[i]);
@@ -450,54 +478,8 @@ DiagnosticList LintCase(const CorpusCase& c) {
 }
 
 Status CheckExpectations(const CorpusCase& c, const DiagnosticList& found) {
-  const std::vector<std::string> have = found.CheckIds();
-  std::vector<std::string> missing;
-  std::set_difference(c.expected_ids.begin(), c.expected_ids.end(),
-                      have.begin(), have.end(), std::back_inserter(missing));
-  std::vector<std::string> unexpected;
-  std::set_difference(have.begin(), have.end(), c.expected_ids.begin(),
-                      c.expected_ids.end(), std::back_inserter(unexpected));
-  if (missing.empty() && unexpected.empty()) {
-    return Status::OK();
-  }
-  std::ostringstream os;
-  os << "case '" << c.name << "':";
-  if (!missing.empty()) {
-    os << " missing";
-    for (const std::string& id : missing) {
-      os << " " << id;
-    }
-  }
-  if (!unexpected.empty()) {
-    os << (missing.empty() ? " " : ";") << " unexpected";
-    for (const std::string& id : unexpected) {
-      os << " " << id;
-    }
-  }
-  return Status::InvalidArgument(os.str());
-}
-
-std::vector<std::string> RewriteRuleIdsForCase(const CorpusCase& c) {
-  std::vector<std::string> out;
-  if (c.instance == nullptr) {
-    return out;
-  }
-  rewrite::RewriteContext context;
-  context.gis = c.instance.get();
-  for (const std::string& q : c.queries) {
-    auto parsed = core::pietql::Parse(q);
-    if (!parsed.ok()) {
-      continue;
-    }
-    rewrite::RewritePlan plan =
-        rewrite::RewriteQuery(context, parsed.ValueOrDie());
-    for (const rewrite::AppliedRewrite& a : plan.applied) {
-      out.push_back(a.rule_id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return CompareIdSets("case '" + c.name + "'", c.expected_ids,
+                       found.CheckIds());
 }
 
 moving::Moft CorpusEstimateMoft() {
@@ -602,34 +584,22 @@ Status CheckRewriteExpectations(const CorpusCase& c) {
   if (!c.expect_rewrite_set) {
     return Status::OK();
   }
-  const std::vector<std::string> have = RewriteRuleIdsForCase(c);
-  std::vector<std::string> missing;
-  std::set_difference(c.expected_rewrite_ids.begin(),
-                      c.expected_rewrite_ids.end(), have.begin(), have.end(),
-                      std::back_inserter(missing));
-  std::vector<std::string> unexpected;
-  std::set_difference(have.begin(), have.end(),
-                      c.expected_rewrite_ids.begin(),
-                      c.expected_rewrite_ids.end(),
-                      std::back_inserter(unexpected));
-  if (missing.empty() && unexpected.empty()) {
-    return Status::OK();
-  }
-  std::ostringstream os;
-  os << "case '" << c.name << "' rewrite:";
-  if (!missing.empty()) {
-    os << " missing";
-    for (const std::string& id : missing) {
-      os << " " << id;
+  std::vector<std::string> have;
+  const QueryContext context{c.instance.get(), c.moft_names};
+  for (size_t i = 0; c.instance != nullptr && i < c.queries.size(); ++i) {
+    auto parsed = core::pietql::Parse(c.queries[i]);
+    if (!parsed.ok()) {
+      continue;
+    }
+    for (const AppliedFix& a :
+         FixQuery(context, parsed.ValueOrDie()).applied) {
+      have.push_back(a.rule_id);
     }
   }
-  if (!unexpected.empty()) {
-    os << (missing.empty() ? " " : ";") << " unexpected";
-    for (const std::string& id : unexpected) {
-      os << " " << id;
-    }
-  }
-  return Status::InvalidArgument(os.str());
+  std::sort(have.begin(), have.end());
+  have.erase(std::unique(have.begin(), have.end()), have.end());
+  return CompareIdSets("case '" + c.name + "' rewrite",
+                       c.expected_rewrite_ids, have);
 }
 
 }  // namespace piet::analysis::lint

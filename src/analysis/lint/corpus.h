@@ -33,9 +33,9 @@ namespace piet::analysis::lint {
 ///   moft <name>                               register a MOFT name
 ///   query <verbatim Piet-QL>                  a query to lint
 ///   expect <check-id> ...                     expected finding IDs
-///   expect-rewrite <rule-id> ...              expected rw-* rule IDs the
-///                                             plan rewriter applies over
-///                                             the case's queries
+///   expect-rewrite <rule-id> ...              expected rw-* rule IDs
+///                                             FixQuery applies over the
+///                                             case's queries
 ///   expect-estimate q<N> <metric> <lo> <hi>   the static estimator's
 ///                                             interval for <metric> on the
 ///                                             case's N-th query (1-based)
@@ -67,8 +67,8 @@ struct CorpusCase {
   std::vector<std::string> expected_ids;  ///< Sorted, unique.
   /// Sorted, unique rw-* IDs from `expect-rewrite` directives. Meaningful
   /// only when `expect_rewrite_set` — an absent directive leaves the
-  /// rewriter unconstrained (pre-rewriter cases keep their meaning), while
-  /// a present-but-empty one asserts no rule fires.
+  /// fix-its unconstrained, while a present-but-empty one asserts no rule
+  /// fires.
   std::vector<std::string> expected_rewrite_ids;
   bool expect_rewrite_set = false;
   /// `expect-estimate` assertions, in directive order.
@@ -93,15 +93,10 @@ DiagnosticList LintCase(const CorpusCase& c);
 /// IDs. An absent `expect` directive means the case must lint clean.
 Status CheckExpectations(const CorpusCase& c, const DiagnosticList& found);
 
-/// The sorted, distinct rw-* rule IDs the plan rewriter applies across the
-/// case's parseable queries (no overlay — corpus cases carry none).
-/// Unparseable queries and schema-defect cases contribute nothing, like
-/// LintCase.
-std::vector<std::string> RewriteRuleIdsForCase(const CorpusCase& c);
-
-/// OK when `expect-rewrite` is absent, or when RewriteRuleIdsForCase
-/// equals the expected set exactly; otherwise InvalidArgument naming the
-/// missing / unexpected rule IDs.
+/// OK when `expect-rewrite` is absent, or when the distinct rw-* rule IDs
+/// FixQuery applies across the case's parseable queries (none for a
+/// schema-defect case, like LintCase) equal the expected set exactly;
+/// otherwise InvalidArgument naming the missing / unexpected rule IDs.
 Status CheckRewriteExpectations(const CorpusCase& c);
 
 /// The deterministic MOFT every corpus `moft <name>` resolves to when

@@ -53,8 +53,6 @@ class TimeAbstract {
   /// the masks are week-periodic, so that is exhaustive).
   bool IsBottom() const;
 
-  uint32_t hours() const { return hours_; }
-  uint8_t days() const { return days_; }
   const std::optional<temporal::Interval>& window() const { return window_; }
 
   /// The absolute window `TIME.<level> = literal` folds to, when the level

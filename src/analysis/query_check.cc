@@ -46,18 +46,9 @@ std::string_view ClassName(TypeClass c) {
   return "unknown";
 }
 
-const Layer* ResolveLayer(const QueryContext& context,
-                          const std::string& name) {
-  if (context.gis == nullptr) {
-    return nullptr;
-  }
-  auto layer = context.gis->GetLayer(name);
-  return layer.ok() ? layer.ValueOrDie() : nullptr;
-}
-
 void CheckLayerExists(const QueryContext& context, const std::string& name,
                       const std::string& entity, DiagnosticList* out) {
-  if (ResolveLayer(context, name) == nullptr) {
+  if (context.FindLayer(name) == nullptr) {
     out->AddError("query-unknown-layer", entity,
                   "layer '" + name + "' is not registered in the GIS "
                   "dimension instance");
@@ -67,7 +58,7 @@ void CheckLayerExists(const QueryContext& context, const std::string& name,
 void CheckAttrCondition(const QueryContext& context,
                         const pietql::GeoCondition& cond,
                         const std::string& entity, DiagnosticList* out) {
-  const Layer* layer = ResolveLayer(context, cond.a.name);
+  const Layer* layer = context.FindLayer(cond.a.name);
   if (layer == nullptr) {
     return;  // Already reported as query-unknown-layer.
   }
@@ -137,7 +128,7 @@ void CheckSpatialRollup(const QueryContext& context,
                         const std::string& result_layer,
                         const std::string& condition_name,
                         const std::string& entity, DiagnosticList* out) {
-  const Layer* layer = ResolveLayer(context, result_layer);
+  const Layer* layer = context.FindLayer(result_layer);
   if (layer == nullptr) {
     return;  // Already reported against the SELECT clause.
   }
@@ -163,6 +154,30 @@ void CheckSpatialRollup(const QueryContext& context,
 
 }  // namespace
 
+std::string GeoClauseEntity(size_t index, const pietql::GeoCondition& cond) {
+  using Kind = pietql::GeoCondition::Kind;
+  const std::string entity =
+      "geo WHERE clause " + std::to_string(index + 1) + " (";
+  if (cond.kind == Kind::kAttrCompare) {
+    return entity + "ATTR layer." + cond.a.name + ", " + cond.attribute + ")";
+  }
+  return entity +
+         (cond.kind == Kind::kIntersection ? "INTERSECTION" : "CONTAINS") +
+         " layer." + cond.a.name + ", layer." + cond.b.name + ")";
+}
+
+std::string MoClauseEntity(size_t index) {
+  return "mo WHERE clause " + std::to_string(index + 1);
+}
+
+const Layer* QueryContext::FindLayer(const std::string& name) const {
+  if (gis == nullptr) {
+    return nullptr;
+  }
+  auto layer = gis->GetLayer(name);
+  return layer.ok() ? layer.ValueOrDie() : nullptr;
+}
+
 DiagnosticList AnalyzeQuery(const QueryContext& context,
                             const pietql::Query& query) {
   DiagnosticList out;
@@ -178,23 +193,12 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
 
   for (size_t i = 0; i < query.geo.where.size(); ++i) {
     const pietql::GeoCondition& cond = query.geo.where[i];
-    std::string entity = "geo WHERE clause " + std::to_string(i + 1);
-    switch (cond.kind) {
-      case pietql::GeoCondition::Kind::kAttrCompare:
-        entity += " (ATTR layer." + cond.a.name + ", " + cond.attribute + ")";
-        CheckLayerExists(context, cond.a.name, entity, &out);
-        CheckAttrCondition(context, cond, entity, &out);
-        break;
-      case pietql::GeoCondition::Kind::kIntersection:
-      case pietql::GeoCondition::Kind::kContains:
-        entity += cond.kind == pietql::GeoCondition::Kind::kIntersection
-                      ? " (INTERSECTION layer." + cond.a.name + ", layer." +
-                            cond.b.name + ")"
-                      : " (CONTAINS layer." + cond.a.name + ", layer." +
-                            cond.b.name + ")";
-        CheckLayerExists(context, cond.a.name, entity, &out);
-        CheckLayerExists(context, cond.b.name, entity, &out);
-        break;
+    const std::string entity = GeoClauseEntity(i, cond);
+    CheckLayerExists(context, cond.a.name, entity, &out);
+    if (cond.kind == pietql::GeoCondition::Kind::kAttrCompare) {
+      CheckAttrCondition(context, cond, entity, &out);
+    } else {
+      CheckLayerExists(context, cond.b.name, entity, &out);
     }
   }
 
@@ -221,7 +225,7 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
   int spatial_modes = 0;
   for (size_t i = 0; i < mo.where.size(); ++i) {
     const pietql::MoCondition& cond = mo.where[i];
-    std::string entity = "mo WHERE clause " + std::to_string(i + 1);
+    const std::string entity = MoClauseEntity(i);
     switch (cond.kind) {
       case pietql::MoCondition::Kind::kInsideResult:
         ++spatial_modes;
@@ -246,7 +250,7 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
         std::string near_entity =
             entity + " (NEAR layer." + cond.near_layer + ")";
         CheckLayerExists(context, cond.near_layer, near_entity, &out);
-        const Layer* near = ResolveLayer(context, cond.near_layer);
+        const Layer* near = context.FindLayer(cond.near_layer);
         if (near != nullptr && near->kind() != GeometryKind::kNode &&
             near->kind() != GeometryKind::kPoint) {
           out.AddError("query-layer-kind", near_entity,

@@ -17,6 +17,9 @@ namespace piet::analysis {
 struct QueryContext {
   const gis::GisDimensionInstance* gis = nullptr;
   std::vector<std::string> moft_names;
+
+  /// The named layer; null without a GIS or when no layer has that name.
+  const gis::Layer* FindLayer(const std::string& name) const;
 };
 
 /// Walks a parsed Piet-QL query before evaluation and reports semantic
@@ -40,6 +43,15 @@ struct QueryContext {
 /// clause 2"), so strict-mode rejections point at the exact construct.
 DiagnosticList AnalyzeQuery(const QueryContext& context,
                             const core::pietql::Query& query);
+
+/// The entity of geo WHERE clause `index` (0-based) in every query
+/// diagnostic, e.g. "geo WHERE clause 2 (ATTR layer.Ln, income)"; the
+/// analyzer and the linter share it so both point at a clause alike.
+std::string GeoClauseEntity(size_t index,
+                            const core::pietql::GeoCondition& cond);
+
+/// The entity of mo WHERE clause `index` (0-based): "mo WHERE clause 3".
+std::string MoClauseEntity(size_t index);
 
 }  // namespace piet::analysis
 

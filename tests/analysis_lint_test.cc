@@ -15,6 +15,8 @@
 #include "analysis/query_check.h"
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
+#include "geometry/point.h"
+#include "moving/moft.h"
 #include "temporal/interval.h"
 #include "temporal/time_point.h"
 #include "workload/scenario.h"
@@ -263,12 +265,58 @@ TEST_F(LintEvaluatorTest, FastpathNoteCarriesRewriteFixit) {
   for (const Diagnostic& d : diags) {
     if (d.check_id == "lint-fastpath-defeated") {
       found = true;
+      // T BETWEEN is closed and the hour bucket half-open, so the window
+      // ends at the double before 7200 (FixQuery's rw-fold-time-window).
       EXPECT_EQ(d.fixit,
-                "rewrite TIME.hourBucket = 3600 as T BETWEEN 3600 AND 7200");
+                "rewrite TIME.hourBucket = 3600 as T BETWEEN 3600 AND "
+                "7199.999999999999");
       EXPECT_EQ(d.severity, Severity::kNote);
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The fast-path fix-it, applied as written, answers like the query: on a
+// MOFT with samples at the bucket's start, inside it, and two at its
+// exclusive end (7200, hour bucket 7200), both count the first two only.
+TEST_F(LintEvaluatorTest, FastpathFixitAnswersLikeTheQuery) {
+  moving::Moft edge;
+  ASSERT_TRUE(edge.Add(1, TimePoint(3600), geometry::Point(0, 0)).ok());
+  ASSERT_TRUE(edge.Add(2, TimePoint(5000), geometry::Point(0, 0)).ok());
+  ASSERT_TRUE(edge.Add(3, TimePoint(7200), geometry::Point(0, 0)).ok());
+  ASSERT_TRUE(edge.Add(4, TimePoint(7200), geometry::Point(0, 0)).ok());
+  ASSERT_TRUE(scenario_.db->AddMoft("edge", std::move(edge)).ok());
+  QueryContext context;
+  context.gis = &scenario_.db->gis();
+  context.moft_names = scenario_.db->MoftNames();
+  const std::string clause = "TIME.hourBucket = 3600";
+  const std::string text =
+      "SELECT layer.Ln; FROM S; | SELECT COUNT(*) FROM edge "
+      "WHERE T BETWEEN 0 AND 7200 AND " + clause;
+  auto query = core::pietql::Parse(text);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::string fixit;
+  for (const Diagnostic& d : LintQuery(context, query.ValueOrDie())) {
+    if (d.check_id == "lint-fastpath-defeated") {
+      fixit = d.fixit;
+    }
+  }
+  // "rewrite <clause> as <replacement>": substitute it into the text.
+  const std::string prefix = "rewrite " + clause + " as ";
+  ASSERT_EQ(fixit.rfind(prefix, 0), 0u) << fixit;
+  const std::string fixed =
+      text.substr(0, text.size() - clause.size()) + fixit.substr(prefix.size());
+
+  core::pietql::Evaluator eval(scenario_.db.get());
+  auto original = eval.EvaluateString(text);
+  auto rewritten = eval.EvaluateString(fixed);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_TRUE(rewritten.ok()) << fixed << ": " << rewritten.status().ToString();
+  ASSERT_TRUE(original.ValueOrDie().scalar.has_value());
+  EXPECT_EQ(original.ValueOrDie().scalar->ToString(), "2");
+  EXPECT_EQ(original.ValueOrDie().ToString(),
+            rewritten.ValueOrDie().ToString())
+      << fixed;
 }
 
 }  // namespace

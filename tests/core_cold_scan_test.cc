@@ -7,7 +7,7 @@
 // query rebuilds the whole-table hot tier, each query decodes an admitted
 // block at most once, and every pin is back once the query returns. Each
 // Piet-QL query's fix-it answers like the query as written, and a query
-// the rewriter leaves alone scans alike in both runs. A block file whose
+// FixQuery leaves alone scans alike in both runs. A block file whose
 // payload fails to decode fails the query instead of dropping rows.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/rewrite/rewriter.h"
+#include "analysis/lint/query_lint.h"
 #include "core/engine.h"
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
@@ -269,20 +269,20 @@ class ColdScan {
     // The aggregate cache borrows the hot columns by design; this test
     // covers the scan branches.
     eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOff);
-    analysis::rewrite::RewriteContext context;
+    analysis::QueryContext context;
     context.gis = &city_->db->gis();
     size_t unchanged = 0;
     for (const std::string& q : PietQlQueries()) {
-      // A fix-it (the rewriter's plan printed back to Piet-QL) answers like
-      // the query as written; when the rewriter leaves the plan alone, the
-      // two runs also scan alike.
+      // A fix-it (FixQuery's edit printed back to Piet-QL) answers like the
+      // query as written; when FixQuery leaves the query alone, the two
+      // runs also scan alike.
       auto parsed = core::pietql::Parse(q);
       if (!parsed.ok()) {
         ADD_FAILURE() << q << ": " << parsed.status().ToString();
         continue;
       }
-      const analysis::rewrite::RewritePlan plan =
-          analysis::rewrite::RewriteQuery(context, parsed.ValueOrDie());
+      const analysis::lint::FixedQuery plan =
+          analysis::lint::FixQuery(context, parsed.ValueOrDie());
       std::vector<core::pietql::ProfiledResult> runs;
       for (const std::string& text : {q, core::pietql::Print(plan.query)}) {
         auto r = Run(text, admitted,
@@ -298,7 +298,7 @@ class ColdScan {
         continue;
       }
       EXPECT_EQ(runs[0].result.ToString(), runs[1].result.ToString()) << q;
-      if (plan.changed()) {
+      if (!plan.applied.empty()) {
         continue;
       }
       ++unchanged;

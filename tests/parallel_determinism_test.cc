@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/rewrite/rewriter.h"
+#include "analysis/lint/query_lint.h"
 #include "common/parallel.h"
 #include "core/engine.h"
 #include "core/pietql/evaluator.h"
@@ -391,8 +391,8 @@ TEST(EvaluatorDeterminismTest, QueryResultsMatchSerial) {
 }
 
 // The linter stage must be unobservable when off: these are the rendered
-// results of all eight query shapes captured before the linter and the
-// rewriter existed. Any drift here means the off path is no longer
+// results of all eight query shapes captured before the linter and its
+// fix-its existed. Any drift here means the off path is no longer
 // byte-identical.
 TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
   auto scenario = workload::BuildFigure1Scenario().ValueOrDie();
@@ -438,10 +438,10 @@ TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
        "WHERE INTERSECTION(layer.Ln, layer.Lr)",
        "result layer 'Ln': 5 geometries"},
   };
-  // Each query's fix-it (the rewriter's plan printed back to Piet-QL)
-  // must hit the exact same frozen strings: every rewrite is
-  // result-preserving by contract.
-  analysis::rewrite::RewriteContext context;
+  // Each query's fix-it (FixQuery's edit printed back to Piet-QL) must hit
+  // the exact same frozen strings: every fix is result-preserving by
+  // contract.
+  analysis::QueryContext context;
   context.gis = &scenario.db->gis();
   for (const auto& baseline : kBaselines) {
     auto result = off.EvaluateString(baseline.query);
@@ -454,7 +454,7 @@ TEST(EvaluatorDeterminismTest, OffModeMatchesFrozenBaselines) {
     auto parsed = core::pietql::Parse(baseline.query);
     ASSERT_TRUE(parsed.ok()) << baseline.query;
     const std::string fixed = core::pietql::Print(
-        analysis::rewrite::RewriteQuery(context, parsed.ValueOrDie()).query);
+        analysis::lint::FixQuery(context, parsed.ValueOrDie()).query);
     auto rewritten = off.EvaluateString(fixed);
     ASSERT_TRUE(rewritten.ok())
         << fixed << ": " << rewritten.status().ToString();
