@@ -163,6 +163,32 @@ then
   exit 1
 fi
 
+# Each static fact has one proof (DESIGN.md §11). The schema lattice of
+# Defs. 1-3 is proven by lint::LintSchema, which ModelChecker::CheckInstance
+# calls: the graph helpers are defined only in src/analysis/lint/schema_lint.cc.
+if grep -rnE "^[A-Za-z].*[^A-Za-z0-9_](HasCycle|ReachableFrom|GraphNodes)\(" \
+     --include='*.cc' --include='*.h' src/ \
+     | grep -v '^src/analysis/lint/schema_lint.cc:'; then
+  echo "error: the H(L) graph helpers live in src/analysis/lint/schema_lint.cc;" \
+       "prove lattice facts through lint::LintSchema" >&2
+  exit 1
+fi
+# The geo-WHERE candidate flow is lint::WalkGeo's; the linter, FixQuery and
+# the estimator read it, so no other analysis walks R-tree candidates.
+if grep -rn "CandidatesInBox(" src/analysis/ \
+     | grep -v '^src/analysis/lint/query_lint.cc:'; then
+  echo "error: under src/analysis/ only lint::WalkGeo" \
+       "(src/analysis/lint/query_lint.cc) flows geo-WHERE candidates" >&2
+  exit 1
+fi
+# A check-mode load walks the MOFT's blocks span by span; a whole-table view
+# would rematerialize a released or opened table's hot tier.
+if grep -nE "Scan\(\)|SpanAt\(|Columns\(\)" src/analysis/model_check.cc; then
+  echo "error: ModelChecker::CheckMoft walks Moft::Blocks(), never the" \
+       "whole-table views Scan()/SpanAt()/Columns()" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

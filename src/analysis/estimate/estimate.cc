@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "analysis/lint/query_lint.h"
 #include "analysis/lint/time_domain.h"
 #include "gis/layer.h"
 #include "temporal/interval.h"
@@ -153,88 +154,24 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   }
   ResourceEstimate est;
 
-  // ---- Geometric part: mirror EvaluateGeoPart. ATTR comparisons filter
-  // exactly; spatial conditions over-approximate by keeping every id with
-  // an R-tree bbox candidate (a superset of the exact hits). A condition
-  // the evaluator must reject (unknown layer, wrong anchor layer) makes
-  // the whole query error-expected: an errored query scans nothing.
-  bool error_expected = false;
-  const Layer* layer = nullptr;
-  std::string result_layer;
-  std::vector<GeometryId> over;
-  bool region_exact = true;
-  if (query.geo.select.empty()) {
-    error_expected = true;
-  } else {
-    result_layer = query.geo.select.front().name;
-    auto lr = catalog.gis->GetLayer(result_layer);
-    if (!lr.ok()) {
-      error_expected = true;
-    } else {
-      layer = lr.ValueOrDie();
-    }
-  }
-  if (!error_expected) {
-    over = layer->ids();
-    for (const pq::GeoCondition& cond : query.geo.where) {
-      if (cond.a.name != result_layer) {
-        error_expected = true;
-        break;
-      }
-      std::vector<GeometryId> next;
-      switch (cond.kind) {
-        case pq::GeoCondition::Kind::kAttrCompare: {
-          for (GeometryId id : over) {
-            auto v = layer->GetAttribute(id, cond.attribute);
-            if (v.ok() &&
-                pq::CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
-              next.push_back(id);
-            }
-          }
-          break;
-        }
-        case pq::GeoCondition::Kind::kIntersection:
-        case pq::GeoCondition::Kind::kContains: {
-          auto other = catalog.gis->GetLayer(cond.b.name);
-          if (!other.ok()) {
-            error_expected = true;
-            break;
-          }
-          if (cond.kind == pq::GeoCondition::Kind::kContains &&
-              layer->kind() != GeometryKind::kPolygon) {
-            // Every per-pair CONTAINS test fails (error swallowed as a
-            // miss), so the runtime keeps exactly nothing.
-            break;
-          }
-          region_exact = false;
-          for (GeometryId id : over) {
-            auto bounds = layer->BoundsOf(id);
-            if (!bounds.ok()) {
-              continue;
-            }
-            if (!other.ValueOrDie()
-                     ->CandidatesInBox(bounds.ValueOrDie())
-                     .empty()) {
-              next.push_back(id);
-            }
-          }
-          break;
-        }
-      }
-      if (error_expected) {
-        break;
-      }
-      // No early exit on an empty set: the runtime keeps walking the
-      // remaining conditions and can still error on them.
-      over = std::move(next);
-    }
-  }
-  if (error_expected) {
-    over.clear();
-    region_exact = false;
-  }
-  est.region_ids.lo = region_exact ? static_cast<int64_t>(over.size()) : 0;
-  est.region_ids.hi = static_cast<int64_t>(over.size());
+  // ---- Geometric part: the lint geo walk mirrors EvaluateGeoPart. Its
+  // candidates are a superset of the runtime ids, exact when every clause
+  // is. A query the evaluator must reject (no or unknown result layer, a
+  // foreign or unknown layer in a clause) is error-expected: an errored
+  // query scans nothing.
+  const std::string result_layer =
+      query.geo.select.empty() ? std::string() : query.geo.select.front().name;
+  const lint::GeoFacts geo =
+      lint::WalkGeo(QueryContext{catalog.gis, {}}, query.geo);
+  const Layer* layer = geo.layer;
+  bool error_expected = layer == nullptr || geo.foreign || geo.abstained;
+  const bool region_exact =
+      !error_expected &&
+      std::all_of(geo.clauses.begin(), geo.clauses.end(),
+                  [](const lint::GeoClause& c) { return c.exact; });
+  const std::vector<GeometryId>& over = geo.candidates;
+  const int64_t kept = error_expected ? 0 : static_cast<int64_t>(over.size());
+  est.region_ids = EstInterval{region_exact ? kept : 0, kept};
   est.region_exact = region_exact;
 
   StageEstimate geo_stage;

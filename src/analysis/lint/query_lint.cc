@@ -22,46 +22,6 @@ using gis::Layer;
 using temporal::Interval;
 using temporal::TimePoint;
 
-namespace {
-
-/// Shortest round-trip rendering, matching the printer (no 6-digit
-/// truncation): "50", "1.5", "189493200".
-std::string FormatNumber(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) {
-    return "0";
-  }
-  std::string out(buf, ptr);
-  if (out.size() > 2 && out.substr(out.size() - 2) == ".0") {
-    out.resize(out.size() - 2);
-  }
-  return out;
-}
-
-/// What the geo walk proves about one WHERE clause.
-struct GeoClause {
-  bool exact = false;    // ATTR tests are exact; spatial ones use boxes.
-  bool dead = false;     // No element of the layer satisfies it.
-  bool implied = false;  // Exact, and every remaining candidate satisfies it.
-  double selectivity = 1.0;  // |satisfying| / |layer|.
-};
-
-/// The geo-WHERE candidate flow.
-struct GeoFacts {
-  const Layer* layer = nullptr;    // Null: no select, or an unknown layer.
-  std::vector<GeoClause> clauses;  // One per walked clause.
-  bool foreign = false;    // A clause tests another layer's elements, which
-                           // the evaluator rejects; the walk stopped there.
-  bool abstained = false;  // Some clause's second layer is unknown.
-  bool empty_region = false;  // The conjunction provably selects nothing.
-};
-
-/// Flows the over-approximate satisfying id set through the geo WHERE
-/// conjunction. Each clause's satisfying set is computed over the whole
-/// layer: ATTR comparisons exactly, spatial clauses with bounding boxes (a
-/// disjoint box proves the geometric test false, so an empty set is still
-/// a proof).
 GeoFacts WalkGeo(const QueryContext& context, const pietql::GeoQuery& geo) {
   GeoFacts facts;
   if (geo.select.empty()) {
@@ -99,11 +59,19 @@ GeoFacts WalkGeo(const QueryContext& context, const pietql::GeoQuery& geo) {
         facts.abstained = true;
         continue;
       }
-      for (const GeometryId id : layer.ids()) {
-        const auto bounds = layer.BoundsOf(id);
-        if (bounds.ok() &&
-            !other->CandidatesInBox(bounds.ValueOrDie()).empty()) {
-          satisfying.push_back(id);
+      if (cond.kind == pietql::GeoCondition::Kind::kContains &&
+          layer.kind() != gis::GeometryKind::kPolygon) {
+        // CONTAINS needs a polygon left layer: the evaluator's test errors
+        // on every pair and counts the error as a miss, so exactly nothing
+        // satisfies the clause.
+        clause.exact = true;
+      } else {
+        for (const GeometryId id : layer.ids()) {
+          const auto bounds = layer.BoundsOf(id);
+          if (bounds.ok() &&
+              !other->CandidatesInBox(bounds.ValueOrDie()).empty()) {
+            satisfying.push_back(id);
+          }
         }
       }
     }
@@ -120,7 +88,25 @@ GeoFacts WalkGeo(const QueryContext& context, const pietql::GeoQuery& geo) {
   }
   facts.empty_region =
       !geo.where.empty() && !facts.abstained && current.empty();
+  facts.candidates = std::move(current);
   return facts;
+}
+
+namespace {
+
+/// Shortest round-trip rendering, matching the printer (no 6-digit
+/// truncation): "50", "1.5", "189493200".
+std::string FormatNumber(double v) {
+  char buf[64];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  if (ec != std::errc()) {
+    return "0";
+  }
+  std::string out(buf, ptr);
+  if (out.size() > 2 && out.substr(out.size() - 2) == ".0") {
+    out.resize(out.size() - 2);
+  }
+  return out;
 }
 
 /// Why a NEAR clause can never hold. The evaluator checks the layer's kind

@@ -7,6 +7,7 @@
 #include "analysis/diagnostic.h"
 #include "analysis/query_check.h"
 #include "core/pietql/ast.h"
+#include "gis/layer.h"
 
 namespace piet::analysis::lint {
 
@@ -17,9 +18,9 @@ namespace piet::analysis::lint {
 /// folds its time clauses into the TimeAbstract domain and checks its
 /// spatial clauses. Because every abstract step over-approximates, each
 /// fact is a proof: a dead clause really matches nothing, an empty region
-/// really selects nothing. Two entry points read the same walk: LintQuery
-/// renders its facts as diagnostics, FixQuery applies the edits they
-/// justify.
+/// really selects nothing. LintQuery renders the walks' facts as
+/// diagnostics, FixQuery applies the edits they justify, and the static
+/// estimator's geo_filter stage reads the geo walk (WalkGeo).
 ///
 /// Check-ID catalog (stable; see DESIGN.md §11). Query findings are
 /// warnings/notes — the query still evaluates, to an empty or trivial
@@ -45,6 +46,41 @@ namespace piet::analysis::lint {
 /// its findings and are skipped silently here.
 DiagnosticList LintQuery(const QueryContext& context,
                          const core::pietql::Query& query);
+
+/// What the geo walk proves about one geo WHERE clause.
+struct GeoClause {
+  bool exact = false;    ///< ATTR tests are exact; spatial ones use boxes.
+  bool dead = false;     ///< No element of the layer satisfies it.
+  bool implied = false;  ///< Exact, and every remaining candidate
+                         ///< satisfies it.
+  double selectivity = 1.0;  ///< |satisfying| / |layer|.
+};
+
+/// The geo-WHERE candidate flow: what LintQuery, FixQuery and the static
+/// estimator's geo_filter stage read about the geometric part.
+struct GeoFacts {
+  const gis::Layer* layer = nullptr;  ///< Null: no select, or an unknown
+                                      ///< result layer.
+  std::vector<GeoClause> clauses;     ///< One per walked clause.
+  bool foreign = false;  ///< A clause tests another layer's elements,
+                         ///< which the evaluator rejects; the walk stopped
+                         ///< there.
+  bool abstained = false;     ///< Some clause's second layer is unknown.
+  bool empty_region = false;  ///< The conjunction provably selects nothing.
+  /// Sorted ids of the result layer that may survive the conjunction: a
+  /// superset of the evaluator's answer, and exactly it when every clause
+  /// is exact.
+  std::vector<gis::GeometryId> candidates;
+};
+
+/// Flows the over-approximate satisfying id set through the geo WHERE
+/// conjunction. Each clause's satisfying set is computed over the whole
+/// layer: ATTR comparisons exactly, spatial clauses with the other layer's
+/// R-tree candidates (a disjoint box proves the geometric test false, so
+/// an empty set is still a proof), and CONTAINS over a non-polygon result
+/// layer as exactly empty.
+GeoFacts WalkGeo(const QueryContext& context,
+                 const core::pietql::GeoQuery& geo);
 
 /// Stable catalog of every lint check ID (query + schema groups), sorted —
 /// golden-tested so renames are deliberate.

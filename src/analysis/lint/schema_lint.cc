@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace piet::analysis::lint {
 
@@ -108,16 +110,55 @@ const SchemaModel::Graph* FindGraph(const SchemaModel& model,
   return nullptr;
 }
 
-const std::vector<GeometryId>* FindUniverse(const SchemaModel& model,
-                                            const std::string& layer,
-                                            GeometryKind kind) {
-  for (const SchemaModel::LevelUniverse& u : model.levels) {
-    if (u.layer == layer && u.kind == kind) {
-      return &u.ids;
+/// Membership in ids sorted once, in logarithmic time.
+bool Contains(const std::vector<GeometryId>& sorted, GeometryId id) {
+  return std::binary_search(sorted.begin(), sorted.end(), id);
+}
+
+std::vector<GeometryId> Sorted(std::vector<GeometryId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// One declared level universe: its ids in declaration order (findings
+/// over it follow that order) and sorted, for membership tests.
+struct Universe {
+  const std::vector<GeometryId>* ids = nullptr;
+  std::vector<GeometryId> sorted;
+};
+
+/// The declared level universes of a model, indexed and sorted once. The
+/// first declaration of a (layer, kind) level wins.
+class Universes {
+ public:
+  explicit Universes(const SchemaModel& model) {
+    for (const SchemaModel::LevelUniverse& u : model.levels) {
+      levels_.try_emplace({u.layer, u.kind}, Universe{&u.ids, Sorted(u.ids)});
+      std::vector<GeometryId>& all = layers_[u.layer];
+      all.insert(all.end(), u.ids.begin(), u.ids.end());
+    }
+    for (auto& [layer, ids] : layers_) {
+      ids = Sorted(std::move(ids));
     }
   }
-  return nullptr;
-}
+
+  /// The universe of (layer, kind); null when none is declared.
+  const Universe* Find(const std::string& layer, GeometryKind kind) const {
+    const auto it = levels_.find({layer, kind});
+    return it == levels_.end() ? nullptr : &it->second;
+  }
+
+  /// Every id any level of `layer` declares, sorted; null when it
+  /// declares none.
+  const std::vector<GeometryId>* OfLayer(const std::string& layer) const {
+    const auto it = layers_.find(layer);
+    return it == layers_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  std::map<std::pair<std::string, GeometryKind>, Universe> levels_;
+  std::map<std::string, std::vector<GeometryId>> layers_;
+};
 
 const SchemaModel::Rollup* FindRollup(const SchemaModel& model,
                                       const std::string& layer,
@@ -198,7 +239,8 @@ void LintAttributes(const SchemaModel& model, DiagnosticList* out) {
   }
 }
 
-void LintRollups(const SchemaModel& model, DiagnosticList* out) {
+void LintRollups(const SchemaModel& model, const Universes& universes,
+                 DiagnosticList* out) {
   for (const SchemaModel::Rollup& rollup : model.rollups) {
     const std::string entity = RollupEntity(rollup);
     const SchemaModel::Graph* graph = FindGraph(model, rollup.layer);
@@ -228,10 +270,9 @@ void LintRollups(const SchemaModel& model, DiagnosticList* out) {
       }
     }
     // Totality over the declared fine universe, when one is known.
-    const std::vector<GeometryId>* universe =
-        FindUniverse(model, rollup.layer, rollup.fine);
-    if (universe != nullptr) {
-      for (const GeometryId id : *universe) {
+    const Universe* fine = universes.Find(rollup.layer, rollup.fine);
+    if (fine != nullptr) {
+      for (const GeometryId id : *fine->ids) {
         if (!images.count(id)) {
           out->AddError("lint-rollup-total", entity,
                         "fine id " + std::to_string(id) +
@@ -240,20 +281,15 @@ void LintRollups(const SchemaModel& model, DiagnosticList* out) {
       }
     }
     // Dangling ids against declared universes.
-    const std::vector<GeometryId>* coarse_universe =
-        FindUniverse(model, rollup.layer, rollup.coarse);
+    const Universe* coarse = universes.Find(rollup.layer, rollup.coarse);
     for (const auto& [fine_id, coarse_id] : rollup.pairs) {
-      if (universe != nullptr &&
-          std::find(universe->begin(), universe->end(), fine_id) ==
-              universe->end()) {
+      if (fine != nullptr && !Contains(fine->sorted, fine_id)) {
         out->AddError("lint-rollup-dangling", entity,
                       "fine id " + std::to_string(fine_id) +
                           " is not an element of level '" +
                           KindName(rollup.fine) + "'");
       }
-      if (coarse_universe != nullptr &&
-          std::find(coarse_universe->begin(), coarse_universe->end(),
-                    coarse_id) == coarse_universe->end()) {
+      if (coarse != nullptr && !Contains(coarse->sorted, coarse_id)) {
         out->AddError("lint-rollup-dangling", entity,
                       "coarse id " + std::to_string(coarse_id) +
                           " is not an element of level '" +
@@ -275,14 +311,21 @@ void LintCompositions(const SchemaModel& model, DiagnosticList* out) {
         continue;  // No stored shortcut relation to be consistent with.
       }
       const std::string entity = RollupEntity(*r13);
-      for (const auto& [a, b1] : r12.pairs) {
-        for (const auto& [b2, c] : r23.pairs) {
-          if (b1 != b2) {
-            continue;
-          }
-          if (std::find(r13->pairs.begin(), r13->pairs.end(),
-                        std::pair<GeometryId, GeometryId>{a, c}) ==
-              r13->pairs.end()) {
+      // r23 as fine id -> its coarse ids in stored order, and r13 sorted.
+      std::map<GeometryId, std::vector<GeometryId>> r23_images;
+      for (const auto& [b, c] : r23.pairs) {
+        r23_images[b].push_back(c);
+      }
+      std::vector<std::pair<GeometryId, GeometryId>> stored = r13->pairs;
+      std::sort(stored.begin(), stored.end());
+      for (const auto& [a, b] : r12.pairs) {
+        const auto it = r23_images.find(b);
+        if (it == r23_images.end()) {
+          continue;
+        }
+        for (const GeometryId c : it->second) {
+          if (!std::binary_search(stored.begin(), stored.end(),
+                                  std::pair<GeometryId, GeometryId>{a, c})) {
             out->AddError(
                 "lint-rollup-composition", entity,
                 "composition " + EdgeName(r12.fine, r12.coarse) + " ∘ " +
@@ -296,7 +339,8 @@ void LintCompositions(const SchemaModel& model, DiagnosticList* out) {
   }
 }
 
-void LintAlphas(const SchemaModel& model, DiagnosticList* out) {
+void LintAlphas(const SchemaModel& model, const Universes& universes,
+                DiagnosticList* out) {
   std::set<std::string> seen;
   for (const SchemaModel::AlphaBinding& alpha : model.alphas) {
     const std::string entity = "alpha '" + alpha.attribute + "'";
@@ -317,24 +361,49 @@ void LintAlphas(const SchemaModel& model, DiagnosticList* out) {
                     "alpha binds members of an attribute with no Att entry");
       continue;
     }
-    std::map<Value, std::set<GeometryId>> images;
-    for (const auto& [member, geom] : alpha.pairs) {
-      images[member].insert(geom);
+    // Functionality: sorted by member, the pairs of one member are
+    // adjacent, and a member with several pairs must bind one geometry.
+    using AlphaPair = std::pair<Value, GeometryId>;
+    std::vector<const AlphaPair*> sorted;
+    sorted.reserve(alpha.pairs.size());
+    for (const AlphaPair& pair : alpha.pairs) {
+      sorted.push_back(&pair);
     }
-    for (const auto& [member, geoms] : images) {
+    const auto by_member = [](const AlphaPair* a, const AlphaPair* b) {
+      return a->first < b->first;
+    };
+    if (!std::is_sorted(sorted.begin(), sorted.end(), by_member)) {
+      std::stable_sort(sorted.begin(), sorted.end(), by_member);
+    }
+    for (size_t i = 0, j = 0; i < sorted.size(); i = j) {
+      j = i + 1;
+      while (j < sorted.size() && !by_member(sorted[i], sorted[j])) {
+        ++j;
+      }
+      if (j - i == 1) {
+        continue;  // One pair: a function at this member.
+      }
+      std::set<GeometryId> geoms;
+      for (size_t k = i; k < j; ++k) {
+        geoms.insert(sorted[k]->second);
+      }
       if (geoms.size() > 1) {
         out->AddError("lint-alpha-functional", entity,
-                      "member " + member.ToString() + " maps to " +
+                      "member " + sorted[i]->first.ToString() + " maps to " +
                           std::to_string(geoms.size()) +
                           " geometries; alpha must be function-valued");
       }
     }
-    const std::vector<GeometryId>* universe =
-        FindUniverse(model, binding->layer, binding->kind);
-    if (universe != nullptr) {
+    // α resolves a member to an element of its layer. The bound kind's
+    // universe is the tightest proof; without one, any element the layer
+    // declares will do, which is how a live instance resolves the id
+    // whatever kind Att names.
+    const Universe* level = universes.Find(binding->layer, binding->kind);
+    const std::vector<GeometryId>* members =
+        level != nullptr ? &level->sorted : universes.OfLayer(binding->layer);
+    if (members != nullptr) {
       for (const auto& [member, geom] : alpha.pairs) {
-        if (std::find(universe->begin(), universe->end(), geom) ==
-            universe->end()) {
+        if (!Contains(*members, geom)) {
           out->AddError("lint-alpha-dangling", entity,
                         "member " + member.ToString() +
                             " binds to geometry " + std::to_string(geom) +
@@ -348,7 +417,7 @@ void LintAlphas(const SchemaModel& model, DiagnosticList* out) {
 
 void LintFactTables(const SchemaModel& model,
                     const std::set<std::string>& acyclic,
-                    DiagnosticList* out) {
+                    const Universes& universes, DiagnosticList* out) {
   for (const SchemaModel::FactTable& fact : model.fact_tables) {
     const std::string entity = "fact table '" + fact.name + "'";
     const SchemaModel::Graph* graph = FindGraph(model, fact.layer);
@@ -375,12 +444,11 @@ void LintFactTables(const SchemaModel& model,
     }
     // Def. 4 needs the fact table total over the level's members: a missing
     // member silently drops from every coarser aggregate.
-    const std::vector<GeometryId>* universe =
-        FindUniverse(model, fact.layer, fact.level);
-    if (universe != nullptr) {
-      for (const GeometryId id : *universe) {
-        if (std::find(fact.ids.begin(), fact.ids.end(), id) ==
-            fact.ids.end()) {
+    const Universe* level = universes.Find(fact.layer, fact.level);
+    if (level != nullptr) {
+      const std::vector<GeometryId> covered = Sorted(fact.ids);
+      for (const GeometryId id : *level->ids) {
+        if (!Contains(covered, id)) {
           out->AddError("lint-summability", entity,
                         "member " + std::to_string(id) + " of level '" +
                             KindName(fact.level) +
@@ -409,20 +477,11 @@ SchemaModel SchemaModel::FromInstance(
         Rollup{stored.layer, stored.fine, stored.coarse, *stored.pairs});
   }
   for (const gis::AttributeBinding& att : instance.schema().attributes()) {
-    const auto members = instance.AlphaMembers(att.attribute);
-    if (!members.ok()) {
-      continue;
-    }
-    AlphaBinding alpha;
-    alpha.attribute = att.attribute;
-    for (const Value& member : members.ValueOrDie()) {
-      const auto geom = instance.Alpha(att.attribute, member);
-      if (geom.ok()) {
-        alpha.pairs.emplace_back(member, geom.ValueOrDie());
-      }
-    }
-    if (!alpha.pairs.empty()) {
-      model.alphas.push_back(std::move(alpha));
+    const std::map<Value, GeometryId>* alpha =
+        instance.AlphaFunction(att.attribute);
+    if (alpha != nullptr && !alpha->empty()) {
+      model.alphas.push_back(
+          AlphaBinding{att.attribute, {alpha->begin(), alpha->end()}});
     }
   }
   for (const std::string& name : instance.LayerNames()) {
@@ -440,10 +499,11 @@ DiagnosticList LintSchema(const SchemaModel& model) {
   std::set<std::string> acyclic;
   LintGraphs(model, &acyclic, &out);
   LintAttributes(model, &out);
-  LintRollups(model, &out);
+  const Universes universes(model);
+  LintRollups(model, universes, &out);
   LintCompositions(model, &out);
-  LintAlphas(model, &out);
-  LintFactTables(model, acyclic, &out);
+  LintAlphas(model, universes, &out);
+  LintFactTables(model, acyclic, universes, &out);
   return out;
 }
 

@@ -3,63 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
 #include <sstream>
 
+#include "analysis/lint/schema_lint.h"
 #include "geometry/clip.h"
 
 namespace piet::analysis {
 
-using gis::GeometryId;
-using gis::GeometryKind;
-using gis::GeometryKindToString;
-using gis::Layer;
-
 namespace {
-
-using KindEdge = std::pair<GeometryKind, GeometryKind>;
-
-std::string KindName(GeometryKind kind) {
-  return std::string(GeometryKindToString(kind));
-}
-
-/// Nodes of a raw edge relation, plus the two distinguished kinds that are
-/// always part of H(L) (Def. 1).
-std::vector<GeometryKind> GraphNodes(const std::vector<KindEdge>& edges) {
-  std::set<GeometryKind> nodes = {GeometryKind::kPoint, GeometryKind::kAll};
-  for (const auto& [fine, coarse] : edges) {
-    nodes.insert(fine);
-    nodes.insert(coarse);
-  }
-  return {nodes.begin(), nodes.end()};
-}
-
-/// All nodes reachable from `start` along edges, excluding `start` unless it
-/// lies on a cycle.
-std::set<GeometryKind> ReachableFrom(GeometryKind start,
-                                     const std::vector<KindEdge>& edges) {
-  std::set<GeometryKind> seen;
-  std::vector<GeometryKind> frontier = {start};
-  while (!frontier.empty()) {
-    GeometryKind cur = frontier.back();
-    frontier.pop_back();
-    for (const auto& [fine, coarse] : edges) {
-      if (fine == cur && seen.insert(coarse).second) {
-        frontier.push_back(coarse);
-      }
-    }
-  }
-  return seen;
-}
-
-bool HasCycle(const std::vector<KindEdge>& edges) {
-  for (GeometryKind node : GraphNodes(edges)) {
-    if (ReachableFrom(node, edges).count(node) > 0) {
-      return true;
-    }
-  }
-  return false;
-}
 
 bool IsFinite(const geometry::Point& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
@@ -73,92 +24,10 @@ std::string FormatPoint(const geometry::Point& p) {
 
 }  // namespace
 
-void ModelChecker::CheckGraphEdges(const std::string& entity,
-                                   const std::vector<KindEdge>& edges,
-                                   DiagnosticList* out) const {
-  if (HasCycle(edges)) {
-    out->AddError("schema-graph-acyclic", entity,
-                  "geometry-granularity graph has a cycle; Def. 1 requires "
-                  "H(L) to be a DAG");
-    return;  // Reachability diagnostics would be noise on a cyclic graph.
-  }
-
-  std::vector<GeometryKind> nodes = GraphNodes(edges);
-  std::set<GeometryKind> with_incoming;
-  std::set<GeometryKind> with_outgoing;
-  for (const auto& [fine, coarse] : edges) {
-    with_outgoing.insert(fine);
-    with_incoming.insert(coarse);
-  }
-
-  if (with_incoming.count(GeometryKind::kPoint) > 0) {
-    out->AddError("schema-graph-source", entity,
-                  "'point' has an incoming edge; it must be the unique "
-                  "source of H(L)");
-  }
-  if (with_outgoing.count(GeometryKind::kAll) > 0) {
-    out->AddError("schema-graph-sink", entity,
-                  "'All' has an outgoing edge; it must be the unique sink "
-                  "of H(L)");
-  }
-
-  std::set<GeometryKind> from_point =
-      ReachableFrom(GeometryKind::kPoint, edges);
-  for (GeometryKind node : nodes) {
-    if (node != GeometryKind::kPoint && from_point.count(node) == 0) {
-      out->AddError("schema-graph-source", entity,
-                    "kind '" + KindName(node) +
-                        "' is not reachable from 'point'; H(L) must have "
-                        "'point' as its unique source");
-    }
-    if (node != GeometryKind::kAll &&
-        ReachableFrom(node, edges).count(GeometryKind::kAll) == 0) {
-      out->AddError("schema-graph-sink", entity,
-                    "kind '" + KindName(node) +
-                        "' does not reach 'All'; H(L) must have 'All' as "
-                        "its unique sink");
-    }
-  }
-}
-
-void ModelChecker::CheckSchema(const gis::GisDimensionSchema& schema,
-                               DiagnosticList* out) const {
-  for (const std::string& name : schema.LayerNames()) {
-    auto graph = schema.GraphOf(name);
-    if (!graph.ok()) {
-      continue;  // LayerNames and GraphOf share the same map.
-    }
-    CheckGraphEdges("layer '" + name + "'", graph.ValueOrDie()->edges(), out);
-  }
-
-  for (const gis::AttributeBinding& b : schema.attributes()) {
-    auto graph = schema.GraphOf(b.layer);
-    if (!graph.ok()) {
-      out->AddError("schema-attr-binding", "attribute '" + b.attribute + "'",
-                    "binds to layer '" + b.layer +
-                        "' which has no graph in the schema");
-      continue;
-    }
-    if (!graph.ValueOrDie()->HasNode(b.kind)) {
-      out->AddError("schema-attr-binding", "attribute '" + b.attribute + "'",
-                    "binds to kind '" + KindName(b.kind) +
-                        "' absent from layer '" + b.layer + "'");
-    }
-  }
-
-  for (const olap::DimensionSchema& d : schema.application_dimensions()) {
-    Status status = d.Validate();
-    if (!status.ok()) {
-      out->AddError("schema-dim-consistent",
-                    "application dimension '" + d.name() + "'",
-                    status.message());
-    }
-  }
-}
-
 void ModelChecker::CheckInstance(const gis::GisDimensionInstance& instance,
                                  DiagnosticList* out) const {
-  CheckSchema(instance.schema(), out);
+  // Defs. 1-2 over the schema lattice: H(L), Att, stored rollups, α.
+  out->Merge(lint::LintSchema(lint::SchemaModel::FromInstance(instance)));
 
   for (const std::string& name : instance.schema().LayerNames()) {
     if (!instance.GetLayer(name).ok()) {
@@ -168,90 +37,19 @@ void ModelChecker::CheckInstance(const gis::GisDimensionInstance& instance,
     }
   }
 
-  // Def. 2: stored rollup relations are consistent functions, total on the
-  // fine level, referencing live elements.
-  for (const gis::StoredRollup& rollup : instance.StoredRollups()) {
-    std::string entity = "rollup " + KindName(rollup.fine) + "->" +
-                         KindName(rollup.coarse) + " of layer '" +
-                         rollup.layer + "'";
-    std::map<GeometryId, std::set<GeometryId>> images;
-    for (const auto& [fine_id, coarse_id] : *rollup.pairs) {
-      images[fine_id].insert(coarse_id);
-    }
-    for (const auto& [fine_id, coarse_ids] : images) {
-      if (coarse_ids.size() > 1) {
-        out->AddError("rollup-functional", entity,
-                      "fine element " + std::to_string(fine_id) +
-                          " rolls up to " + std::to_string(coarse_ids.size()) +
-                          " coarse elements; Def. 2 requires a function");
-      }
-    }
-
-    auto layer = instance.GetLayer(rollup.layer);
-    if (!layer.ok()) {
-      continue;  // Reported as instance-layer-missing above.
-    }
-    const Layer& l = *layer.ValueOrDie();
-    // Element existence is only decidable against kinds the layer stores.
-    if (l.kind() == rollup.fine) {
-      for (GeometryId id : l.ids()) {
-        if (images.count(id) == 0) {
-          out->AddError("rollup-total", entity,
-                        "fine element " + std::to_string(id) +
-                            " has no rollup; Def. 2 requires totality");
-        }
-      }
-      for (const auto& [fine_id, coarse_ids] : images) {
-        if (!l.BoundsOf(fine_id).ok()) {
-          out->AddError("rollup-dangling", entity,
-                        "fine element " + std::to_string(fine_id) +
-                            " does not exist in layer '" + rollup.layer + "'");
-        }
-      }
-    }
-    if (l.kind() == rollup.coarse) {
-      std::set<GeometryId> coarse_seen;
-      for (const auto& [fine_id, coarse_id] : *rollup.pairs) {
-        if (coarse_seen.insert(coarse_id).second &&
-            !l.BoundsOf(coarse_id).ok()) {
-          out->AddError("rollup-dangling", entity,
-                        "coarse element " + std::to_string(coarse_id) +
-                            " does not exist in layer '" + rollup.layer +
-                            "'");
-        }
-      }
-    }
-  }
-
-  // α bindings reference live geometries.
-  for (const gis::AttributeBinding& b : instance.schema().attributes()) {
-    auto members = instance.AlphaMembers(b.attribute);
-    if (!members.ok()) {
-      continue;  // No bindings registered for this attribute.
-    }
-    auto layer = instance.GetLayer(b.layer);
-    if (!layer.ok()) {
-      continue;
-    }
-    for (const Value& member : members.ValueOrDie()) {
-      auto geom = instance.Alpha(b.attribute, member);
-      if (geom.ok() && !layer.ValueOrDie()->BoundsOf(geom.ValueOrDie()).ok()) {
-        out->AddError("alpha-dangling", "attribute '" + b.attribute + "'",
-                      "member " + member.ToString() +
-                          " binds to missing geometry " +
-                          std::to_string(geom.ValueOrDie()) + " of layer '" +
-                          b.layer + "'");
-      }
-    }
-  }
-
   for (const olap::DimensionSchema& d :
        instance.schema().application_dimensions()) {
+    Status status = d.Validate();
+    if (!status.ok()) {
+      out->AddError("schema-dim-consistent",
+                    "application dimension '" + d.name() + "'",
+                    status.message());
+    }
     auto inst = instance.ApplicationInstance(d.name());
     if (!inst.ok()) {
       continue;  // Declaring a schema without an instance is legal.
     }
-    Status status = inst.ValueOrDie()->CheckConsistency();
+    status = inst.ValueOrDie()->CheckConsistency();
     if (!status.ok()) {
       out->AddError("schema-dim-consistent",
                     "application instance '" + d.name() + "'",
@@ -262,12 +60,14 @@ void ModelChecker::CheckInstance(const gis::GisDimensionInstance& instance,
 
 namespace {
 
-/// Shared body of the two CheckSamples overloads; `samples` is any range of
-/// moving::Sample (owning vector or zero-copy SampleView).
+using LastSeen = std::map<moving::ObjectId, temporal::TimePoint>;
+
+/// The sample-stream checks over any range of moving::Sample (an owning
+/// vector or one object span). `last_t` holds each Oid's last accepted
+/// timestamp, so a table may be fed one span at a time.
 template <typename SampleRange>
 void CheckSampleStream(const SampleRange& samples, const std::string& entity,
-                       DiagnosticList* out) {
-  std::map<moving::ObjectId, temporal::TimePoint> last_t;
+                       LastSeen* last_t, DiagnosticList* out) {
   for (const moving::Sample& s : samples) {
     std::string sample_entity =
         entity + " oid " + std::to_string(s.oid) + " t=" +
@@ -277,8 +77,8 @@ void CheckSampleStream(const SampleRange& samples, const std::string& entity,
                     "non-finite timestamp or position " +
                         FormatPoint(s.pos));
     }
-    auto it = last_t.find(s.oid);
-    if (it != last_t.end()) {
+    auto it = last_t->find(s.oid);
+    if (it != last_t->end()) {
       if (s.t == it->second) {
         out->AddError("moft-duplicate-sample", sample_entity,
                       "duplicate (Oid, t) observation; an object is at one "
@@ -292,7 +92,7 @@ void CheckSampleStream(const SampleRange& samples, const std::string& entity,
         continue;
       }
     }
-    last_t[s.oid] = s.t;
+    (*last_t)[s.oid] = s.t;
   }
 }
 
@@ -301,31 +101,41 @@ void CheckSampleStream(const SampleRange& samples, const std::string& entity,
 void ModelChecker::CheckSamples(const std::string& entity,
                                 const std::vector<moving::Sample>& samples,
                                 DiagnosticList* out) const {
-  CheckSampleStream(samples, entity, out);
-}
-
-void ModelChecker::CheckSamples(const std::string& entity,
-                                moving::SampleView samples,
-                                DiagnosticList* out) const {
-  CheckSampleStream(samples, entity, out);
+  LastSeen last_t;
+  CheckSampleStream(samples, entity, &last_t, out);
 }
 
 void ModelChecker::CheckMoft(const std::string& name,
                              const moving::Moft& moft,
                              DiagnosticList* out) const {
-  std::string entity = "moft '" + name + "'";
-  CheckSamples(entity, moft.Scan(), out);
-  const size_t objects = moft.num_objects();
-  for (size_t i = 0; i < objects; ++i) {
-    moving::ObjectSpan span = moft.SpanAt(i);
-    std::vector<moving::TimedPoint> points;
-    points.reserve(span.size());
-    for (const moving::Sample& s : span) {
-      points.push_back({s.t, s.pos});
-    }
-    CheckTrajectory(entity + " oid " + std::to_string(span.oid()), points,
-                    out);
+  // One walk over the sealed blocks, span by span like a query scan, so a
+  // released or opened table is decoded a block at a time and never
+  // rematerialized whole. The sample-stream findings come first and the
+  // trajectory findings after them, as over one whole-table scan.
+  const std::string entity = "moft '" + name + "'";
+  LastSeen last_t;
+  DiagnosticList trajectories;
+  moving::BlockIoStats io;
+  const moving::TableBlocks blocks = moft.Blocks();
+  const Status walked = blocks.ForEachSpan(
+      0, blocks.total_spans(), moving::ZoneFilter(), &io,
+      [&](const moving::MoftColumns& data,
+          const moving::MoftColumns::Span& span) {
+        const moving::ObjectSpan samples(&data, span);
+        CheckSampleStream(samples, entity, &last_t, out);
+        std::vector<moving::TimedPoint> points;
+        points.reserve(samples.size());
+        for (const moving::Sample& s : samples) {
+          points.push_back({s.t, s.pos});
+        }
+        CheckTrajectory(entity + " oid " + std::to_string(span.oid), points,
+                        &trajectories);
+        return Status::OK();
+      });
+  if (!walked.ok()) {
+    out->AddError("moft-block-decode", entity, walked.message());
   }
+  out->Merge(trajectories);
 }
 
 void ModelChecker::CheckTrajectory(
@@ -462,21 +272,6 @@ void ModelChecker::CheckOverlay(const gis::OverlayDb& overlay,
                        : (domain.max_x - domain.min_x) *
                              (domain.max_y - domain.min_y);
     CheckOverlayCells(entity, cells, expected, out);
-  }
-}
-
-void ModelChecker::CheckGisFactTable(const std::string& name,
-                                     const gis::GisFactTable& table,
-                                     DiagnosticList* out) const {
-  for (GeometryId id : table.layer().ids()) {
-    if (!table.Get(id).ok()) {
-      out->AddError("fact-table-total",
-                    "fact table '" + name + "' layer '" +
-                        table.layer().name() + "'",
-                    "element " + std::to_string(id) +
-                        " carries no fact; Def. 3 fact tables are total "
-                        "functions");
-    }
   }
 }
 

@@ -193,6 +193,12 @@ Result<std::vector<Value>> GisDimensionInstance::AlphaMembers(
   return out;
 }
 
+const std::map<Value, GeometryId>* GisDimensionInstance::AlphaFunction(
+    const std::string& attribute) const {
+  auto it = alphas_.find(attribute);
+  return it == alphas_.end() ? nullptr : &it->second.forward;
+}
+
 Status GisDimensionInstance::AddApplicationInstance(
     olap::DimensionInstance instance) {
   Result<const olap::DimensionSchema*> declared =

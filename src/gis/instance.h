@@ -82,6 +82,11 @@ class GisDimensionInstance {
   /// All members bound under `attribute`.
   Result<std::vector<Value>> AlphaMembers(const std::string& attribute) const;
 
+  /// The whole α function of `attribute`, member -> geometry in member
+  /// order; null when nothing is bound under it.
+  const std::map<Value, GeometryId>* AlphaFunction(
+      const std::string& attribute) const;
+
   /// Application dimension instances (RUP of Def. 2).
   Status AddApplicationInstance(olap::DimensionInstance instance);
   Result<const olap::DimensionInstance*> ApplicationInstance(

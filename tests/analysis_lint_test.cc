@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "analysis/lint/schema_lint.h"
 #include "analysis/lint/time_domain.h"
 #include "analysis/query_check.h"
+#include "common/random.h"
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
 #include "geometry/point.h"
@@ -141,6 +144,44 @@ TEST(SchemaLintTest, NonFunctionalRollupFires) {
   EXPECT_TRUE(diags.HasErrors());
 }
 
+/// Layer "Ln" with polygons 0 and 1 declared, and attribute "nb" bound to
+/// `kind` of it.
+SchemaModel AlphaModel(gis::GeometryKind kind) {
+  SchemaModel model;
+  model.graphs.push_back(
+      {"Ln", gis::GeometryGraph::PolygonLayerGraph().edges()});
+  model.attributes.push_back({"nb", kind, "Ln"});
+  model.levels.push_back({"Ln", gis::GeometryKind::kPolygon, {0, 1}});
+  return model;
+}
+
+TEST(SchemaLintTest, AlphaFunctionalityIsCheckedPerMember) {
+  SchemaModel model = AlphaModel(gis::GeometryKind::kPolygon);
+  // "a" binds two geometries (and repeats one pair); "b" binds one.
+  model.alphas.push_back(
+      {"nb", {{Value("a"), 0}, {Value("b"), 1}, {Value("a"), 1},
+              {Value("a"), 0}}});
+  const DiagnosticList diags = LintSchema(model);
+  ASSERT_EQ(diags.size(), 1u) << diags.ToString();
+  EXPECT_EQ(diags[0].check_id, "lint-alpha-functional");
+  EXPECT_NE(diags[0].message.find("member \"a\" maps to 2 geometries"),
+            std::string::npos)
+      << diags.ToString();
+}
+
+TEST(SchemaLintTest, AlphaBoundToAnUndeclaredLevelIsCheckedAgainstItsLayer) {
+  // Att names the point level, which declares no universe; the α geometry
+  // must still be an element of layer Ln, as a live instance resolves it.
+  SchemaModel model = AlphaModel(gis::GeometryKind::kPoint);
+  model.alphas.push_back({"nb", {{Value("a"), 1}}});
+  EXPECT_TRUE(LintSchema(model).empty()) << LintSchema(model).ToString();
+
+  model.alphas.front().pairs.emplace_back(Value("b"), 7);
+  const DiagnosticList diags = LintSchema(model);
+  EXPECT_EQ(diags.CheckIds(), std::vector<std::string>{"lint-alpha-dangling"})
+      << diags.ToString();
+}
+
 TEST(SchemaLintTest, CleanFigure1InstanceLintsClean) {
   auto scenario = workload::BuildFigure1Scenario();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
@@ -197,6 +238,97 @@ TEST(LintCorpusTest, EstimateExpectationsHold) {
     const Status st = CheckEstimateExpectations(parsed.ValueOrDie());
     EXPECT_TRUE(st.ok()) << path << ": " << st.ToString();
   }
+}
+
+// --- Corpus fuzzing ---
+
+/// One random edit of corpus text: a byte replaced by a character the
+/// grammar gives meaning to, a line dropped, duplicated or swapped, or a
+/// number token replaced by an extreme one.
+std::string Mutate(Random* rng, std::string text) {
+  static const std::string kBytes = "0123456789 -.:()>,'\"\n#abcdefsix";
+  static const std::vector<std::string> kNumbers = {
+      "-1", "0", "4294967296", "99999999999999999999", "1e308", "-1e308",
+      "nan", "inf", "0.5", ""};
+  std::vector<std::string> lines;
+  for (size_t begin = 0; begin < text.size();) {
+    size_t end = text.find('\n', begin);
+    end = end == std::string::npos ? text.size() : end + 1;
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end;
+  }
+  if (lines.empty()) {
+    return text;
+  }
+  const size_t line = rng->Uniform(lines.size());
+  switch (rng->Uniform(5)) {
+    case 0:
+      if (!lines[line].empty()) {
+        lines[line][rng->Uniform(lines[line].size())] =
+            kBytes[rng->Uniform(kBytes.size())];
+      }
+      break;
+    case 1:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(line));
+      break;
+    case 2:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(line),
+                   lines[line]);
+      break;
+    case 3:
+      std::swap(lines[line], lines[rng->Uniform(lines.size())]);
+      break;
+    default: {
+      std::string& l = lines[line];
+      const size_t digit = l.find_first_of("0123456789", rng->Uniform(
+                                                             l.size() + 1));
+      if (digit != std::string::npos) {
+        const size_t end = l.find_first_not_of("0123456789.", digit);
+        l.replace(digit, (end == std::string::npos ? l.size() : end) - digit,
+                  kNumbers[rng->Uniform(kNumbers.size())]);
+      }
+      break;
+    }
+  }
+  std::string out;
+  for (const std::string& l : lines) {
+    out += l;
+  }
+  return out;
+}
+
+TEST(LintCorpusFuzzTest, MutatedCasesReturnStatusAndNeverCrash) {
+  std::vector<std::string> texts;
+  for (const std::string& path : CorpusPaths()) {
+    std::ifstream in(path);
+    texts.emplace_back(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(texts.empty());
+  Random rng(20261019);
+  size_t parsed = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string text = texts[rng.Uniform(texts.size())];
+    const uint64_t edits = 1 + rng.Uniform(4);
+    for (uint64_t e = 0; e < edits; ++e) {
+      text = Mutate(&rng, std::move(text));
+    }
+    auto c = ParseCorpusText("fuzz" + std::to_string(iter), text);
+    if (!c.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const CorpusCase& corpus_case = c.ValueOrDie();
+    (void)CheckExpectations(corpus_case, LintCase(corpus_case));
+    (void)CheckRewriteExpectations(corpus_case);
+    (void)CheckEstimateExpectations(corpus_case);
+  }
+  // The mutations must exercise both the parser's rejections and the
+  // analyses behind it.
+  EXPECT_GT(parsed, 200u);
+  EXPECT_GT(rejected, 200u);
 }
 
 // --- Evaluator wiring ---
