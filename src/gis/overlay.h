@@ -75,7 +75,10 @@ struct LocateWork {
 ///    Leaves are refined until homogeneous w.r.t. every polygon or the
 ///    depth cap; heterogeneous leaves keep candidate lists and resolve by
 ///    exact point-in-polygon at query time (always exact answers; the tree
-///    only prunes candidates).
+///    only prunes candidates). A polygon is a leaf's candidate only if it
+///    meets the leaf's open interior: one that merely touches the leaf's
+///    boundary is reported by the neighbouring leaf it enters, so a
+///    layer aligned with the tree resolves at the depth of its edges.
 class OverlayDb {
  public:
   /// Builds the exact convex overlay. Fails if a polygon is non-convex or a
@@ -147,8 +150,8 @@ class OverlayDb {
 
  private:
   /// A subpolygon: cell geometry plus covering labels. In quadtree mode the
-  /// cell is a rectangle and `candidates` holds the boundary-crossing
-  /// polygons needing exact tests.
+  /// cell is a rectangle and `candidates` holds the polygons whose boundary
+  /// may cross its open interior, which need exact tests.
   struct Cell {
     geometry::Polygon polygon;
     std::vector<OverlayLabel> covered;     // Definitely covering labels.

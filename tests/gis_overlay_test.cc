@@ -3,7 +3,9 @@
 #include <memory>
 
 #include "common/random.h"
+#include "core/database.h"
 #include "gis/overlay.h"
+#include "workload/city.h"
 
 namespace piet::gis {
 namespace {
@@ -152,6 +154,33 @@ TEST(QuadtreeOverlayTest, DepthCapKeepsCandidates) {
   auto ids = overlay.ValueOrDie().LocateInLayer({10, 10}, 0);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], 0);
+}
+
+TEST(QuadtreeOverlayTest, GridAlignedCityBuildsOneLeafPerBlock) {
+  // The 16x16 city of 100-unit blocks with a quarter of its 2x2 groups
+  // turned into an L plus a square. Every edge lies on the block grid, so
+  // the 100x100 leaves of depth 4 are each covered by one polygon; the
+  // neighbours that only touch a leaf's edges are no candidates.
+  workload::CityConfig config;
+  config.seed = 4242;
+  config.grid_cols = 16;
+  config.grid_rows = 16;
+  config.nonconvex_fraction = 0.25;
+  auto city = workload::GenerateCity(config);
+  ASSERT_TRUE(city.ok()) << city.status().ToString();
+  const Layer* neighborhoods =
+      city.ValueOrDie()
+          .db->gis()
+          .GetLayer(city.ValueOrDie().neighborhoods_layer)
+          .ValueOrDie();
+  auto overlay = OverlayDb::BuildQuadtree({neighborhoods}, 10);
+  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+  const OverlayDb& db = overlay.ValueOrDie();
+  EXPECT_LT(db.num_cells(), 1000u);
+  for (size_t c = 0; c < db.num_cells(); ++c) {
+    EXPECT_TRUE(db.CellCandidates(c).empty()) << "leaf " << c;
+    EXPECT_EQ(db.CellCovered(c).size(), 1u) << "leaf " << c;
+  }
 }
 
 TEST(OverlayTest, ErrorsOnBadInput) {
