@@ -175,7 +175,9 @@ void Moft::SealLocked() const {
     cols_.x.push_back(s.pos.x);
     cols_.y.push_back(s.pos.y);
   }
-  staging_.clear();
+  // Release the buffer, not just its rows: a sealed table may never
+  // stage again, and clear() would keep its capacity resident.
+  std::vector<Sample>().swap(staging_);
 
   // Sort by (oid, t) unless already ordered (the common bulk-load pattern:
   // per-object appends in time order). Keys are unique — duplicates were
