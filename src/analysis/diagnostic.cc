@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 namespace piet::analysis {
@@ -94,11 +95,20 @@ std::string Diagnostic::ToJson() const {
 void DiagnosticList::Add(Severity severity, std::string check_id,
                          std::string entity, std::string message,
                          std::string fixit) {
-  for (const Diagnostic& d : diagnostics_) {
+  const std::hash<std::string_view> hash;
+  size_t key = hash(check_id);
+  for (std::string_view part : {std::string_view(entity),
+                                std::string_view(message)}) {
+    key ^= hash(part) + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
+  }
+  const auto [first, last] = index_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    const Diagnostic& d = diagnostics_[it->second];
     if (d.check_id == check_id && d.entity == entity && d.message == message) {
       return;
     }
   }
+  index_.emplace(key, diagnostics_.size());
   diagnostics_.push_back(Diagnostic{severity, std::move(check_id),
                                     std::move(entity), std::move(message),
                                     std::move(fixit)});

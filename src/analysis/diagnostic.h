@@ -1,8 +1,10 @@
 #ifndef PIET_ANALYSIS_DIAGNOSTIC_H_
 #define PIET_ANALYSIS_DIAGNOSTIC_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -126,6 +128,9 @@ class DiagnosticList {
 
  private:
   std::vector<Diagnostic> diagnostics_;
+  /// Hash of each finding's (check_id, entity, message) -> its index in
+  /// `diagnostics_`, so Add dedupes in O(1) expected time.
+  std::unordered_multimap<size_t, size_t> index_;
 };
 
 }  // namespace piet::analysis

@@ -491,5 +491,35 @@ TEST(ModelCheckTest, SeededCorruptionSweep) {
   }
 }
 
+// A 128x128 city whose r^{polygon,All} rollup covers one neighborhood: one
+// lint-rollup-total finding per other neighborhood, all kept, in id order.
+TEST(ModelCheckTest, DefectHeavyCityKeepsEveryFindingInOrder) {
+  workload::CityConfig config;
+  config.grid_cols = 128;
+  config.grid_rows = 128;
+  Result<workload::City> city = workload::GenerateCity(config);
+  ASSERT_TRUE(city.ok()) << city.status().ToString();
+  workload::City& c = city.ValueOrDie();
+  const std::vector<gis::GeometryId> ids =
+      c.db->gis().GetLayer(c.neighborhoods_layer).ValueOrDie()->ids();
+  ASSERT_TRUE(c.db->mutable_gis()
+                  .AddGeometryRollup(c.neighborhoods_layer,
+                                     GeometryKind::kPolygon, ids[0],
+                                     GeometryKind::kAll, 0)
+                  .ok());
+
+  const DiagnosticList diags = c.db->CheckAll();
+  ASSERT_EQ(diags.size(), ids.size() - 1);
+  for (size_t i = 0; i < diags.size(); ++i) {
+    const Diagnostic& d = diags[i];
+    ASSERT_EQ(d.check_id, "lint-rollup-total") << i;
+    ASSERT_EQ(d.severity, Severity::kError) << i;
+    ASSERT_EQ(d.entity, "rollup polygon->All in layer 'neighborhoods'") << i;
+    ASSERT_EQ(d.message, "fine id " + std::to_string(ids[i + 1]) +
+                             " has no image; rollup must be total")
+        << i;
+  }
+}
+
 }  // namespace
 }  // namespace piet::analysis
