@@ -7,9 +7,10 @@
 // This bench measures the storage layer in rows/sec:
 //  * full-table scan: SampleView vs direct columns vs the row-vector copy
 //    the pre-columnar path materialized before iterating;
-//  * block axes: blocked raw (zero-copy pins) vs compressed (per-block
-//    codec decode) vs mmap-cold (decode straight from the mapping), with
-//    bytes/sample and compression-ratio counters off the store;
+//  * block axes: blocked raw (blocks without payloads, read in place from
+//    the hot columns) vs compressed (per-block codec decode) vs mmap-cold
+//    (decode straight from the mapping), with bytes/sample and
+//    compression-ratio counters off the store;
 //  * closed time window: SamplesBetween's binary-searched per-object
 //    ranges vs copy-then-filter, plus zonemap-skipped block iteration;
 //  * per-object access: span lookup in the sorted spans index.
@@ -285,9 +286,9 @@ void BM_ScanRowCopy(benchmark::State& state) {
 }
 
 void BM_ScanBlocks(benchmark::State& state, Tier tier) {
-  // Block-iterating scan through the TableBlocks facade: zero-copy pins
-  // for blocked raw, a per-block codec decode for the compressed tier,
-  // decode straight out of the file mapping for the spilled tier.
+  // Block-iterating scan through the TableBlocks facade: the hot columns
+  // in place for blocked raw, a per-block codec decode for the compressed
+  // tier, decode straight out of the file mapping for the spilled tier.
   auto moft = MakeMoft(static_cast<int>(state.range(0)), tier);
   const TableBlocks blocks = moft->Blocks();
   const ZoneFilter none;

@@ -255,8 +255,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const MoftCatalogStats& st = *stats;
   const int64_t rows_n = static_cast<int64_t>(st.rows);
   const int64_t spans_n = static_cast<int64_t>(st.spans);
-  const int64_t n_blocks =
-      st.has_block_store ? static_cast<int64_t>(st.num_blocks) : 0;
+  const int64_t n_blocks = static_cast<int64_t>(st.num_blocks);
 
   const TimeShape shape = SplitTimeShape(*mo);
   bool rollup_sub_hour = false;
@@ -318,13 +317,11 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   // Replay of the scan's zonemap filter (ScanZoneFilter): every branch
   // walks the MOFT's blocks under the window; the polygon-testing
   // paths (PASSES THROUGH, INSIDE RESULT without the overlay
-  // classification) also skip blocks outside the wanted polygons' box. A
-  // storeless table is one unfiltered synthetic block. `over` is a
-  // superset of the runtime ids, so its box admits at least the runtime's
-  // blocks; only an exact region makes the replay exact.
+  // classification) also skip blocks outside the wanted polygons' box.
+  // `over` is a superset of the runtime ids, so its box admits at least
+  // the runtime's blocks; only an exact region makes the replay exact.
   const bool bbox_filter =
-      st.has_block_store &&
-      (passes_through || (inside_result && !overlay_covers));
+      passes_through || (inside_result && !overlay_covers);
   moving::ZoneFilter scan_filter;
   scan_filter.window = shape.window;
   if (bbox_filter) {
@@ -346,11 +343,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     if (win_path && !passes_through) {
       est.rows_scanned =
           EstInterval{wm_last.full_rows, wm_last.admitted_rows};
-    } else if (st.has_block_store) {
+    } else {
       est.rows_scanned = EstInterval{wm_last.admitted_rows,
                                      wm_last.admitted_rows};
-    } else {
-      est.rows_scanned = EstInterval{rows_n, rows_n};
     }
     if (serve_possible || !replay_exact || may_skip) {
       // Interior cells served from partials scan nothing, and neither
@@ -359,19 +354,17 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     }
   }
 
-  // Block accounting (the attrs exist only with a block store; the serve
-  // path emits none of them, so every bound must include 0 then).
-  if (st.has_block_store) {
-    est.blocks = EstInterval{serve_possible ? 0 : n_blocks, n_blocks};
-    if (!scan_skipped) {
-      est.blocks_skipped = EstInterval{
-          serve_possible || may_skip ? 0 : wm_last.skipped_blocks,
-          replay_exact ? wm_last.skipped_blocks : n_blocks};
-    }
-    if (!scan_skipped && (st.compressed || st.mapped)) {
-      // Each admitted cold block is decoded at most once per query.
-      est.blocks_decoded = EstInterval{0, wm_last.admitted_blocks};
-    }
+  // Block accounting (the serve path emits none of the attrs, so every
+  // bound must include 0 then).
+  est.blocks = EstInterval{serve_possible ? 0 : n_blocks, n_blocks};
+  if (!scan_skipped) {
+    est.blocks_skipped = EstInterval{
+        serve_possible || may_skip ? 0 : wm_last.skipped_blocks,
+        replay_exact ? wm_last.skipped_blocks : n_blocks};
+  }
+  if (!scan_skipped && (st.compressed || st.mapped)) {
+    // Each admitted cold block is decoded at most once per query.
+    est.blocks_decoded = EstInterval{0, wm_last.admitted_blocks};
   }
 
   // Qualifying tuples.

@@ -673,19 +673,18 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   intersect_span.Attr("rows_scanned",
                       static_cast<uint64_t>(st.samples_scanned));
   intersect_span.Attr("tuples", static_cast<uint64_t>(gamma::Tuples(state)));
-  if (const moving::MoftBlockStore* store = moft->block_store()) {
-    // The query's own block I/O: zonemap skips and the cold blocks its
-    // scan decoded (each at most once).
-    intersect_span.Attr("blocks", static_cast<uint64_t>(store->num_blocks()));
-    intersect_span.Attr("blocks_skipped",
-                        static_cast<uint64_t>(st.blocks.blocks_skipped));
-    intersect_span.Attr("blocks_decoded",
-                        static_cast<uint64_t>(st.blocks.blocks_decoded));
-    if (obs_on) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("pietql.blocks_skipped")
-          .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
-    }
+  // The query's own block I/O: zonemap skips and the cold blocks its scan
+  // decoded (each at most once).
+  intersect_span.Attr(
+      "blocks", static_cast<uint64_t>(moft->block_store()->num_blocks()));
+  intersect_span.Attr("blocks_skipped",
+                      static_cast<uint64_t>(st.blocks.blocks_skipped));
+  intersect_span.Attr("blocks_decoded",
+                      static_cast<uint64_t>(st.blocks.blocks_decoded));
+  if (obs_on) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("pietql.blocks_skipped")
+        .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
   }
   }  // !served
 

@@ -30,9 +30,8 @@ struct ScanStats {
   /// boxes meet, out of legs_tested × qualifying polygons.
   size_t leg_refines = 0;
   size_t rows_matched = 0;  ///< Output rows, or the hits a fold consumed.
-  /// Block I/O of the scan: pins, codec decodes, zonemap skips. All zero
-  /// when the MOFT has no block store (the synthetic single block is
-  /// never pinned or skipped).
+  /// Block I/O of the scan: pins, codec decodes, zonemap skips. Blocks
+  /// without a payload are read from the hot columns and never pinned.
   moving::BlockIoStats blocks;
 
   ScanStats& operator+=(const ScanStats& other) {

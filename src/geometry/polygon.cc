@@ -147,6 +147,84 @@ std::string Ring::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// True when some piece of `ring`'s boundary has `pred(midpoint)`: each
+/// edge is cut at the vertices of `cuts` lying on it. Without a proper
+/// crossing, a piece meets the other boundary only at its ends or along
+/// its whole length, so its midpoint locates all of it.
+template <typename Pred>
+bool AnyPiece(const Ring& ring, const std::vector<const Ring*>& cuts,
+              Pred&& pred) {
+  std::vector<Point> stops;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const Segment e = ring.edge(i);
+    stops.assign({e.a, e.b});
+    for (const Ring* cut : cuts) {
+      for (const Point& v : cut->vertices()) {
+        if (OnSegment(v, e.a, e.b)) {
+          stops.push_back(v);
+        }
+      }
+    }
+    const bool by_x = std::abs(e.b.x - e.a.x) >= std::abs(e.b.y - e.a.y);
+    std::sort(stops.begin(), stops.end(), [by_x](Point p, Point q) {
+      return by_x ? p.x < q.x : p.y < q.y;
+    });
+    for (size_t k = 0; k + 1 < stops.size(); ++k) {
+      if (stops[k] != stops[k + 1] && pred((stops[k] + stops[k + 1]) / 2.0)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// True when the open interiors of `hole` and `other` share a point.
+bool InteriorsMeet(const Ring& hole, const Polygon& other) {
+  if (!hole.Bounds().Intersects(other.Bounds())) {
+    return false;
+  }
+  std::vector<const Ring*> rings = {&other.shell()};
+  for (const Ring& h : other.holes()) {
+    rings.push_back(&h);
+  }
+  // A proper crossing of the two boundaries.
+  for (size_t i = 0; i < hole.size(); ++i) {
+    const Segment e = hole.edge(i);
+    for (const Ring* ring : rings) {
+      for (size_t j = 0; j < ring->size(); ++j) {
+        const Segment f = ring->edge(j);
+        if (Orientation(e.a, e.b, f.a) * Orientation(e.a, e.b, f.b) < 0 &&
+            Orientation(f.a, f.b, e.a) * Orientation(f.a, f.b, e.b) < 0) {
+          return true;
+        }
+      }
+    }
+  }
+  // A piece of either boundary inside the other's interior: interior
+  // points of both lie beside it.
+  if (AnyPiece(hole, rings, [&](Point m) {
+        return other.Locate(m) == PointLocation::kInside;
+      })) {
+    return true;
+  }
+  for (const Ring* ring : rings) {
+    if (AnyPiece(*ring, {&hole}, [&](Point m) {
+          return hole.Locate(m) == PointLocation::kInside;
+        })) {
+      return true;
+    }
+  }
+  // Otherwise the interiors meet only when the hole's boundary runs all
+  // along `other`'s shell, i.e. the two are one region.
+  return !AnyPiece(hole, rings, [&](Point m) {
+    return other.shell().Locate(m) != PointLocation::kBoundary;
+  });
+}
+
+}  // namespace
+
 Polygon::Polygon(Ring shell, std::vector<Ring> holes)
     : shell_(std::move(shell)), holes_(std::move(holes)) {}
 
@@ -281,6 +359,13 @@ bool Polygon::ContainsPolygon(const Polygon& other) const {
           return false;
         }
       }
+    }
+  }
+  // Vertex containment sees a hole only when a vertex of `other` falls in
+  // it; a hole whose interior meets `other`'s leaves part of `other` out.
+  for (const Ring& hole : holes_) {
+    if (InteriorsMeet(hole, other)) {
+      return false;
     }
   }
   return true;

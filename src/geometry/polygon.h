@@ -98,7 +98,8 @@ class Polygon {
   /// True if the two closed polygons share a point (boundary touch counts).
   bool Intersects(const Polygon& other) const;
 
-  /// True if `other` is entirely within this polygon (boundary allowed).
+  /// True if `other` is entirely within this polygon (boundary allowed):
+  /// inside the shell, and no hole's interior meets `other`'s interior.
   bool ContainsPolygon(const Polygon& other) const;
 
   std::string ToString() const;

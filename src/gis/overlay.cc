@@ -27,20 +27,6 @@ void RecordOverlayBuild(size_t cells) {
   registry.GetGauge("overlay.cells").Set(static_cast<int64_t>(cells));
 }
 
-/// True when no hole of `poly` reaches into the open `box`: each hole's
-/// bounding box misses it. Polygon::ContainsPolygon tests the shell, so a
-/// leaf inside the shell that holds a hole must not count as covered.
-bool HolesMissOpenBox(const Polygon& poly, const BoundingBox& box) {
-  for (const Ring& hole : poly.holes()) {
-    const BoundingBox h = hole.Bounds();
-    if (h.min_x < box.max_x && h.max_x > box.min_x && h.min_y < box.max_y &&
-        h.max_y > box.min_y) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// True when `poly` provably misses the open `box`: every edge of every
 /// ring lies in a closed half-plane beside the box (exact comparisons, no
 /// rounding), so no boundary point enters the box, and the box centre is
@@ -265,8 +251,7 @@ Result<OverlayDb> OverlayDb::BuildQuadtree(std::vector<const Layer*> layers,
               if (!poly.Bounds().Intersects(w.box)) {
                 continue;
               }
-              if (poly.ContainsPolygon(rect) &&
-                  HolesMissOpenBox(poly, w.box)) {
+              if (poly.ContainsPolygon(rect)) {
                 w.covered.push_back(cand);
               } else if (!MissesOpenBox(poly, w.box) &&
                          poly.Intersects(rect)) {

@@ -18,14 +18,13 @@
 
 namespace piet::moving {
 
-/// Knobs of the chunked block-store MOFT core. `enabled()` decides whether
-/// sealing a Moft builds a MoftBlockStore at all; the default (all knobs
-/// off) keeps the single sealed-SoA layout and the zero-copy fast paths of
-/// the pre-block-store engine bit-for-bit.
+/// Knobs of the chunked block-store MOFT core. Every seal builds a
+/// MoftBlockStore directory with these knobs; the defaults keep the rows in
+/// the table's hot columns and add only the per-block metas.
 struct BlockOptions {
   /// Target rows per block (blocks close at the next object-span
-  /// boundary; one object never splits across blocks). 0 = one block.
-  size_t block_rows = 0;
+  /// boundary; one object never splits across blocks).
+  size_t block_rows = 65536;
   /// Encode sealed blocks with the lossless block codec (delta-of-delta
   /// style timestamps, predictive-XOR coordinates, dictionary oids).
   bool compress = false;
@@ -36,10 +35,6 @@ struct BlockOptions {
   /// Directory for Moft::SpillToDisk (defaults to PIET_SPILL_DIR, then
   /// the system temp directory).
   std::string spill_dir;
-
-  bool enabled() const {
-    return block_rows > 0 || compress || simplify_eps >= 0.0;
-  }
 
   /// PIET_BLOCK_ROWS / PIET_COMPRESS / PIET_SIMPLIFY_EPS / PIET_SPILL_DIR,
   /// read once per process.
@@ -103,47 +98,41 @@ struct BlockIoStats {
   }
 };
 
-/// Immutable store of span-aligned MOFT blocks. Each block is either raw
-/// in-memory columns (hot: pins are zero-copy), codec-compressed bytes in
-/// memory, or a slice of an mmap-backed file (cold: pins decode into a
-/// pooled scratch buffer). Rows keep the global (oid, t) sort; block b
-/// covers global rows [meta(b).row_begin, meta(b).row_end) and its pinned
-/// data presents the same rows re-based at 0 with block-local spans.
+/// Immutable directory of span-aligned MOFT blocks with per-block
+/// zonemaps. Either every block carries a codec payload — compressed bytes
+/// in memory, or a slice of an mmap-backed file (pins decode into a pooled
+/// scratch buffer) — or none does: then block b is the global rows
+/// [meta(b).row_begin, meta(b).row_end) of the table's hot columns, which
+/// the store does not own. Rows keep the global (oid, t) sort; a pinned
+/// block presents its rows re-based at 0 with block-local spans.
 ///
 /// Thread safety: all const methods (including Pin) are safe to call
 /// concurrently; the scratch pool is internally synchronized.
 class MoftBlockStore {
  public:
-  /// RAII handle to one block's decoded columns. For raw blocks `data()`
-  /// borrows the block's own storage (zero-copy); for compressed/mapped
-  /// blocks it borrows a pooled scratch buffer returned to the pool on
-  /// destruction. Must not outlive the store.
+  /// RAII handle to one block's decoded columns: `data()` borrows a
+  /// pooled scratch buffer returned to the pool on destruction. Must not
+  /// outlive the store.
   class Pin {
    public:
     Pin() = default;
     Pin(Pin&& o) noexcept
-        : store_(o.store_), data_(o.data_), scratch_(std::move(o.scratch_)),
-          decoded_(o.decoded_) {
+        : store_(o.store_), scratch_(std::move(o.scratch_)) {
       o.store_ = nullptr;
-      o.data_ = nullptr;
     }
     Pin& operator=(Pin&& o) noexcept;
     Pin(const Pin&) = delete;
     Pin& operator=(const Pin&) = delete;
     ~Pin();
 
-    const MoftColumns& data() const { return *data_; }
-    /// True when this pin ran the codec (cold path).
-    bool decoded() const { return decoded_; }
+    const MoftColumns& data() const { return *scratch_; }
 
    private:
     friend class MoftBlockStore;
     /// Releases the scratch (if any) and the live-pin count exactly once.
     void Unpin();
     const MoftBlockStore* store_ = nullptr;
-    const MoftColumns* data_ = nullptr;
     std::unique_ptr<MoftColumns> scratch_;
-    bool decoded_ = false;
   };
 
   MoftBlockStore() = default;
@@ -153,10 +142,11 @@ class MoftBlockStore {
   MoftBlockStore& operator=(const MoftBlockStore&) = delete;
 
   /// Chunks sealed columns into span-aligned blocks of ~opts.block_rows
-  /// rows, compressing each when opts.compress. `cols` must be sealed
-  /// (sorted, spans built); pruning is the caller's job (Moft applies it
-  /// before building). The store owns all its bytes — the source columns
-  /// may be released afterwards.
+  /// rows and computes their zonemaps. With opts.compress each block gets
+  /// a codec payload and the store owns all its bytes (the source columns
+  /// may be released afterwards); without it the blocks are ranges of
+  /// `cols`. `cols` must be sealed (sorted, spans built); pruning is the
+  /// caller's job (Moft applies it before building).
   static MoftBlockStore Build(const MoftColumns& cols,
                               const BlockOptions& opts);
 
@@ -164,11 +154,14 @@ class MoftBlockStore {
   size_t total_rows() const { return total_rows_; }
   size_t total_spans() const { return total_spans_; }
   const BlockMeta& meta(size_t b) const { return blocks_[b]->meta; }
+  /// True when every block carries a codec payload (in memory or mapped);
+  /// false when the blocks are ranges of the hot columns.
   bool compressed() const { return compressed_; }
   bool mapped() const { return mapped_file_ != nullptr; }
 
-  /// Payload bytes at rest (compressed or raw column bytes, excluding
-  /// metas) and the equivalent raw SoA footprint (32 bytes per row).
+  /// Bytes at rest (the codec payloads, or the hot column bytes the
+  /// blocks cover; metas excluded) and the equivalent raw SoA footprint
+  /// (32 bytes per row).
   size_t stored_bytes() const { return stored_bytes_; }
   size_t raw_bytes() const { return total_rows_ * 4 * sizeof(double); }
 
@@ -180,9 +173,9 @@ class MoftBlockStore {
   size_t BlockOfRow(size_t row) const;
   size_t BlockOfSpan(size_t span) const;
 
-  /// Pins block b: zero-copy for raw blocks, a decode into pooled scratch
-  /// otherwise. A payload that fails to decode (a corrupted file) returns
-  /// the codec's error instead of a pin.
+  /// Pins block b of a compressed() store: a decode into pooled scratch.
+  /// A payload that fails to decode (a corrupted file) returns the codec's
+  /// error instead of a pin.
   Result<Pin> PinBlock(size_t b) const;
 
   /// Decodes every block into one contiguous whole-table columns object
@@ -192,17 +185,19 @@ class MoftBlockStore {
   void MaterializeInto(MoftColumns* out) const;
 
   /// On-disk round trip: a directory of zonemaps plus one codec payload
-  /// per block. Open maps the file and serves pins straight from the
-  /// mapping, so only the pages of the blocks a query touches fault in.
-  Status Save(const std::string& path) const;
+  /// per block. Save encodes blocks without a payload from `hot`, the
+  /// columns the store was built over. Open maps the file and serves pins
+  /// straight from the mapping, so only the pages of the blocks a query
+  /// touches fault in.
+  Status Save(const std::string& path,
+              const MoftColumns* hot = nullptr) const;
   static Result<MoftBlockStore> Open(const std::string& path);
 
  private:
   struct Block {
     BlockMeta meta;
-    /// Exactly one of: raw in-memory columns (hot), owned payload bytes,
-    /// or a payload slice of the mapped file.
-    std::unique_ptr<MoftColumns> raw;
+    /// Owned payload bytes or a payload slice of the mapped file; neither
+    /// when the block is a range of the hot columns.
     std::string payload;
     std::string_view mapped_payload;
 
@@ -232,22 +227,21 @@ class MoftBlockStore {
   struct ScratchPool {
     std::mutex mu;
     std::vector<std::unique_ptr<MoftColumns>> buffers;
-    /// Outstanding pins of this store (raw and decoded alike).
+    /// Outstanding pins of this store.
     std::atomic<int64_t> live_pins{0};
   };
   std::unique_ptr<ScratchPool> pool_ = std::make_unique<ScratchPool>();
 };
 
-/// Uniform per-block access to a Moft's sealed storage: either a real
-/// MoftBlockStore (possibly compressed or mmap-backed) or, when block
-/// storage is disabled, the whole-table columns presented as one synthetic
-/// block. Query fan-outs iterate ranges of global rows/spans through this
-/// facade; blocks a ZoneFilter rules out are skipped wholesale (and their
-/// rows never scanned).
+/// Uniform per-block access to a Moft's sealed storage. Query fan-outs
+/// iterate ranges of global rows/spans through this facade; blocks a
+/// ZoneFilter rules out are skipped wholesale (and their rows never
+/// scanned). A block without a payload hands the callback the hot columns
+/// in global coordinates (row_base 0) and takes no pin.
 ///
 /// One TableBlocks serves one scan. Its chunks share one pin per admitted
-/// block: the first chunk that reaches a block pins (decodes) it, later
-/// chunks borrow the same columns, and the pin goes back to the store —
+/// payload block: the first chunk that reaches a block pins (decodes) it,
+/// later chunks borrow the same columns, and the pin goes back to the store —
 /// its scratch buffer to the pool — once the chunks have consumed every
 /// row (row walks) or span (span walks) of the block. A fan-out over the
 /// whole table therefore decodes each admitted block at most once, and
@@ -258,33 +252,25 @@ class MoftBlockStore {
 /// not outlive it or span a reseal.
 class TableBlocks {
  public:
-  TableBlocks(const MoftColumns* hot, const MoftBlockStore* store);
+  TableBlocks(const MoftColumns& hot, const MoftBlockStore& store);
 
-  size_t total_rows() const {
-    return store_ != nullptr ? store_->total_rows() : hot_->size();
-  }
-  size_t total_spans() const {
-    return store_ != nullptr ? store_->total_spans() : hot_->spans.size();
-  }
-  size_t num_blocks() const {
-    return store_ != nullptr ? store_->num_blocks() : 1;
-  }
+  size_t total_rows() const { return store_->total_rows(); }
+  size_t total_spans() const { return store_->total_spans(); }
+  size_t num_blocks() const { return store_->num_blocks(); }
 
   /// Calls fn(data, local_begin, local_end) for each admitted block
   /// intersecting global rows [begin, end), ascending. `data` is the
-  /// block's columns with rows re-based at 0; chunk boundaries are in
+  /// block's columns with rows re-based at 0 (the hot columns, based at 0
+  /// already, for a block without a payload); chunk boundaries are in
   /// global row coordinates, so the concatenation over all chunks visits
   /// exactly the serial row sequence. fn may take a fourth argument, the
-  /// global row of the block's local row 0. fn returns Status; the first
+  /// global row of the data's local row 0. fn returns Status; the first
   /// failure stops the walk.
   template <typename Fn>
   Status ForEachRowRange(size_t begin, size_t end, const ZoneFilter& filter,
                          BlockIoStats* io, Fn&& fn) const {
-    if (store_ == nullptr) {
-      return begin < end ? Call(fn, *hot_, begin, end, 0) : Status::OK();
-    }
     for (size_t b = begin < end ? store_->BlockOfRow(begin) : num_blocks();
-         b < store_->num_blocks() && store_->meta(b).row_begin < end; ++b) {
+         b < num_blocks() && store_->meta(b).row_begin < end; ++b) {
       const BlockMeta& m = store_->meta(b);
       const size_t gb = begin > m.row_begin ? begin : m.row_begin;
       const size_t ge = end < m.row_end ? end : m.row_end;
@@ -298,8 +284,8 @@ class TableBlocks {
         continue;
       }
       PIET_ASSIGN_OR_RETURN(const MoftColumns* data, Acquire(b, io));
-      Status st = Call(fn, *data, gb - m.row_begin, ge - m.row_begin,
-                       m.row_begin);
+      const size_t base = data == hot_ ? 0 : m.row_begin;
+      Status st = Call(fn, *data, gb - base, ge - base, base);
       Release(b, Unit::kRows, ge - gb);
       PIET_RETURN_NOT_OK(st);
     }
@@ -333,14 +319,9 @@ class TableBlocks {
   Status ForEachSpanRange(size_t span_begin, size_t span_end,
                           const ZoneFilter& filter, BlockIoStats* io,
                           Fn&& fn) const {
-    if (store_ == nullptr) {
-      return span_begin < span_end ? fn(*hot_, span_begin, span_end, 0)
-                                   : Status::OK();
-    }
     for (size_t b = span_begin < span_end ? store_->BlockOfSpan(span_begin)
                                           : num_blocks();
-         b < store_->num_blocks() && store_->meta(b).span_begin < span_end;
-         ++b) {
+         b < num_blocks() && store_->meta(b).span_begin < span_end; ++b) {
       const BlockMeta& m = store_->meta(b);
       const size_t sb = span_begin > m.span_begin ? span_begin : m.span_begin;
       const size_t se = span_end < m.span_end ? span_end : m.span_end;
@@ -352,8 +333,9 @@ class TableBlocks {
         continue;
       }
       PIET_ASSIGN_OR_RETURN(const MoftColumns* data, Acquire(b, io));
-      Status st = fn(*data, sb - m.span_begin, se - m.span_begin,
-                     m.row_begin);
+      const bool hot = data == hot_;
+      const size_t base = hot ? 0 : m.span_begin;
+      Status st = fn(*data, sb - base, se - base, hot ? 0 : m.row_begin);
       Release(b, Unit::kSpans, se - sb);
       PIET_RETURN_NOT_OK(st);
     }
@@ -382,10 +364,12 @@ class TableBlocks {
     }
   }
 
-  /// Pins block b unless a chunk already holds it; the pinning call
-  /// accounts the pin (and decode) in `io`.
+  /// The hot columns for a block without a payload; otherwise pins block
+  /// b unless a chunk already holds it, and the pinning call accounts the
+  /// pin (and decode) in `io`.
   Result<const MoftColumns*> Acquire(size_t b, BlockIoStats* io) const;
   /// Marks `n` rows or spans of block b consumed; the last ones unpin it.
+  /// No-op for a block without a payload.
   void Release(size_t b, Unit unit, size_t n) const;
 
   const MoftColumns* hot_;

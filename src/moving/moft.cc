@@ -20,27 +20,14 @@ namespace piet::moving {
 
 using temporal::TimePoint;
 
-Moft::Moft(const Moft& other) {
-  std::lock_guard<std::mutex> lock(other.seal_mu_);
-  other.EnsureHotLocked();  // A released hot tier must be rebuilt to copy.
-  index_ = other.index_;
-  size_ = other.size_;
-  staging_ = other.staging_;
-  cols_ = other.cols_;
-  block_options_ = other.block_options_;
-  storage_epoch_ = other.storage_epoch_;
-  read_only_ = other.read_only_;
-  if (other.store_) {
-    store_.emplace(MoftBlockStore::Build(cols_, block_options_));
-  }
-}
+Moft::Moft(const Moft& other) { *this = other; }
 
 Moft& Moft::operator=(const Moft& other) {
   if (this != &other) {
     // Consistent snapshot of `other`; `this` must not be under concurrent
     // read during assignment (single-writer contract).
     std::lock_guard<std::mutex> lock(other.seal_mu_);
-    other.EnsureHotLocked();
+    other.EnsureHotLocked();  // A released hot tier must be rebuilt to copy.
     index_ = other.index_;
     size_ = other.size_;
     staging_ = other.staging_;
@@ -57,21 +44,7 @@ Moft& Moft::operator=(const Moft& other) {
   return *this;
 }
 
-Moft::Moft(Moft&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.seal_mu_);
-  index_ = std::move(other.index_);
-  size_ = other.size_;
-  other.size_ = 0;
-  staging_ = std::move(other.staging_);
-  cols_ = std::move(other.cols_);
-  block_options_ = other.block_options_;
-  store_ = std::move(other.store_);
-  other.store_.reset();
-  hot_valid_ = other.hot_valid_;
-  other.hot_valid_ = true;
-  storage_epoch_ = other.storage_epoch_;
-  read_only_ = other.read_only_;
-}
+Moft::Moft(Moft&& other) noexcept { *this = std::move(other); }
 
 Moft& Moft::operator=(Moft&& other) noexcept {
   if (this != &other) {
@@ -81,6 +54,7 @@ Moft& Moft::operator=(Moft&& other) noexcept {
     other.size_ = 0;
     staging_ = std::move(other.staging_);
     cols_ = std::move(other.cols_);
+    other.cols_.seal_epoch = 0;  // The next read reseals an empty table.
     block_options_ = other.block_options_;
     store_ = std::move(other.store_);
     other.store_.reset();
@@ -144,7 +118,7 @@ void Moft::EnsureSealedLocked() const {
 }
 
 void Moft::EnsureHotLocked() const {
-  if (hot_valid_ || !store_) {
+  if (hot_valid_) {
     return;
   }
   store_->MaterializeInto(&cols_);
@@ -239,11 +213,7 @@ void Moft::SealLocked() const {
 
   ++cols_.seal_epoch;
   ++storage_epoch_;
-  if (block_options_.enabled()) {
-    store_.emplace(MoftBlockStore::Build(cols_, block_options_));
-  } else {
-    store_.reset();
-  }
+  store_.emplace(MoftBlockStore::Build(cols_, block_options_));
   hot_valid_ = true;
 }
 
@@ -343,40 +313,24 @@ SampleWindow Moft::SamplesBetween(TimePoint t0, TimePoint t1,
   std::vector<SampleWindow::Range> ranges;
   size_t total = 0;
   if (!(t1 < t0)) {
-    // With a block store, whole blocks whose time zonemap misses [t0, t1]
-    // are skipped without probing any of their spans. The ranges come out
-    // identical either way: a skipped block contains no matching rows.
-    const MoftBlockStore* store = nullptr;
-    size_t block = 0;
-    {
-      std::lock_guard<std::mutex> lock(seal_mu_);
-      store = store_ ? &*store_ : nullptr;
-    }
-    auto probe_span = [&](const MoftColumns::Span& span) {
-      const auto [begin, end] =
-          WindowRowsOf(cols, span, t0.seconds, t1.seconds);
-      if (begin == end) {
-        return;
-      }
-      ranges.push_back(SampleWindow::Range{begin, end, total});
-      total += end - begin;
-    };
-    if (store != nullptr) {
-      for (block = 0; block < store->num_blocks(); ++block) {
-        const BlockMeta& m = store->meta(block);
-        if (m.t_max < t0.seconds || t1.seconds < m.t_min) {
-          if (io != nullptr) {
-            ++io->blocks_skipped;
-          }
-          continue;
+    // Whole blocks whose time zonemap misses [t0, t1] are skipped without
+    // probing any of their spans: a skipped block has no matching rows.
+    const MoftBlockStore& store = *block_store();
+    for (size_t block = 0; block < store.num_blocks(); ++block) {
+      const BlockMeta& m = store.meta(block);
+      if (m.t_max < t0.seconds || t1.seconds < m.t_min) {
+        if (io != nullptr) {
+          ++io->blocks_skipped;
         }
-        for (size_t s = m.span_begin; s < m.span_end; ++s) {
-          probe_span(cols.spans[s]);
-        }
+        continue;
       }
-    } else {
-      for (const MoftColumns::Span& span : cols.spans) {
-        probe_span(span);
+      for (size_t s = m.span_begin; s < m.span_end; ++s) {
+        const auto [begin, end] =
+            WindowRowsOf(cols, cols.spans[s], t0.seconds, t1.seconds);
+        if (begin < end) {
+          ranges.push_back(SampleWindow::Range{begin, end, total});
+          total += end - begin;
+        }
       }
     }
   }
@@ -396,10 +350,7 @@ uint64_t Moft::storage_epoch() const {
 TableBlocks Moft::Blocks() const {
   std::lock_guard<std::mutex> lock(seal_mu_);
   EnsureSealedLocked();
-  if (store_) {
-    return TableBlocks(nullptr, &*store_);
-  }
-  return TableBlocks(&cols_, nullptr);
+  return TableBlocks(cols_, *store_);
 }
 
 const MoftBlockStore* Moft::block_store() const {
@@ -409,7 +360,7 @@ const MoftBlockStore* Moft::block_store() const {
 
 void Moft::ReleaseHot() const {
   std::lock_guard<std::mutex> lock(seal_mu_);
-  if (!store_ || !hot_valid_ || !staging_.empty()) {
+  if (!store_ || !store_->compressed() || !hot_valid_ || !staging_.empty()) {
     return;  // Nothing to fall back on, or staged rows still need the hot
              // tier for the next merge.
   }
@@ -427,18 +378,7 @@ void Moft::ReleaseHot() const {
 Status Moft::Save(const std::string& path) const {
   std::lock_guard<std::mutex> lock(seal_mu_);
   EnsureSealedLocked();
-  if (store_) {
-    return store_->Save(path);
-  }
-  // No store configured: encode through a transient one so the on-disk
-  // format is identical either way. 64k-row blocks keep Open's paging
-  // granularity useful.
-  BlockOptions opts = block_options_;
-  if (opts.block_rows == 0) {
-    opts.block_rows = 65536;
-  }
-  opts.compress = true;
-  return MoftBlockStore::Build(cols_, opts).Save(path);
+  return store_->Save(path, &cols_);
 }
 
 Result<Moft> Moft::Open(const std::string& path) {
@@ -466,16 +406,7 @@ Status Moft::SpillToDisk() const {
     path = dir + "/moft-" +
            std::to_string(reinterpret_cast<uintptr_t>(this)) + "-" +
            std::to_string(storage_epoch_) + ".pietblk";
-    if (store_) {
-      PIET_RETURN_NOT_OK(store_->Save(path));
-    } else {
-      BlockOptions opts = block_options_;
-      if (opts.block_rows == 0) {
-        opts.block_rows = 65536;
-      }
-      opts.compress = true;
-      PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols_, opts).Save(path));
-    }
+    PIET_RETURN_NOT_OK(store_->Save(path, &cols_));
     Result<MoftBlockStore> mapped = MoftBlockStore::Open(path);
     // The mapping keeps the spilled bytes alive, and nothing reopens the
     // file by name, so it goes now instead of outliving the process.
@@ -507,9 +438,6 @@ Moft::StorageFootprint Moft::Footprint() const {
       fp.spilled_bytes = store_->stored_bytes();
     } else if (store_->compressed()) {
       fp.compressed_bytes = store_->stored_bytes();
-    } else {
-      // Raw in-memory blocks: the payload bytes are resident columns.
-      fp.resident_bytes += store_->stored_bytes();
     }
   }
   return fp;
@@ -519,46 +447,16 @@ MoftCatalogStats Moft::CatalogStats() const {
   std::lock_guard<std::mutex> lock(seal_mu_);
   EnsureSealedLocked();
   MoftCatalogStats st;
-  if (store_) {
-    st.rows = store_->total_rows();
-    st.spans = store_->total_spans();
-    st.num_blocks = store_->num_blocks();
-    st.has_block_store = true;
-    st.compressed = store_->compressed();
-    st.mapped = store_->mapped();
-    st.stored_bytes = store_->stored_bytes();
-    st.raw_bytes = store_->raw_bytes();
-    st.blocks.reserve(st.num_blocks);
-    for (size_t b = 0; b < st.num_blocks; ++b) {
-      st.blocks.push_back(store_->meta(b));
-    }
-    return st;
-  }
-  st.rows = cols_.size();
-  st.spans = cols_.spans.size();
-  st.num_blocks = 1;  // TableBlocks presents one synthetic block.
-  st.stored_bytes = cols_.size() * 4 * sizeof(double);
-  st.raw_bytes = st.stored_bytes;
-  if (cols_.size() > 0) {
-    BlockMeta m;
-    m.row_begin = 0;
-    m.row_end = cols_.size();
-    m.span_begin = 0;
-    m.span_end = cols_.spans.size();
-    m.oid_min = cols_.spans.front().oid;
-    m.oid_max = cols_.spans.back().oid;
-    m.t_min = m.t_max = cols_.t.front();
-    m.x_min = m.x_max = cols_.x.front();
-    m.y_min = m.y_max = cols_.y.front();
-    for (size_t i = 1; i < cols_.size(); ++i) {
-      m.t_min = std::min(m.t_min, cols_.t[i]);
-      m.t_max = std::max(m.t_max, cols_.t[i]);
-      m.x_min = std::min(m.x_min, cols_.x[i]);
-      m.x_max = std::max(m.x_max, cols_.x[i]);
-      m.y_min = std::min(m.y_min, cols_.y[i]);
-      m.y_max = std::max(m.y_max, cols_.y[i]);
-    }
-    st.blocks.push_back(m);
+  st.rows = store_->total_rows();
+  st.spans = store_->total_spans();
+  st.num_blocks = store_->num_blocks();
+  st.compressed = store_->compressed();
+  st.mapped = store_->mapped();
+  st.stored_bytes = store_->stored_bytes();
+  st.raw_bytes = store_->raw_bytes();
+  st.blocks.reserve(st.num_blocks);
+  for (size_t b = 0; b < st.num_blocks; ++b) {
+    st.blocks.push_back(store_->meta(b));
   }
   return st;
 }

@@ -39,28 +39,28 @@ namespace piet::moving {
 /// mutation (SampleView::valid() checks the seal epoch) and must not
 /// outlive the Moft.
 ///
-/// Block storage: when BlockOptions are enabled (PIET_BLOCK_ROWS /
-/// PIET_COMPRESS / PIET_SIMPLIFY_EPS, or SetBlockOptions), sealing also
-/// builds a MoftBlockStore of span-aligned immutable chunks with per-block
-/// zonemaps. Block-iterating consumers — every query path — go through
-/// Blocks() and never need the whole table in RAM; the whole-table view
-/// API above is served by a hot tier materialized from the blocks on
-/// demand (and releasable with ReleaseHot). Save/Open round-trip the blocks through an mmap-backed
-/// on-disk format so a MOFT larger than RAM spills and pages per block.
+/// Block storage: every seal also builds a MoftBlockStore directory of
+/// span-aligned blocks with per-block zonemaps (BlockOptions: PIET_BLOCK_ROWS
+/// / PIET_COMPRESS / PIET_SIMPLIFY_EPS, or SetBlockOptions). By default a
+/// block is a row range of the sealed columns; with `compress` each block
+/// also carries a codec payload, and the whole-table view API above is
+/// served by a hot tier materialized from the blocks on demand (and
+/// releasable with ReleaseHot). Block-iterating consumers — every query
+/// path — go through Blocks() and never need the whole table in RAM.
+/// Save/Open round-trip the blocks through an mmap-backed on-disk format
+/// so a MOFT larger than RAM spills and pages per block.
 
 /// Catalog-level storage statistics exported to the static query
 /// estimator (src/analysis/estimate/): row/span totals, block count and
 /// storage-tier flags, per-block zonemaps (copied), and stored vs raw byte
-/// footprints. Without a block store `blocks` holds one synthetic
-/// whole-table meta so window math works uniformly.
+/// footprints.
 struct MoftCatalogStats {
   size_t rows = 0;
   size_t spans = 0;
   size_t num_blocks = 0;
-  bool has_block_store = false;
-  bool compressed = false;  ///< Blocks are codec-encoded in memory.
+  bool compressed = false;  ///< Blocks carry codec payloads.
   bool mapped = false;      ///< Blocks page from an mmap-backed file.
-  size_t stored_bytes = 0;  ///< Sealed storage footprint (payload bytes).
+  size_t stored_bytes = 0;  ///< Payload bytes, or the hot column bytes.
   size_t raw_bytes = 0;     ///< Equivalent raw SoA footprint (32 B/row).
   std::vector<BlockMeta> blocks;
 };
@@ -102,9 +102,9 @@ class Moft {
 
   /// Samples with t in the closed window [t0, t1], ordered by (oid, t) —
   /// one binary search per object span on the time column, no copies.
-  /// With a block store, blocks whose time zonemap misses the window are
-  /// skipped wholesale; pass `io` to observe the skip counts (only
-  /// blocks_skipped moves — the probe reads hot columns, never pins).
+  /// Blocks whose time zonemap misses the window are skipped wholesale;
+  /// pass `io` to observe the skip counts (only blocks_skipped moves — the
+  /// probe reads hot columns, never pins).
   SampleWindow SamplesBetween(temporal::TimePoint t0, temporal::TimePoint t1,
                               BlockIoStats* io = nullptr) const;
 
@@ -121,8 +121,7 @@ class Moft {
 
   /// Per-block access to the sealed storage for one block-iterating scan
   /// (seals first when dirty, but does NOT materialize the hot tier).
-  /// Without a block store this presents the columns as one synthetic
-  /// block. Borrows the Moft; invalidated by the next mutation + seal.
+  /// Borrows the Moft; invalidated by the next mutation + seal.
   TableBlocks Blocks() const;
 
   /// Block storage knobs applied at the next seal. Defaults to
@@ -130,14 +129,14 @@ class Moft {
   void SetBlockOptions(const BlockOptions& opts) { block_options_ = opts; }
   const BlockOptions& block_options() const { return block_options_; }
 
-  /// The sealed block store; nullptr when block storage is disabled or
-  /// nothing has been sealed yet.
+  /// The sealed block store; nullptr until the first seal.
   const MoftBlockStore* block_store() const;
 
   /// Drops the materialized hot columns, keeping only the block store
   /// (compressed or mmap-backed bytes). Whole-table reads re-materialize
   /// on demand; outstanding views turn invalid (the seal epoch bumps).
-  /// No-op without a block store or with staged unsealed rows.
+  /// No-op when the blocks have no payloads (the hot columns are the only
+  /// copy of the rows) or with staged unsealed rows.
   void ReleaseHot() const;
 
   /// Writes the sealed blocks as an on-disk block file (always
@@ -157,12 +156,12 @@ class Moft {
   Status SpillToDisk() const;
 
   /// Point-in-time storage-tier accounting of one MOFT, for the telemetry
-  /// gauges: where the bytes live right now (hot SoA columns, raw blocks,
-  /// in-memory codec payloads, mmap-backed file) and how many block pins
+  /// gauges: where the bytes live right now (hot SoA columns, in-memory
+  /// codec payloads, mmap-backed file) and how many block pins
   /// are outstanding. Cheap — reads sizes under the seal lock, never
   /// seals or decodes.
   struct StorageFootprint {
-    size_t resident_bytes = 0;    ///< Hot columns + raw in-memory blocks.
+    size_t resident_bytes = 0;    ///< Hot columns and staged rows.
     size_t compressed_bytes = 0;  ///< In-memory codec payload bytes.
     size_t spilled_bytes = 0;     ///< mmap-backed on-disk payload bytes.
     int64_t live_pins = 0;        ///< Outstanding block pins.

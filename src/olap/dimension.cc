@@ -118,9 +118,9 @@ Status DimensionInstance::AddMember(const std::string& level,
     return Status::NotFound("no level '" + level + "' in dimension '" +
                             schema_.name() + "'");
   }
-  auto& list = members_[level];
-  if (std::find(list.begin(), list.end(), member) == list.end()) {
-    list.push_back(member);
+  LevelMembers& members = members_[level];
+  if (members.index.insert(member).second) {
+    members.list.push_back(member);
   }
   return Status::OK();
 }
@@ -160,7 +160,7 @@ Result<std::vector<Value>> DimensionInstance::Members(
   if (it == members_.end()) {
     return std::vector<Value>{};
   }
-  return it->second;
+  return it->second.list;
 }
 
 bool DimensionInstance::HasMember(const std::string& level,
@@ -172,8 +172,7 @@ bool DimensionInstance::HasMember(const std::string& level,
   if (it == members_.end()) {
     return false;
   }
-  return std::find(it->second.begin(), it->second.end(), member) !=
-         it->second.end();
+  return it->second.index.count(member) > 0;
 }
 
 Result<Value> DimensionInstance::RollupValue(const std::string& fine,
@@ -232,7 +231,7 @@ Status DimensionInstance::CheckConsistency() const {
         continue;  // Implicit rollup to "all".
       }
       auto map_it = rollups_.find(EdgeKey(level, up));
-      for (const Value& m : mem_it->second) {
+      for (const Value& m : mem_it->second.list) {
         if (map_it == rollups_.end() || !map_it->second.count(m)) {
           return Status::InvalidArgument(
               "rollup " + level + "->" + up + " undefined for member " +
@@ -260,7 +259,7 @@ Status DimensionInstance::CheckConsistency() const {
               !schema_.RollsUp(parents[j], target)) {
             continue;
           }
-          for (const Value& m : mem_it->second) {
+          for (const Value& m : mem_it->second.list) {
             Result<Value> via_i = RollupValue(level, m, parents[i]);
             Result<Value> via_j = RollupValue(level, m, parents[j]);
             if (!via_i.ok() || !via_j.ok()) {

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -107,8 +108,15 @@ class DimensionInstance {
     return fine + "\x1f" + coarse;
   }
 
+  /// The members of one level: in insertion order (outputs read it),
+  /// plus a hash index so adding a member is O(1).
+  struct LevelMembers {
+    std::vector<Value> list;
+    std::unordered_set<Value, ValueHash> index;
+  };
+
   DimensionSchema schema_;
-  std::unordered_map<std::string, std::vector<Value>> members_;
+  std::unordered_map<std::string, LevelMembers> members_;
   std::unordered_map<std::string, ValueMap> rollups_;
 };
 

@@ -247,9 +247,9 @@ constexpr const char* kInsideCount =
     "SELECT layer.Ln; FROM PietSchema; WHERE ATTR(layer.Ln, income) < 1500 "
     "| SELECT COUNT(DISTINCT OID) FROM FMbus WHERE INSIDE RESULT";
 
-// The Figure 1 database with FMbus registered under explicit storage (no
-// block store), so the golden does not follow PIET_BLOCK_ROWS /
-// PIET_COMPRESS from the environment.
+// The Figure 1 database with FMbus registered under explicit storage (the
+// default options: one block without a payload), so the golden does not
+// follow PIET_BLOCK_ROWS / PIET_COMPRESS from the environment.
 std::unique_ptr<core::GeoOlapDatabase> Figure1WithoutBlocks() {
   auto scenario = workload::BuildFigure1Scenario();
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
@@ -281,7 +281,7 @@ TEST(ExplainEstimateTest, GoldenOverFigure1) {
             "estimate (clause=inside_result)\n"
             "  geo_filter      layer=Ln conditions=1 ids=[1,1] exact=yes\n"
             "  moft_intersect  moft=FMbus rows_scanned=[12,12] tuples=[0,12] "
-            "blocks=[0,0] blocks_skipped=[0,0] blocks_decoded=[0,0] "
+            "blocks=[1,1] blocks_skipped=[0,0] blocks_decoded=[0,0] "
             "cache_servable=no\n"
             "  aggregate       kind=count_distinct_oid result_rows=[1,1]\n"
             "cost ~ 576 (bytes_decoded=[0,0])");

@@ -1,14 +1,14 @@
 // Cold-scan oracle: every engine method and every Piet-QL moft_intersect
 // branch — each sample scan under both a pure window (the window probe)
 // and a window with a rollup conjunct (the row walk) — answers the same
-// over each storage tier — hot without a block store, raw blocks,
-// compressed blocks with the hot tier released, and a spilled file with
-// the hot tier released — at 1 and 4 threads. On the released tiers no
-// query rebuilds the whole-table hot tier, each query decodes an admitted
-// block at most once, and every pin is back once the query returns. Each
-// Piet-QL query's fix-it answers like the query as written, and a query
-// FixQuery leaves alone scans alike in both runs. A block file whose
-// payload fails to decode fails the query instead of dropping rows.
+// over each storage tier — one hot block, 256-row hot blocks without
+// payloads, compressed blocks with the hot tier released, and a spilled
+// file with the hot tier released — at 1 and 4 threads. On the released
+// tiers no query rebuilds the whole-table hot tier, each query decodes an
+// admitted block at most once, and every pin is back once the query
+// returns. Each Piet-QL query's fix-it answers like the query as written,
+// and a query FixQuery leaves alone scans alike in both runs. A block file
+// whose payload fails to decode fails the query instead of dropping rows.
 
 #include <gtest/gtest.h>
 
@@ -47,12 +47,12 @@ using workload::City;
 constexpr double kEraSeconds = 3600.0;
 constexpr int kEras = 3;
 
-enum class Tier { kHot, kRawBlocks, kCompressed, kSpilled };
+enum class Tier { kHot, kHotBlocks, kCompressed, kSpilled };
 
 const char* TierName(Tier tier) {
   switch (tier) {
     case Tier::kHot: return "hot";
-    case Tier::kRawBlocks: return "raw_blocks";
+    case Tier::kHotBlocks: return "hot_blocks";
     case Tier::kCompressed: return "compressed";
     case Tier::kSpilled: return "spilled";
   }
@@ -87,7 +87,7 @@ Moft MakeCars(const City& city, Tier tier) {
   BlockOptions opts;
   if (tier != Tier::kHot) {
     opts.block_rows = 256;
-    opts.compress = tier != Tier::kRawBlocks;
+    opts.compress = tier != Tier::kHotBlocks;
     opts.spill_dir = ::testing::TempDir();
   }
   Moft out;
@@ -182,19 +182,17 @@ class ColdScan {
     tier_ = tier;
     Answers out;
     // Blocks the window admits; every query here carries the window.
-    size_t admitted = 1;
-    if (const moving::MoftBlockStore* store = moft_->block_store()) {
-      moving::ZoneFilter filter;
-      filter.window = kWindow;
-      admitted = 0;
-      for (size_t b = 0; b < store->num_blocks(); ++b) {
-        admitted += filter.Admits(store->meta(b)) ? 1 : 0;
-      }
-      EXPECT_LT(admitted, store->num_blocks()) << "the window prunes nothing";
+    const moving::MoftBlockStore& store = *moft_->block_store();
+    moving::ZoneFilter filter;
+    filter.window = kWindow;
+    size_t admitted = 0;
+    for (size_t b = 0; b < store.num_blocks(); ++b) {
+      admitted += filter.Admits(store.meta(b)) ? 1 : 0;
     }
-    const size_t all_blocks =
-        moft_->block_store() != nullptr ? moft_->block_store()->num_blocks()
-                                        : 1;
+    if (tier != Tier::kHot) {
+      EXPECT_LT(admitted, store.num_blocks()) << "the window prunes nothing";
+    }
+    const size_t all_blocks = store.num_blocks();
     const std::string& nb = city_->neighborhoods_layer;
     const GeometryPredicate low =
         GeometryPredicate::AttributeLess("income", 1500.0);
@@ -331,15 +329,17 @@ TEST(ColdScanTest, EveryTierAnswersLikeTheHotTable) {
   std::unique_ptr<Answers> hot_plain;
   std::unique_ptr<Answers> hot_classified;
   for (Tier tier :
-       {Tier::kHot, Tier::kRawBlocks, Tier::kCompressed, Tier::kSpilled}) {
+       {Tier::kHot, Tier::kHotBlocks, Tier::kCompressed, Tier::kSpilled}) {
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(TierName(tier)) + "/threads=" +
                    std::to_string(threads));
       std::unique_ptr<City> city = MakeCity();
       ASSERT_TRUE(city->db->AddMoft("cars", MakeCars(*city, tier)).ok());
-      ASSERT_EQ(city->db->GetMoft("cars").ValueOrDie()->block_store() !=
-                    nullptr,
-                tier != Tier::kHot);
+      const moving::MoftBlockStore* store =
+          city->db->GetMoft("cars").ValueOrDie()->block_store();
+      ASSERT_NE(store, nullptr);
+      EXPECT_EQ(store->compressed(),
+                tier == Tier::kCompressed || tier == Tier::kSpilled);
       ColdScan scan(city.get(), threads);
       // Without an overlay INSIDE RESULT tests polygons; with one it
       // serves the classification (built here, outside any query).

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/pietql/evaluator.h"
 #include "core/pietql/lexer.h"
 #include "core/pietql/parser.h"
+#include "geometry/polygon.h"
+#include "gis/instance.h"
+#include "gis/layer.h"
 #include "workload/scenario.h"
 
 namespace piet::core::pietql {
@@ -147,6 +152,52 @@ TEST_F(PietQlEvalTest, GeoPartContainsSchools) {
       "WHERE CONTAINS(layer.Ln, layer.Ls)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.ValueOrDie().geometry_ids.size(), 3u);
+}
+
+TEST(PietQlContainsTest, HolesLeaveTheirInteriorOut) {
+  // Case k sits at x offset 100k: a 20x20 polygon of layer Lh with the
+  // hole [8,12]^2, and one polygon of layer Lo placed against the hole.
+  gis::GisDimensionSchema schema;
+  ASSERT_TRUE(
+      schema.AddLayerGraph("Lh", gis::GeometryGraph::PolygonLayerGraph())
+          .ok());
+  ASSERT_TRUE(
+      schema.AddLayerGraph("Lo", gis::GeometryGraph::PolygonLayerGraph())
+          .ok());
+  gis::GisDimensionInstance instance(std::move(schema));
+  auto holed = std::make_shared<gis::Layer>("Lh", gis::GeometryKind::kPolygon);
+  auto others = std::make_shared<gis::Layer>("Lo", gis::GeometryKind::kPolygon);
+  const double others_at[][4] = {
+      {5, 5, 15, 15},   // 0: the hole strictly inside.
+      {12, 12, 16, 16}, // 1: the hole touches it at a vertex.
+      {12, 8, 16, 12},  // 2: the hole touches it along an edge.
+      {8, 6, 12, 14},   // 3: hole vertices on its boundary, interior in.
+  };
+  for (int k = 0; k < 4; ++k) {
+    const double dx = 100.0 * k;
+    ASSERT_TRUE(holed
+                    ->AddPolygon(geometry::Polygon(
+                        geometry::Ring({{dx, 0}, {dx + 20, 0},
+                                        {dx + 20, 20}, {dx, 20}}),
+                        {geometry::Ring({{dx + 8, 8}, {dx + 12, 8},
+                                         {dx + 12, 12}, {dx + 8, 12}})}))
+                    .ok());
+    const double* r = others_at[k];
+    ASSERT_TRUE(others
+                    ->AddPolygon(geometry::MakeRectangle(dx + r[0], r[1],
+                                                         dx + r[2], r[3]))
+                    .ok());
+  }
+  ASSERT_TRUE(instance.AddLayer(holed).ok());
+  ASSERT_TRUE(instance.AddLayer(others).ok());
+  GeoOlapDatabase db(std::move(instance));
+  Evaluator eval(&db);
+  auto result = eval.EvaluateString(
+      "SELECT layer.Lh; FROM S; WHERE CONTAINS(layer.Lh, layer.Lo)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<gis::GeometryId> ids = result.ValueOrDie().geometry_ids;
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<gis::GeometryId>{1, 2}));
 }
 
 TEST_F(PietQlEvalTest, PaperStyleCompositeGeoQuery) {

@@ -135,6 +135,27 @@ TEST(PolygonTest, ContainsPolygon) {
   EXPECT_TRUE(big.ContainsPolygon(big));
 }
 
+TEST(PolygonTest, ContainsPolygonRespectsHoles) {
+  const Ring hole({{8, 8}, {12, 8}, {12, 12}, {8, 12}});
+  const Polygon holed(Ring({{0, 0}, {20, 0}, {20, 20}, {0, 20}}), {hole});
+  // The hole strictly inside `other`: no vertex of `other` falls in it.
+  EXPECT_FALSE(holed.ContainsPolygon(MakeRectangle(5, 5, 15, 15)));
+  // The hole touching `other` from outside: at a vertex, along a whole
+  // edge, along part of one.
+  EXPECT_TRUE(holed.ContainsPolygon(MakeRectangle(12, 12, 16, 16)));
+  EXPECT_TRUE(holed.ContainsPolygon(MakeRectangle(12, 8, 16, 12)));
+  EXPECT_TRUE(holed.ContainsPolygon(MakeRectangle(12, 10, 16, 14)));
+  // Every vertex of the hole on `other`'s boundary, the hole's interior
+  // inside `other`'s.
+  EXPECT_FALSE(holed.ContainsPolygon(MakeRectangle(8, 6, 12, 14)));
+  EXPECT_FALSE(holed.ContainsPolygon(
+      Polygon(Ring({{10, 6}, {14, 10}, {10, 14}, {6, 10}}))));
+  // `other` is the hole itself; `other` has the same hole.
+  EXPECT_FALSE(holed.ContainsPolygon(MakeRectangle(8, 8, 12, 12)));
+  EXPECT_TRUE(holed.ContainsPolygon(
+      Polygon(Ring({{5, 5}, {15, 5}, {15, 15}, {5, 15}}), {hole})));
+}
+
 TEST(PolygonTest, MakeRegularPolygon) {
   Polygon hex = MakeRegularPolygon({0, 0}, 2.0, 6);
   EXPECT_EQ(hex.shell().size(), 6u);

@@ -1,7 +1,7 @@
-// Bit-identity contract of the chunked block store (PR 8): every query
-// type must produce byte-identical relations whether the MOFT is stored
-// as one raw sealed SoA, as blocked raw chunks, as codec-compressed
-// blocks (hot tier released), or mmap-spilled to disk — and for each
+// Bit-identity contract of the chunked block store: every query type must
+// produce byte-identical relations whether the MOFT is stored as one hot
+// block, as many hot blocks without payloads, as codec-compressed blocks
+// (hot tier released), or mmap-spilled to disk — and for each
 // tier, whether the engine fans out over 1 or 4 threads. Chunk plans and
 // block skip decisions depend only on the input size, so the per-tier
 // stats must be thread-count independent too.
@@ -37,12 +37,12 @@ using workload::City;
 using workload::CityConfig;
 using workload::TrajectoryConfig;
 
-enum class Tier { kRaw, kBlockedRaw, kCompressed, kSpilled };
+enum class Tier { kRaw, kHotBlocks, kCompressed, kSpilled };
 
 const char* TierName(Tier tier) {
   switch (tier) {
     case Tier::kRaw: return "raw";
-    case Tier::kBlockedRaw: return "blocked_raw";
+    case Tier::kHotBlocks: return "hot_blocks";
     case Tier::kCompressed: return "compressed";
     case Tier::kSpilled: return "spilled";
   }
@@ -55,9 +55,11 @@ const char* TierName(Tier tier) {
 /// the raw baseline.
 Moft Repack(const Moft& base, Tier tier) {
   BlockOptions opts;
-  if (tier != Tier::kRaw) {
+  if (tier == Tier::kHotBlocks) {
+    opts.block_rows = 64;  // Payload-less blocks: ranges of the hot columns.
+  } else if (tier != Tier::kRaw) {
     opts.block_rows = 256;  // Small blocks: many seams inside the table.
-    opts.compress = tier != Tier::kBlockedRaw;
+    opts.compress = true;
     opts.spill_dir = ::testing::TempDir();
   }
   Moft out;
@@ -203,7 +205,7 @@ TEST(BlockIdentityTest, AllQueryTypesMatchRawAcrossTiersAndThreads) {
   ref.set_num_threads(1);
 
   for (Tier tier :
-       {Tier::kBlockedRaw, Tier::kCompressed, Tier::kSpilled}) {
+       {Tier::kHotBlocks, Tier::kCompressed, Tier::kSpilled}) {
     for (int threads : {1, 4}) {
       auto city = MakeCity(threads, tier);
       QueryEngine engine(city->db.get());
@@ -212,9 +214,25 @@ TEST(BlockIdentityTest, AllQueryTypesMatchRawAcrossTiersAndThreads) {
           std::string(TierName(tier)) + "/t" + std::to_string(threads);
       CompareAllQueries(*ref_city, ref, *city, engine, tag);
       const moving::Moft* moft = city->db->GetMoft("cars").ValueOrDie();
-      if (tier != Tier::kRaw) {
-        ASSERT_NE(moft->block_store(), nullptr) << tag;
+      const moving::MoftBlockStore* store = moft->block_store();
+      ASSERT_NE(store, nullptr) << tag;
+      EXPECT_GT(store->num_blocks(), 1u) << tag;
+      // Hot blocks are read in place; payload blocks pin and decode.
+      ASSERT_TRUE(engine
+                      .SampleRegion("cars", city->neighborhoods_layer,
+                                    GeometryPredicate::AttributeLess(
+                                        "income", 1500.0),
+                                    TimePredicate(), Strategy::kNaive)
+                      .ok())
+          << tag;
+      const moving::BlockIoStats& io = engine.stats().blocks;
+      EXPECT_EQ(store->compressed(), tier != Tier::kHotBlocks) << tag;
+      if (tier == Tier::kHotBlocks) {
+        EXPECT_EQ(io.blocks_pinned, 0u) << tag << ": a hot read pinned";
+      } else {
+        EXPECT_GT(io.blocks_pinned, 0u) << tag;
       }
+      EXPECT_EQ(io.blocks_decoded, io.blocks_pinned) << tag;
     }
   }
 }

@@ -38,7 +38,8 @@ inline Result<Moft> MoftFromBlockFile(const MoftColumns& cols,
                                       const std::string& name) {
   const std::string path =
       (std::filesystem::temp_directory_path() / name).string();
-  PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, BlockOptions{}).Save(path));
+  PIET_RETURN_NOT_OK(
+      MoftBlockStore::Build(cols, BlockOptions{}).Save(path, &cols));
   Result<Moft> opened = Moft::Open(path);
   std::filesystem::remove(path);
   return opened;
@@ -53,7 +54,7 @@ inline Result<Moft> MoftFromGarbledBlockFile(const MoftColumns& cols,
                                              const std::string& name) {
   const std::string path =
       (std::filesystem::temp_directory_path() / name).string();
-  PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, opts).Save(path));
+  PIET_RETURN_NOT_OK(MoftBlockStore::Build(cols, opts).Save(path, &cols));
   {
     // File layout: a 40-byte header, then one directory entry per block
     // whose first field is the block's u64 payload offset. A payload

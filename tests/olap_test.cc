@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "olap/aggregate.h"
 #include "olap/cube.h"
@@ -92,6 +93,21 @@ TEST(DimensionInstanceTest, ConsistencyAcceptsComplete) {
   ASSERT_TRUE(
       dim.AddRollup("city", Value("A"), "country", Value("BE")).ok());
   EXPECT_TRUE(dim.CheckConsistency().ok());
+}
+
+TEST(DimensionInstanceTest, MembersKeepInsertionOrderAndDedupe) {
+  DimensionInstance dim(GeoSchema());
+  for (const Value& v : {Value("c"), Value("a"), Value("c"), Value(2),
+                         Value(2.0), Value("b"), Value("a")}) {
+    ASSERT_TRUE(dim.AddMember("neighborhood", v).ok());
+  }
+  // 2 and 2.0 compare equal, so the second is a duplicate.
+  EXPECT_EQ(dim.Members("neighborhood").ValueOrDie(),
+            (std::vector<Value>{Value("c"), Value("a"), Value(2),
+                                Value("b")}));
+  EXPECT_TRUE(dim.HasMember("neighborhood", Value(2.0)));
+  EXPECT_FALSE(dim.HasMember("neighborhood", Value("d")));
+  EXPECT_FALSE(dim.HasMember("city", Value("c")));
 }
 
 TEST(DimensionInstanceTest, UnknownLevels) {
