@@ -61,6 +61,20 @@ if grep -nE "(OrderedReduce|ParallelFor|ForEach(RowRange|Span|SpanRange|WindowRa
   exit 1
 fi
 
+# One operator set for both front ends (DESIGN.md §8.1): the Piet-QL
+# evaluator keeps parsing, the geometric part and the γ finish, and its
+# moft_intersect calls the engine's γ-state operator for its clause
+# (QueryEngine::WindowState / RegionState / TrajectoryState / NearState).
+# It never scans blocks, classifies samples, probes the aggregate cache or
+# runs a geometry kernel itself.
+if grep -nE 'BlockScan|ClassifySamples\(|AggCache\(|#include "core/geometry/batch\.h"' \
+     src/core/pietql/evaluator.cc; then
+  echo "error: src/core/pietql/evaluator.cc lowers moft_intersect onto the" \
+       "engine's gamma-state operators (src/core/engine.h), never onto" \
+       "BlockScan, ClassifySamples, AggCache or core/geometry/batch.h" >&2
+  exit 1
+fi
+
 # Every per-object LIT operator clips the object to its time predicate
 # through one helper, core::ClipToTime (src/core/scan.h): it computes
 # time_ok with TimePredicate::MatchingIntervals and keeps only the legs
@@ -96,12 +110,12 @@ if grep -rnE "PIET_REWRITE|set_rewrite_mode|rewrite_on" \
 fi
 
 # The sample-semantics count helpers fold region C into distinct keys
-# inside the scan (QueryEngine::RegionObjects). A helper that called
+# inside the scan (QueryEngine::RegionState). A helper that called
 # SampleRegion would materialize every matched row as a boxed FactTable
 # row only to count it, so src/core/queries.cc may not call it.
 if grep -n "SampleRegion(" src/core/queries.cc; then
   echo "error: count helpers in src/core/queries.cc fold through" \
-       "QueryEngine::RegionObjects, never SampleRegion" >&2
+       "QueryEngine::RegionState, never SampleRegion" >&2
   exit 1
 fi
 

@@ -91,18 +91,6 @@ std::vector<temporal::Interval> FringeSlices(const temporal::Interval& w) {
           temporal::Interval(TimePoint(lo2), TimePoint(hi2))};
 }
 
-/// A sub-hour rollup is the one granularity hour buckets cannot decide.
-/// Callers pre-gate, but a direct serve attempt still falls back
-/// observably rather than silently.
-bool RefusesSubHour(const TimePredicate& when) {
-  if (when.has_sub_hour_rollup() && obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("pietql.aggcache.fallback_subhour")
-        .Add(1);
-  }
-  return when.has_sub_hour_rollup();
-}
-
 /// Flushes one serve's decomposition into the pietql.aggcache.* counters.
 void CountServe(const AggServeStats& st) {
   if (!obs::Enabled()) {
@@ -509,7 +497,9 @@ void AggCacheEntry::ForEachExactRow(
 std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  if (RefusesSubHour(when)) {
+  // Hour buckets cannot decide a sub-hour rollup; QueryEngine's cache
+  // probe refuses it first and counts the fallback.
+  if (when.has_sub_hour_rollup()) {
     return std::nullopt;
   }
   RegionAggregate out;
@@ -579,7 +569,9 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
 std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  if (RefusesSubHour(when)) {
+  // Hour buckets cannot decide a sub-hour rollup; QueryEngine's cache
+  // probe refuses it first and counts the fallback.
+  if (when.has_sub_hour_rollup()) {
     return std::nullopt;
   }
   AlwaysWithinResult out;

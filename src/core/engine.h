@@ -36,9 +36,9 @@ std::string_view StrategyToString(Strategy s);
 using EngineStats = ScanStats;
 
 /// Evaluates the paper's spatio-temporal aggregate queries against a
-/// GeoOlapDatabase. Each method produces the *region C* as a finite
-/// relation (a FactTable); classical aggregation (olap::Aggregate, Def. 7)
-/// is then applied by the caller or by the helpers in queries.h.
+/// GeoOlapDatabase. Each method produces the *region C*, as a finite
+/// relation (a FactTable) or folded into γ's state; classical aggregation
+/// (Def. 7) is then applied by the caller or by the helpers in queries.h.
 class QueryEngine {
  public:
   /// `db` must outlive the engine.
@@ -76,13 +76,6 @@ class QueryEngine {
                                        const GeometryPredicate& pred,
                                        const TimePredicate& when,
                                        Strategy strategy) const;
-
-  /// SampleRegion folded in the scan into γ's state over hour buckets
-  /// (core/gamma.h); rows_matched counts rows.
-  Result<gamma::State> RegionObjects(
-      const std::string& moft, const std::string& layer,
-      const GeometryPredicate& pred, const TimePredicate& when,
-      Strategy strategy) const;
 
   /// Variant matching samples to *polyline* geometries within `tolerance`
   /// (the paper's r^{Pt,Pl} for streets). C = {(Oid, t, pl)}.
@@ -151,6 +144,62 @@ class QueryEngine {
       const std::string& moft, const std::string& layer,
       const GeometryPredicate& pred, double vmax) const;
 
+  // -- γ-state operators (DESIGN.md §8.1) -------------------------------
+  //
+  // Region C folded into γ's state under `granule`: the operators both
+  // front ends share. The Piet-QL evaluator calls one per clause, and
+  // each shares its visitor with the row entry point named below. Def. 7's
+  // C is a set of (Oid, t) tuples, so a sample folds one tuple however
+  // many wanted geometries it hits. They bump no engine.* counter (the
+  // calling front end counts); stats() holds the call's counters.
+
+  /// What a γ-state operator returns.
+  struct GammaAnswer {
+    gamma::State state;
+    /// The serve's decomposition when the aggregate cache answered.
+    std::optional<aggcache::AggServeStats> served{};
+    /// The cache could have served but for a sub-hour rollup or granule.
+    bool cache_fallback = false;
+  };
+
+  /// SamplesMatchingTime's tuples.
+  Result<GammaAnswer> WindowState(const std::string& moft,
+                                  const TimePredicate& when,
+                                  const gamma::Granule& granule) const;
+
+  /// SampleRegion's tuples over the polygons `ids` of `layer`. Under
+  /// kOverlay, an hourly granule is served from the aggregate cache when
+  /// the mode is on and the overlay covers `layer`; else the scan runs.
+  Result<GammaAnswer> RegionState(const std::string& moft,
+                                  const std::string& layer,
+                                  const std::vector<gis::GeometryId>& ids,
+                                  const TimePredicate& when,
+                                  const gamma::Granule& granule,
+                                  Strategy strategy) const;
+  /// The same over the `pred`-qualifying polygons.
+  Result<GammaAnswer> RegionState(const std::string& moft,
+                                  const std::string& layer,
+                                  const GeometryPredicate& pred,
+                                  const TimePredicate& when,
+                                  const gamma::Granule& granule,
+                                  Strategy strategy) const;
+
+  /// TrajectoryRegion's tuples over the polygons `ids` of `layer`: one per
+  /// maximal inside interval of each polygon, stamped at its entry.
+  Result<GammaAnswer> TrajectoryState(const std::string& moft,
+                                      const std::string& layer,
+                                      const std::vector<gis::GeometryId>& ids,
+                                      const TimePredicate& when,
+                                      const gamma::Granule& granule) const;
+
+  /// SamplesNearNodes' tuples within `radius` of the nodes `ids` of
+  /// `layer`.
+  Result<GammaAnswer> NearState(const std::string& moft,
+                                const std::string& layer,
+                                const std::vector<gis::GeometryId>& ids,
+                                double radius, const TimePredicate& when,
+                                const gamma::Granule& granule) const;
+
   // -- Geometry-side helper ----------------------------------------------
 
   /// Ids of `layer` geometries satisfying `pred` (the geometric half of C,
@@ -158,22 +207,12 @@ class QueryEngine {
   Result<std::vector<gis::GeometryId>> QualifyingGeometries(
       const std::string& layer, const GeometryPredicate& pred) const;
 
-  // -- Aggregate-cache serve paths ---------------------------------------
-
-  /// Serves the exact per-hour-bucket (member samples, distinct Oids)
-  /// aggregate of the samples inside the `pred`-qualifying geometries of
-  /// `layer` that match `when`, from the materialized aggregate cache.
-  /// nullopt — the caller falls back to the scan — when the cache mode is
-  /// off, the overlay is absent or does not cover `layer`, `when` needs
-  /// sub-hour granularity, or the cache cannot be built. Served answers
-  /// are bit-identical to the SampleRegion-based aggregation.
-  std::optional<aggcache::RegionAggregate> CachedRegionAggregate(
-      const std::string& moft, const std::string& layer,
-      const GeometryPredicate& pred, const TimePredicate& when) const;
+  // -- Aggregate-cache serve path ----------------------------------------
 
   /// Serves ObjectsAlwaysWithin (sample semantics) from the aggregate
   /// cache: ascending Oids with a `when`-matching sample and none outside
-  /// the qualifying polygons. Same fallback contract as above.
+  /// the qualifying polygons. nullopt — the caller falls back to the scan —
+  /// when the cache cannot serve (see AggCacheProbe).
   std::optional<std::vector<moving::ObjectId>> CachedObjectsAlwaysWithin(
       const std::string& moft, const std::string& layer,
       const GeometryPredicate& pred, const TimePredicate& when) const;
@@ -187,13 +226,14 @@ class QueryEngine {
       const gis::Layer& layer, const std::string& layer_name,
       const GeometryPredicate& pred) const;
 
-  /// Wanted bitmap + cache entry shared by the two serve paths; nullopt
-  /// when serving is not possible and the caller must fall back.
-  std::optional<std::pair<std::shared_ptr<const aggcache::AggCacheEntry>,
-                          std::vector<uint8_t>>>
-  AggCacheContext(const std::string& moft, const std::string& layer,
-                  const GeometryPredicate& pred,
-                  const TimePredicate& when) const;
+  /// The aggregate-cache entry of (moft, layer), or null when the mode is
+  /// off, the overlay does not cover the layer, `when` or the
+  /// granule (`instants`) is finer than the cache's hour buckets, or the
+  /// entry cannot be built. The sub-hour case sets *fallback and bumps
+  /// pietql.aggcache.fallback_subhour, the counter's one bump site.
+  std::shared_ptr<const aggcache::AggCacheEntry> AggCacheProbe(
+      const std::string& moft, const std::string& layer,
+      const TimePredicate& when, bool instants, bool* fallback) const;
 
   const GeoOlapDatabase* db_;
   int num_threads_ = 0;

@@ -7,14 +7,12 @@
 
 #include "analysis/lint/query_lint.h"
 #include "analysis/query_check.h"
+#include "core/engine.h"
 #include "core/gamma.h"
-#include "core/geometry/batch.h"
 #include "core/pietql/parser.h"
 #include "core/pietql/printer.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "core/region.h"
-#include "core/scan.h"
 #include "geometry/segment_polygon.h"
 #include "temporal/time_dimension.h"
 
@@ -25,7 +23,6 @@ using gis::GeometryKind;
 using gis::Layer;
 using moving::Moft;
 using temporal::Interval;
-using temporal::IntervalSet;
 using temporal::TimePoint;
 
 std::string QueryResult::ToString() const {
@@ -56,6 +53,11 @@ Result<bool> Evaluator::ElementsIntersect(const Layer& a, GeometryId ida,
   };
   GeometryKind ka = kind_pair(a.kind());
   GeometryKind kb = kind_pair(b.kind());
+  if (ka < kb) {
+    // Intersection is symmetric: test with the higher kind (point <
+    // polyline < polygon) on the left.
+    return ElementsIntersect(b, idb, a, ida);
+  }
 
   if (ka == GeometryKind::kPolygon && kb == GeometryKind::kPolygon) {
     PIET_ASSIGN_OR_RETURN(const geometry::Polygon* pa, a.GetPolygon(ida));
@@ -72,16 +74,10 @@ Result<bool> Evaluator::ElementsIntersect(const Layer& a, GeometryId ida,
     }
     return false;
   }
-  if (ka == GeometryKind::kPolyline && kb == GeometryKind::kPolygon) {
-    return ElementsIntersect(b, idb, a, ida);
-  }
   if (ka == GeometryKind::kPolygon && kb == GeometryKind::kPoint) {
     PIET_ASSIGN_OR_RETURN(const geometry::Polygon* pa, a.GetPolygon(ida));
     PIET_ASSIGN_OR_RETURN(geometry::Point pb, b.GetPoint(idb));
     return pa->Contains(pb);
-  }
-  if (ka == GeometryKind::kPoint && kb == GeometryKind::kPolygon) {
-    return ElementsIntersect(b, idb, a, ida);
   }
   if (ka == GeometryKind::kPolyline && kb == GeometryKind::kPolyline) {
     PIET_ASSIGN_OR_RETURN(const geometry::Polyline* la, a.GetPolyline(ida));
@@ -92,9 +88,6 @@ Result<bool> Evaluator::ElementsIntersect(const Layer& a, GeometryId ida,
     PIET_ASSIGN_OR_RETURN(const geometry::Polyline* la, a.GetPolyline(ida));
     PIET_ASSIGN_OR_RETURN(geometry::Point pb, b.GetPoint(idb));
     return la->Contains(pb);
-  }
-  if (ka == GeometryKind::kPoint && kb == GeometryKind::kPolyline) {
-    return ElementsIntersect(b, idb, a, ida);
   }
   if (ka == GeometryKind::kPoint && kb == GeometryKind::kPoint) {
     PIET_ASSIGN_OR_RETURN(geometry::Point pa, a.GetPoint(ida));
@@ -285,18 +278,29 @@ void RecordFlight(std::string text, const Result<QueryResult>& result,
 
 }  // namespace
 
+Result<ProfiledResult> Evaluator::Profile(const Query& query,
+                                         const std::string* text,
+                                         obs::TraceCollector* trace) const {
+  const int64_t cpu0 = ProcessCpuNs();
+  Result<QueryResult> result = EvaluateImpl(query, trace);
+  const int64_t cpu1 = ProcessCpuNs();
+  obs::SpanNode profile = trace->Finish();
+  if (obs::Enabled() && obs::FlightRecorder::Global().active()) {
+    RecordFlight(text != nullptr ? *text : Print(query), result, profile,
+                 cpu1 - cpu0);
+  }
+  PIET_RETURN_NOT_OK(result.status());
+  return ProfiledResult{std::move(result).ValueOrDie(), std::move(profile)};
+}
+
 Result<QueryResult> Evaluator::EvaluateRecorded(const Query& query,
                                                 const std::string* text) const {
   if (!obs::Enabled() || !obs::FlightRecorder::Global().active()) {
     return EvaluateImpl(query, nullptr);
   }
   obs::TraceCollector trace("query");
-  const int64_t cpu0 = ProcessCpuNs();
-  Result<QueryResult> result = EvaluateImpl(query, &trace);
-  const int64_t cpu1 = ProcessCpuNs();
-  RecordFlight(text != nullptr ? *text : Print(query), result, trace.Finish(),
-               cpu1 - cpu0);
-  return result;
+  PIET_ASSIGN_OR_RETURN(ProfiledResult out, Profile(query, text, &trace));
+  return std::move(out.result);
 }
 
 Result<QueryResult> Evaluator::Evaluate(const Query& query) const {
@@ -305,18 +309,7 @@ Result<QueryResult> Evaluator::Evaluate(const Query& query) const {
 
 Result<ProfiledResult> Evaluator::EvaluateProfiled(const Query& query) const {
   obs::TraceCollector trace("query");
-  const int64_t cpu0 = ProcessCpuNs();
-  Result<QueryResult> result = EvaluateImpl(query, &trace);
-  const int64_t cpu1 = ProcessCpuNs();
-  obs::SpanNode profile = trace.Finish();
-  if (obs::Enabled() && obs::FlightRecorder::Global().active()) {
-    RecordFlight(Print(query), result, profile, cpu1 - cpu0);
-  }
-  PIET_RETURN_NOT_OK(result.status());
-  ProfiledResult out;
-  out.result = std::move(result).ValueOrDie();
-  out.profile = std::move(profile);
-  return out;
+  return Profile(query, nullptr, &trace);
 }
 
 Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
@@ -485,208 +478,108 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   const bool empty_region =
       result.geometry_ids.empty() &&
       (inside_result || (passes_through && !when.has_sub_hour_rollup()));
-  // The region C reaches γ as its state (core/gamma.h). An INSIDE RESULT
-  // aggregate whose time predicate and granules decompose on hour buckets
-  // is served from the database's materialized (overlay cell × hour
-  // bucket) partials — interior cells from cached counts, boundary cells
-  // and fringe buckets refined exactly — as the state the scan below
-  // would build; any gate failing (mode off, no overlay coverage, sub-hour
-  // rollup or group level, cache build failure) falls through to the
-  // scan. A sub-hour fallback — the cache was eligible but a
-  // "timeId"/"minute" granularity defeated it — is made observable: a
-  // counter bump here and an attribute naming the level on the
-  // moft_intersect span.
+  // The region C reaches γ as its state (core/gamma.h), built by the
+  // engine's γ-state operator for the clause (DESIGN.md §8.1). INSIDE
+  // RESULT uses the overlay's cached classification when the overlay
+  // covers the result layer, where an hour-decomposable aggregate may be
+  // served from the aggregate cache; otherwise the tile kernel tests the
+  // wanted polygons.
   const gamma::Granule granule(mo.group_by_level);
-  std::string subhour_level = when.sub_hour_rollup_level();
-  if (subhour_level.empty() && granule.instants()) {
-    subhour_level = *mo.group_by_level;
-  }
-  const bool cache_eligible =
-      inside_result && !empty_region &&
-      agg_cache_mode_ == aggcache::AggCacheMode::kOn && db_->HasOverlay() &&
-      db_->OverlayLayerIndex(result.result_layer).ok();
-  if (cache_eligible && !subhour_level.empty() && obs_on) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("pietql.aggcache.fallback_subhour")
-        .Add(1);
-  }
+  QueryEngine engine(db_);
+  engine.set_num_threads(num_threads_);
+  engine.set_agg_cache_mode(agg_cache_mode_);
   gamma::State state;
-  bool served = false;
-  if (cache_eligible && subhour_level.empty()) {
-    Result<std::shared_ptr<const aggcache::AggCacheEntry>> entry =
-        db_->AggCache(mo.moft, result.result_layer);
-    if (entry.ok()) {
-      std::optional<aggcache::RegionAggregate> cached =
-          entry.ValueOrDie()->RegionAggregates(
-              ResolvePolygons(*layer, result.geometry_ids)
-                  .Bitmap(layer->size()),
-              when, db_->time_dimension());
-      if (cached.has_value()) {
-        TraceCacheServe(mo, *cached, trace);
-        state = std::move(cached->per_bucket);
-        served = true;
+  {
+    // The span closes before aggregation so moft_intersect and aggregate
+    // stay siblings in the tree.
+    obs::TraceSpan intersect_span(trace, "moft_intersect");
+    intersect_span.Attr("clause", clause);
+    intersect_span.Attr("moft", mo.moft);
+    Result<QueryEngine::GammaAnswer> c = QueryEngine::GammaAnswer{};
+    if (empty_region) {
+      intersect_span.Attr("short_circuit", "empty_region_c");
+    } else if (passes_through) {
+      // Trajectory semantics: each maximal inside interval contributes a
+      // tuple stamped at its entry time.
+      c = engine.TrajectoryState(mo.moft, result.result_layer,
+                                 result.geometry_ids, when, granule);
+    } else if (near_cond != nullptr) {
+      PIET_ASSIGN_OR_RETURN(const Layer* nodes,
+                            db_->gis().GetLayer(near_cond->near_layer));
+      if (nodes->kind() != GeometryKind::kNode &&
+          nodes->kind() != GeometryKind::kPoint) {
+        return Status::InvalidArgument("NEAR needs a point/node layer");
+      }
+      c = engine.NearState(mo.moft, near_cond->near_layer, nodes->ids(),
+                           near_cond->radius, when, granule);
+    } else if (inside_result) {
+      const bool overlay = db_->HasOverlay() &&
+                           db_->OverlayLayerIndex(result.result_layer).ok();
+      c = engine.RegionState(mo.moft, result.result_layer,
+                             result.geometry_ids, when, granule,
+                             overlay ? Strategy::kOverlay : Strategy::kNaive);
+    } else {
+      c = engine.WindowState(mo.moft, when, granule);
+    }
+    PIET_RETURN_NOT_OK(c.status());
+    QueryEngine::GammaAnswer answer = std::move(c).ValueOrDie();
+    state = std::move(answer.state);
+    if (answer.cache_fallback) {
+      // EXPLAIN ANALYZE names the rollup level that forced the scan, and a
+      // counter (bumped by the probe) makes the fallback observable.
+      const std::string& level = when.sub_hour_rollup_level();
+      intersect_span.Attr("aggcache_fallback",
+                          level.empty() ? *mo.group_by_level : level);
+    }
+    const ScanStats& st = engine.stats();
+    if (passes_through) {
+      // The legs refined after the time clip, not the whole histories.
+      intersect_span.Attr("legs_tested", static_cast<uint64_t>(st.legs_tested));
+      intersect_span.Attr("leg_refines", static_cast<uint64_t>(st.leg_refines));
+    }
+    if (!answer.served && !empty_region && !passes_through &&
+        when.window_only()) {
+      intersect_span.Attr("fast_path", "window_probe");
+    }
+    // A cache serve's `tuples` counts the member samples the scan would
+    // have produced, its `rows_scanned` only the rows the serve touched.
+    intersect_span.Attr("rows_scanned",
+                        static_cast<uint64_t>(st.samples_scanned));
+    intersect_span.Attr("tuples", static_cast<uint64_t>(gamma::Tuples(state)));
+    if (answer.served) {
+      // The serve's decomposition, nested where the scan would have run.
+      const aggcache::AggServeStats& cs = *answer.served;
+      obs::TraceSpan cache_span(trace, "agg_cache");
+      cache_span.Attr("cells_interior",
+                      static_cast<uint64_t>(cs.interior_cells));
+      cache_span.Attr("cells_boundary",
+                      static_cast<uint64_t>(cs.boundary_cells));
+      cache_span.Attr("cells_skipped", static_cast<uint64_t>(cs.skipped_cells));
+      cache_span.Attr("groups_from_partials",
+                      static_cast<uint64_t>(cs.groups_from_partials));
+      cache_span.Attr("groups_refined",
+                      static_cast<uint64_t>(cs.groups_refined));
+      cache_span.Attr("rows_refined", static_cast<uint64_t>(cs.rows_refined));
+      cache_span.Attr("fringe_rows", static_cast<uint64_t>(cs.fringe_rows));
+      cache_span.Attr("point_tests", static_cast<uint64_t>(cs.point_tests));
+      cache_span.Attr("buckets", static_cast<uint64_t>(state.size()));
+    } else {
+      // The query's own block I/O: zonemap skips and the cold blocks its
+      // scan decoded (each at most once). Blocks() seals a table that the
+      // empty-region short circuit left unscanned.
+      intersect_span.Attr("blocks",
+                          static_cast<uint64_t>(moft->Blocks().num_blocks()));
+      intersect_span.Attr("blocks_skipped",
+                          static_cast<uint64_t>(st.blocks.blocks_skipped));
+      intersect_span.Attr("blocks_decoded",
+                          static_cast<uint64_t>(st.blocks.blocks_decoded));
+      if (obs_on) {
+        obs::MetricsRegistry::Global()
+            .GetCounter("pietql.blocks_skipped")
+            .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
       }
     }
   }
-  if (!served) {
-  // Every branch is one BlockScan (core/scan.h) over the MOFT's blocks
-  // under the query's zonemap filter: a cold tier decodes each admitted
-  // block at most once. Visitors fold each tuple's (granule, Oid) into
-  // chunk-local runs, and gamma::Build merges the chunks' runs by key, so
-  // the state does not depend on the thread count.
-  std::vector<gamma::Run> runs;
-
-  // The span closes before aggregation so moft_intersect and aggregate
-  // stay siblings in the tree.
-  obs::TraceSpan intersect_span(trace, "moft_intersect");
-  intersect_span.Attr("clause", clause);
-  intersect_span.Attr("moft", mo.moft);
-  if (cache_eligible && !subhour_level.empty()) {
-    // EXPLAIN ANALYZE names the rollup level that forced the scan.
-    intersect_span.Attr("aggcache_fallback", subhour_level);
-  }
-  // Argument validation precedes every scan, so a short circuit never
-  // masks an error.
-  const Layer* nodes = nullptr;
-  if (near_cond != nullptr) {
-    PIET_ASSIGN_OR_RETURN(nodes, db_->gis().GetLayer(near_cond->near_layer));
-    if (nodes->kind() != GeometryKind::kNode &&
-        nodes->kind() != GeometryKind::kPoint) {
-      return Status::InvalidArgument("NEAR needs a point/node layer");
-    }
-    nodes->WarmIndex();
-  }
-  // INSIDE RESULT reuses the cached batched classification when the
-  // overlay covers the result layer (one point location per sample,
-  // shared across queries, indexed by global row); otherwise it tests the
-  // wanted polygons with the batch tile kernel. Both emit one tuple per
-  // sample, even on shared boundaries.
-  std::shared_ptr<const SampleClassification> cls;
-  if (inside_result && !empty_region && db_->HasOverlay() &&
-      db_->OverlayLayerIndex(result.result_layer).ok()) {
-    PIET_ASSIGN_OR_RETURN(
-        cls, db_->ClassifySamples(mo.moft, result.result_layer));
-  }
-  const ResolvedPolygons wanted =
-      passes_through || inside_result
-          ? ResolvePolygons(*layer, result.geometry_ids)
-          : ResolvedPolygons{};
-  // The polygon-testing branches also skip blocks outside the wanted
-  // polygons' box.
-  const bool tests_polygons = passes_through || (inside_result && !cls);
-  BlockScan scan(*moft, when, tests_polygons ? &wanted.polys : nullptr,
-                 num_threads_);
-  const temporal::TimeDimension& dim = db_->time_dimension();
-  auto emit = [&granule](auto& c, const SampleRows& b, size_t i) {
-    gamma::Fold(&c.out, granule.Of(b.data.t[i]), b.data.oid[i]);
-  };
-  Status scanned;
-  if (empty_region) {
-    intersect_span.Attr("short_circuit", "empty_region_c");
-  } else if (passes_through) {
-    // Trajectory semantics: each maximal inside interval contributes a
-    // tuple stamped at its entry time. One leg-major refiner over the
-    // wanted polygons refines each object's legs; its tuples come out in
-    // ascending polygon order.
-    const batch::LegRefiner refiner(wanted.polys);
-    scanned = scan.Spans<gamma::Run, batch::LegScratch>(
-        &runs, [&](const moving::ObjectSpan& span, auto& c) -> Status {
-          PIET_ASSIGN_OR_RETURN(const auto clip, ClipToTime(when, dim, span));
-          if (clip.time_ok.empty()) {
-            return Status::OK();
-          }
-          c.stats.legs_tested += clip.span.size() - 1;
-          c.stats.leg_refines += refiner.Refine(clip.span, &c.scratch);
-          for (const uint32_t qi : c.scratch.hit) {
-            const IntervalSet matched =
-                IntervalSet(c.scratch.pieces[qi]).Intersect(clip.time_ok);
-            for (const Interval& iv : matched.intervals()) {
-              gamma::Fold(&c.out, granule.Of(iv.begin.seconds), span.oid());
-            }
-          }
-          return Status::OK();
-        });
-  } else if (near_cond != nullptr) {
-    // Sample-proximity semantics: tuples within `radius` of any node of
-    // the named layer.
-    const double radius = near_cond->radius;
-    scanned = scan.Samples<gamma::Run>(
-        dim, &runs, [&](const SampleRows& b, auto& c) {
-          b.ForEach([&](size_t i) {
-            const geometry::Point pos(b.data.x[i], b.data.y[i]);
-            geometry::BoundingBox probe(pos.x - radius, pos.y - radius,
-                                        pos.x + radius, pos.y + radius);
-            for (GeometryId id : nodes->CandidatesInBox(probe)) {
-              auto node = nodes->GetPoint(id);
-              if (node.ok() && Distance(node.ValueOrDie(), pos) <= radius) {
-                emit(c, b, i);
-                break;
-              }
-            }
-          });
-        });
-  } else if (cls) {
-    const std::vector<uint8_t> member = wanted.Bitmap(layer->size());
-    scanned = scan.Samples<gamma::Run>(
-        dim, &runs, [&](const SampleRows& b, auto& c) {
-          b.ForEach([&](size_t i) {
-            const size_t row = b.row_base + i;
-            for (uint32_t j = cls->hits.offsets[row];
-                 j < cls->hits.offsets[row + 1]; ++j) {
-              if (member[static_cast<size_t>(cls->hits.ids[j])]) {
-                emit(c, b, i);
-                break;
-              }
-            }
-          });
-        });
-  } else if (inside_result) {
-    const batch::PolygonSetBatcher batcher(wanted.polys);
-    scanned = scan.Samples<gamma::Run, batch::TileScratch>(
-        dim, &runs, [&](const SampleRows& b, auto& c) {
-          size_t last = b.data.size();  // No row yet.
-          c.stats.point_tests += batcher.ForEachHit(
-              b.data, b.runs, &c.scratch, [&](size_t i, size_t /*q*/) {
-                if (i != last) {
-                  emit(c, b, i);
-                  last = i;
-                }
-              });
-        });
-  } else {
-    scanned = scan.Samples<gamma::Run>(
-        dim, &runs, [&](const SampleRows& b, auto& c) {
-          b.ForEach([&](size_t i) { emit(c, b, i); });
-        });
-  }
-  PIET_RETURN_NOT_OK(scanned);
-  state = gamma::Build(std::move(runs));
-  const ScanStats& st = scan.stats();
-  if (passes_through) {
-    // The legs refined after the time clip, not the whole histories.
-    intersect_span.Attr("legs_tested", static_cast<uint64_t>(st.legs_tested));
-    intersect_span.Attr("leg_refines", static_cast<uint64_t>(st.leg_refines));
-  }
-  if (!empty_region && !passes_through && when.window_only()) {
-    intersect_span.Attr("fast_path", "window_probe");
-  }
-  intersect_span.Attr("rows_scanned",
-                      static_cast<uint64_t>(st.samples_scanned));
-  intersect_span.Attr("tuples", static_cast<uint64_t>(gamma::Tuples(state)));
-  // The query's own block I/O: zonemap skips and the cold blocks its scan
-  // decoded (each at most once).
-  intersect_span.Attr(
-      "blocks", static_cast<uint64_t>(moft->block_store()->num_blocks()));
-  intersect_span.Attr("blocks_skipped",
-                      static_cast<uint64_t>(st.blocks.blocks_skipped));
-  intersect_span.Attr("blocks_decoded",
-                      static_cast<uint64_t>(st.blocks.blocks_decoded));
-  if (obs_on) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("pietql.blocks_skipped")
-        .Add(static_cast<int64_t>(st.blocks.blocks_skipped));
-  }
-  }  // !served
 
   if (obs_on) {
     obs::MetricsRegistry::Global()
@@ -707,35 +600,6 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
                            *mo.group_by_level, "value"));
   agg_span.Attr("groups", static_cast<uint64_t>(result.table->num_rows()));
   return result;
-}
-
-void Evaluator::TraceCacheServe(const MoQuery& mo,
-                                const aggcache::RegionAggregate& served,
-                                obs::TraceCollector* trace) const {
-  const aggcache::AggServeStats& st = served.stats;
-  // `tuples` counts the member samples the scan would have produced,
-  // `rows_scanned` only the rows the serve touched.
-  obs::TraceSpan intersect_span(trace, "moft_intersect");
-  intersect_span.Attr("clause", "inside_result");
-  intersect_span.Attr("moft", mo.moft);
-  {
-    obs::TraceSpan cache_span(trace, "agg_cache");
-    cache_span.Attr("cells_interior", static_cast<uint64_t>(st.interior_cells));
-    cache_span.Attr("cells_boundary", static_cast<uint64_t>(st.boundary_cells));
-    cache_span.Attr("cells_skipped", static_cast<uint64_t>(st.skipped_cells));
-    cache_span.Attr("groups_from_partials",
-                    static_cast<uint64_t>(st.groups_from_partials));
-    cache_span.Attr("groups_refined",
-                    static_cast<uint64_t>(st.groups_refined));
-    cache_span.Attr("rows_refined", static_cast<uint64_t>(st.rows_refined));
-    cache_span.Attr("fringe_rows", static_cast<uint64_t>(st.fringe_rows));
-    cache_span.Attr("point_tests", static_cast<uint64_t>(st.point_tests));
-    cache_span.Attr("buckets", static_cast<uint64_t>(served.per_bucket.size()));
-  }
-  intersect_span.Attr("rows_scanned",
-                      static_cast<uint64_t>(st.rows_refined + st.fringe_rows));
-  intersect_span.Attr("tuples",
-                      static_cast<uint64_t>(gamma::Tuples(served.per_bucket)));
 }
 
 analysis::estimate::Catalog Evaluator::BuildEstimateCatalog(
@@ -795,18 +659,8 @@ Result<ProfiledResult> Evaluator::EvaluateStringProfiled(
     return Parse(text);
   }();
   PIET_RETURN_NOT_OK(parsed.status());
-  const int64_t cpu0 = ProcessCpuNs();
-  Result<QueryResult> result = EvaluateImpl(parsed.ValueOrDie(), &trace);
-  const int64_t cpu1 = ProcessCpuNs();
-  obs::SpanNode profile = trace.Finish();
-  if (obs::Enabled() && obs::FlightRecorder::Global().active()) {
-    RecordFlight(std::string(text), result, profile, cpu1 - cpu0);
-  }
-  PIET_RETURN_NOT_OK(result.status());
-  ProfiledResult out;
-  out.result = std::move(result).ValueOrDie();
-  out.profile = std::move(profile);
-  return out;
+  const std::string original(text);
+  return Profile(parsed.ValueOrDie(), &original, &trace);
 }
 
 }  // namespace piet::core::pietql

@@ -143,6 +143,11 @@ class Evaluator {
   /// bit-identical either way.
   Result<QueryResult> EvaluateRecorded(const Query& query,
                                        const std::string* text) const;
+  /// EvaluateImpl under `trace` (which may hold a parse span already):
+  /// files the flight record as EvaluateRecorded does while the recorder is
+  /// active, and returns the result with the finished span tree.
+  Result<ProfiledResult> Profile(const Query& query, const std::string* text,
+                                 obs::TraceCollector* trace) const;
   Result<std::vector<gis::GeometryId>> EvaluateGeoPart(
       const GeoQuery& geo, obs::TraceCollector* trace) const;
   Result<bool> ElementsIntersect(const gis::Layer& a, gis::GeometryId ida,
@@ -150,14 +155,6 @@ class Evaluator {
                                  gis::GeometryId idb) const;
   Result<bool> ElementContains(const gis::Layer& a, gis::GeometryId ida,
                                const gis::Layer& b, gis::GeometryId idb) const;
-  /// Records one aggregate-cache serve as the moft_intersect span of the
-  /// scan it replaces (so EXPLAIN ANALYZE trees keep moft_intersect and
-  /// aggregate as siblings in every mode), with the cache's decomposition
-  /// in a nested agg_cache span.
-  void TraceCacheServe(const MoQuery& mo,
-                       const aggcache::RegionAggregate& served,
-                       obs::TraceCollector* trace) const;
-
   /// The estimator's view of the database: schema instance, overlay
   /// coverage, the named MOFT's storage stats, and this evaluator's modes.
   analysis::estimate::Catalog BuildEstimateCatalog(const Query& query) const;

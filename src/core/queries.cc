@@ -6,7 +6,6 @@
 
 #include "core/gamma.h"
 #include "core/summable.h"
-#include "olap/aggregate.h"
 
 namespace piet::core::queries {
 
@@ -16,21 +15,6 @@ using olap::Row;
 using temporal::TimePoint;
 
 namespace {
-
-// Region C's γ state over hour buckets: served by the aggregate cache when
-// the overlay strategy allows it, else folded in the scan.
-Result<gamma::State> RegionState(const QueryEngine& engine,
-                                 const std::string& moft,
-                                 const std::string& layer,
-                                 const GeometryPredicate& pred,
-                                 const TimePredicate& when, Strategy strategy) {
-  if (strategy == Strategy::kOverlay) {
-    if (auto cached = engine.CachedRegionAggregate(moft, layer, pred, when)) {
-      return std::move(cached->per_bucket);
-    }
-  }
-  return engine.RegionObjects(moft, layer, pred, when, strategy);
-}
 
 // Remark 1's rate: distinct (Oid, hour) pairs over distinct hours.
 PerHourResult PerHour(const gamma::State& state) {
@@ -47,9 +31,10 @@ Result<PerHourResult> CountPerHourInRegion(const QueryEngine& engine,
                                            const GeometryPredicate& pred,
                                            const TimePredicate& when,
                                            Strategy strategy) {
-  PIET_ASSIGN_OR_RETURN(const gamma::State state,
-                        RegionState(engine, moft, layer, pred, when, strategy));
-  return PerHour(state);
+  PIET_ASSIGN_OR_RETURN(
+      const QueryEngine::GammaAnswer region,
+      engine.RegionState(moft, layer, pred, when, gamma::Granule(), strategy));
+  return PerHour(region.state);
 }
 
 Result<int64_t> CountObjectsInRegion(const QueryEngine& engine,
@@ -61,9 +46,11 @@ Result<int64_t> CountObjectsInRegion(const QueryEngine& engine,
                                      Strategy strategy) {
   GeometryPredicate pred = GeometryPredicate::AlphaEquals(
       &engine.db().gis(), attribute, member);
-  PIET_ASSIGN_OR_RETURN(const gamma::State state,
-                        RegionState(engine, moft, layer, pred, when, strategy));
-  return gamma::Finish(state, gamma::Function::kCountDistinctOid).objects;
+  PIET_ASSIGN_OR_RETURN(
+      const QueryEngine::GammaAnswer region,
+      engine.RegionState(moft, layer, pred, when, gamma::Granule(), strategy));
+  return gamma::Finish(region.state, gamma::Function::kCountDistinctOid)
+      .objects;
 }
 
 Result<DensityResult> MaxStreetDensity(const QueryEngine& engine,
@@ -78,77 +65,43 @@ Result<DensityResult> MaxStreetDensity(const QueryEngine& engine,
   PIET_ASSIGN_OR_RETURN(const gis::Layer* layer,
                         engine.db().gis().GetLayer(street_layer));
 
-  auto street_length = [&](int64_t id) -> double {
+  const bool per_street = interpretation != DensityInterpretation::kCityWide;
+  const bool per_instant = interpretation != DensityInterpretation::kPerStreet;
+  const double total_len = per_street ? 0.0 : layer->TotalMeasure();
+  if (!per_street && total_len <= 0.0) {
+    return Status::InvalidArgument("street layer has zero total length");
+  }
+  PIET_ASSIGN_OR_RETURN(size_t t_idx, on_streets.ColumnIndex("t"));
+  PIET_ASSIGN_OR_RETURN(size_t geom_idx, on_streets.ColumnIndex("geom"));
+  // Rows per (street, instant) key, the half an interpretation ignores
+  // held at zero; the first densest key in key order wins.
+  std::map<std::pair<int64_t, double>, int64_t> counts;
+  for (const Row& r : on_streets.rows()) {
+    ++counts[{per_street ? r[geom_idx].AsIntUnchecked() : 0,
+              per_instant ? r[t_idx].AsDoubleUnchecked() : 0.0}];
+  }
+  auto street_length = [&](int64_t id) {
     auto line = layer->GetPolyline(id);
     return line.ok() ? line.ValueOrDie()->Length() : 0.0;
   };
-
-  DensityResult best;
-  best.density = -1.0;
-
-  PIET_ASSIGN_OR_RETURN(size_t oid_idx, on_streets.ColumnIndex("Oid"));
-  (void)oid_idx;
-  PIET_ASSIGN_OR_RETURN(size_t t_idx, on_streets.ColumnIndex("t"));
-  PIET_ASSIGN_OR_RETURN(size_t geom_idx, on_streets.ColumnIndex("geom"));
-
-  switch (interpretation) {
-    case DensityInterpretation::kPerStreet: {
-      std::map<int64_t, int64_t> counts;
-      for (const Row& r : on_streets.rows()) {
-        counts[r[geom_idx].AsIntUnchecked()]++;
-      }
-      for (const auto& [street, count] : counts) {
-        double len = street_length(street);
-        if (len <= 0.0) {
-          continue;
-        }
-        double density = static_cast<double>(count) / len;
-        if (density > best.density) {
-          best = {Value(street), Value(), density};
-        }
-      }
-      break;
+  const std::pair<int64_t, double>* densest = nullptr;
+  double most = 0.0;
+  for (const auto& [key, count] : counts) {
+    const double len = per_street ? street_length(key.first) : total_len;
+    if (len <= 0.0) {
+      continue;
     }
-    case DensityInterpretation::kPerStreetInstant: {
-      std::map<std::pair<int64_t, double>, int64_t> counts;
-      for (const Row& r : on_streets.rows()) {
-        counts[{r[geom_idx].AsIntUnchecked(),
-                r[t_idx].AsDoubleUnchecked()}]++;
-      }
-      for (const auto& [key, count] : counts) {
-        double len = street_length(key.first);
-        if (len <= 0.0) {
-          continue;
-        }
-        double density = static_cast<double>(count) / len;
-        if (density > best.density) {
-          best = {Value(key.first), Value(key.second), density};
-        }
-      }
-      break;
-    }
-    case DensityInterpretation::kCityWide: {
-      double total_len = layer->TotalMeasure();
-      if (total_len <= 0.0) {
-        return Status::InvalidArgument("street layer has zero total length");
-      }
-      std::map<double, int64_t> counts;
-      for (const Row& r : on_streets.rows()) {
-        counts[r[t_idx].AsDoubleUnchecked()]++;
-      }
-      for (const auto& [instant, count] : counts) {
-        double density = static_cast<double>(count) / total_len;
-        if (density > best.density) {
-          best = {Value(), Value(instant), density};
-        }
-      }
-      break;
+    const double density = static_cast<double>(count) / len;
+    if (densest == nullptr || density > most) {
+      densest = &key;
+      most = density;
     }
   }
-  if (best.density < 0.0) {
-    best.density = 0.0;
+  if (densest == nullptr) {
+    return DensityResult{};
   }
-  return best;
+  return DensityResult{per_street ? Value(densest->first) : Value(),
+                       per_instant ? Value(densest->second) : Value(), most};
 }
 
 Result<int64_t> CountObjectsCompletelyWithin(const QueryEngine& engine,
@@ -179,11 +132,14 @@ Result<int64_t> SnapshotCountInRegion(const QueryEngine& engine,
       &engine.db().gis(), attribute, member);
   PIET_ASSIGN_OR_RETURN(FactTable snapshot,
                         engine.SnapshotInRegion(moft, layer, pred, t));
-  PIET_ASSIGN_OR_RETURN(
-      Value count,
-      olap::AggregateScalar(snapshot, olap::AggFunction::kCountDistinct,
-                            "Oid"));
-  return count.AsIntUnchecked();
+  // Every tuple sits at the instant t: one granule.
+  std::vector<gamma::Run> runs;
+  for (const Row& r : snapshot.rows()) {
+    gamma::Fold(&runs, t.seconds, r[0].AsIntUnchecked());
+  }
+  return gamma::Finish(gamma::Build(std::move(runs)),
+                       gamma::Function::kCountDistinctOid)
+      .objects;
 }
 
 Result<StayResult> TimeSpentInRegion(const QueryEngine& engine,
@@ -218,30 +174,28 @@ Result<PerHourResult> CountNearNodesPerHour(const QueryEngine& engine,
                                             const TimePredicate& when,
                                             bool interpolated) {
   const gamma::Granule hours;
-  std::vector<gamma::Run> runs;
   if (!interpolated) {
     PIET_ASSIGN_OR_RETURN(
-        FactTable near, engine.SamplesNearNodes(moft, node_layer, radius, when));
-    PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
-    PIET_ASSIGN_OR_RETURN(size_t t_idx, near.ColumnIndex("t"));
-    for (const Row& r : near.rows()) {
-      gamma::Fold(&runs, hours.Of(r[t_idx].AsDoubleUnchecked()),
-                  r[oid_idx].AsIntUnchecked());
-    }
-  } else {
+        const std::vector<gis::GeometryId> nodes,
+        engine.QualifyingGeometries(node_layer, GeometryPredicate::All()));
     PIET_ASSIGN_OR_RETURN(
-        FactTable near,
-        engine.TrajectoryNearNodes(moft, node_layer, radius, when));
-    PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
-    PIET_ASSIGN_OR_RETURN(size_t enter_idx, near.ColumnIndex("enter"));
-    PIET_ASSIGN_OR_RETURN(size_t leave_idx, near.ColumnIndex("leave"));
-    for (const Row& r : near.rows()) {
-      // Every hour the stay overlaps.
-      const double last = hours.Of(r[leave_idx].AsDoubleUnchecked());
-      for (double h = hours.Of(r[enter_idx].AsDoubleUnchecked()); h <= last;
-           h += temporal::kHour) {
-        gamma::Fold(&runs, h, r[oid_idx].AsIntUnchecked());
-      }
+        const QueryEngine::GammaAnswer near,
+        engine.NearState(moft, node_layer, nodes, radius, when, hours));
+    return PerHour(near.state);
+  }
+  PIET_ASSIGN_OR_RETURN(
+      FactTable near,
+      engine.TrajectoryNearNodes(moft, node_layer, radius, when));
+  PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
+  PIET_ASSIGN_OR_RETURN(size_t enter_idx, near.ColumnIndex("enter"));
+  PIET_ASSIGN_OR_RETURN(size_t leave_idx, near.ColumnIndex("leave"));
+  std::vector<gamma::Run> runs;
+  for (const Row& r : near.rows()) {
+    // Every hour the stay overlaps.
+    const double last = hours.Of(r[leave_idx].AsDoubleUnchecked());
+    for (double h = hours.Of(r[enter_idx].AsDoubleUnchecked()); h <= last;
+         h += temporal::kHour) {
+      gamma::Fold(&runs, h, r[oid_idx].AsIntUnchecked());
     }
   }
   return PerHour(gamma::Build(std::move(runs)));
@@ -287,22 +241,11 @@ Result<FactTable> WaitingAtStopPerMinute(const QueryEngine& engine,
                                          const TimePredicate& when) {
   PIET_ASSIGN_OR_RETURN(gis::GeometryId stop,
                         engine.db().gis().Alpha(attribute, member));
-  PIET_ASSIGN_OR_RETURN(
-      FactTable near, engine.SamplesNearNodes(moft, stop_layer, radius, when));
-  PIET_ASSIGN_OR_RETURN(size_t t_idx, near.ColumnIndex("t"));
-  PIET_ASSIGN_OR_RETURN(size_t node_idx, near.ColumnIndex("node"));
-  PIET_ASSIGN_OR_RETURN(size_t oid_idx, near.ColumnIndex("Oid"));
-
   // COUNT(DISTINCT OID) at the requested stop, grouped by minute.
-  const gamma::Granule instants("minute");
-  std::vector<gamma::Run> runs;
-  for (const Row& r : near.rows()) {
-    if (r[node_idx].AsIntUnchecked() == stop) {
-      gamma::Fold(&runs, instants.Of(r[t_idx].AsDoubleUnchecked()),
-                  r[oid_idx].AsIntUnchecked());
-    }
-  }
-  return gamma::FinishGrouped(gamma::Build(std::move(runs)),
+  PIET_ASSIGN_OR_RETURN(const QueryEngine::GammaAnswer waiting,
+                        engine.NearState(moft, stop_layer, {stop}, radius,
+                                         when, gamma::Granule("minute")));
+  return gamma::FinishGrouped(waiting.state,
                               gamma::Function::kCountDistinctOid,
                               engine.db().time_dimension(), "minute",
                               "waiting");

@@ -67,14 +67,6 @@ BlockOptions BlockOptions::FromEnv() {
     opts.block_rows = EnvSize("PIET_BLOCK_ROWS", opts.block_rows);
     const char* compress = std::getenv("PIET_COMPRESS");
     opts.compress = compress != nullptr && compress[0] == '1';
-    if (const char* eps = std::getenv("PIET_SIMPLIFY_EPS");
-        eps != nullptr && *eps != '\0') {
-      char* end = nullptr;
-      double parsed = std::strtod(eps, &end);
-      if (end != nullptr && *end == '\0' && parsed >= 0.0) {
-        opts.simplify_eps = parsed;
-      }
-    }
     if (const char* dir = std::getenv("PIET_SPILL_DIR");
         dir != nullptr && *dir != '\0') {
       opts.spill_dir = dir;
@@ -294,7 +286,8 @@ void MoftBlockStore::MaterializeInto(MoftColumns* out) const {
   for (size_t b = 0; b < blocks_.size(); ++b) {
     Result<Pin> pin = PinBlock(b);
     if (!pin.ok()) {
-      continue;
+      *out = MoftColumns{};  // All or nothing: no block may go missing.
+      break;
     }
     const MoftColumns& data = pin.ValueOrDie().data();
     const size_t base = out->oid.size();

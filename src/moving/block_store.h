@@ -28,16 +28,12 @@ struct BlockOptions {
   /// Encode sealed blocks with the lossless block codec (delta-of-delta
   /// style timestamps, predictive-XOR coordinates, dictionary oids).
   bool compress = false;
-  /// >= 0 enables trajectory-aware collinearity pruning at seal with this
-  /// synchronized-distance epsilon (0 = drop only exactly-redundant
-  /// interior samples, lossless under LIT semantics). < 0 = off.
-  double simplify_eps = -1.0;
   /// Directory for Moft::SpillToDisk (defaults to PIET_SPILL_DIR, then
   /// the system temp directory).
   std::string spill_dir;
 
-  /// PIET_BLOCK_ROWS / PIET_COMPRESS / PIET_SIMPLIFY_EPS / PIET_SPILL_DIR,
-  /// read once per process.
+  /// PIET_BLOCK_ROWS / PIET_COMPRESS / PIET_SPILL_DIR, read once per
+  /// process.
   static BlockOptions FromEnv();
 };
 
@@ -180,8 +176,9 @@ class MoftBlockStore {
 
   /// Decodes every block into one contiguous whole-table columns object
   /// (global rows and spans). Preserves out->seal_epoch. The whole-table
-  /// views have no error channel, so a block that fails to decode
-  /// contributes no rows here; block walks (TableBlocks) report it.
+  /// views have no error channel, so a block that fails to decode leaves
+  /// `out` empty: no view sees a table with a block missing. Block walks
+  /// (TableBlocks) report the failure.
   void MaterializeInto(MoftColumns* out) const;
 
   /// On-disk round trip: a directory of zonemaps plus one codec payload

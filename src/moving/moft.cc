@@ -12,8 +12,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "moving/simplify.h"
-#include "moving/trajectory.h"
 #include "obs/metrics.h"
 
 namespace piet::moving {
@@ -207,69 +205,10 @@ void Moft::SealLocked() const {
     cols_.spans.push_back(MoftColumns::Span{oid, begin, i});
   }
 
-  if (block_options_.simplify_eps >= 0.0 && !cols_.spans.empty()) {
-    PruneCollinearLocked();
-  }
-
   ++cols_.seal_epoch;
   ++storage_epoch_;
   store_.emplace(MoftBlockStore::Build(cols_, block_options_));
   hot_valid_ = true;
-}
-
-void Moft::PruneCollinearLocked() const {
-  MoftColumns pruned;
-  pruned.seal_epoch = cols_.seal_epoch;
-  pruned.oid.reserve(cols_.size());
-  pruned.t.reserve(cols_.size());
-  pruned.x.reserve(cols_.size());
-  pruned.y.reserve(cols_.size());
-  pruned.spans.reserve(cols_.spans.size());
-  std::vector<TimedPoint> points;
-  for (const MoftColumns::Span& span : cols_.spans) {
-    const size_t begin = pruned.oid.size();
-    points.clear();
-    for (size_t i = span.begin; i < span.end; ++i) {
-      points.push_back(
-          TimedPoint{TimePoint(cols_.t[i]),
-                     geometry::Point(cols_.x[i], cols_.y[i])});
-    }
-    auto keep = [&](const TimedPoint& tp) {
-      pruned.oid.push_back(span.oid);
-      pruned.t.push_back(tp.t.seconds);
-      pruned.x.push_back(tp.pos.x);
-      pruned.y.push_back(tp.pos.y);
-    };
-    auto sample = TrajectorySample::Create(points);
-    if (sample.ok() && points.size() > 2) {
-      auto simplified = SimplifySynchronized(sample.ValueOrDie(),
-                                             block_options_.simplify_eps);
-      if (simplified.ok()) {
-        for (const TimedPoint& tp : simplified.ValueOrDie().points()) {
-          keep(tp);
-        }
-      } else {
-        for (const TimedPoint& tp : points) {
-          keep(tp);
-        }
-      }
-    } else {
-      // Degenerate histories (< 3 samples, or not strictly time-ordered —
-      // impossible after seal) pass through untouched.
-      for (const TimedPoint& tp : points) {
-        keep(tp);
-      }
-    }
-    pruned.spans.push_back(
-        MoftColumns::Span{span.oid, begin, pruned.oid.size()});
-  }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("moft.rows_pruned")
-        .Add(static_cast<int64_t>(cols_.size() - pruned.size()));
-  }
-  cols_ = std::move(pruned);
-  size_ = cols_.size();
 }
 
 size_t Moft::num_objects() const { return EnsureSealed().spans.size(); }
@@ -324,7 +263,10 @@ SampleWindow Moft::SamplesBetween(TimePoint t0, TimePoint t1,
         }
         continue;
       }
-      for (size_t s = m.span_begin; s < m.span_end; ++s) {
+      // Hot columns left empty by a failed materialization hold none of
+      // the directory's spans.
+      const size_t held = std::min(m.span_end, cols.spans.size());
+      for (size_t s = m.span_begin; s < held; ++s) {
         const auto [begin, end] =
             WindowRowsOf(cols, cols.spans[s], t0.seconds, t1.seconds);
         if (begin < end) {

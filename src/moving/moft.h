@@ -41,7 +41,7 @@ namespace piet::moving {
 ///
 /// Block storage: every seal also builds a MoftBlockStore directory of
 /// span-aligned blocks with per-block zonemaps (BlockOptions: PIET_BLOCK_ROWS
-/// / PIET_COMPRESS / PIET_SIMPLIFY_EPS, or SetBlockOptions). By default a
+/// / PIET_COMPRESS, or SetBlockOptions). By default a
 /// block is a row range of the sealed columns; with `compress` each block
 /// also carries a codec payload, and the whole-table view API above is
 /// served by a hot tier materialized from the blocks on demand (and
@@ -230,10 +230,6 @@ class Moft {
   /// Rebuilds the hot columns from the block store when released.
   void EnsureHotLocked() const;
   void SealLocked() const;
-  /// Collinearity pruning at seal time (block_options_.simplify_eps >= 0):
-  /// per object, drops interior samples the synchronized-distance
-  /// simplifier deems within epsilon of the linear interpolation.
-  void PruneCollinearLocked() const;
 
   /// (oid, t) -> position of every stored sample, for O(1) duplicate
   /// detection on the write path.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -449,6 +450,16 @@ TEST(AggCacheEquivalenceTest, EngineHelpersMatchUncachedBitForBit) {
   }
 }
 
+/// The hourly region operator's cache serve over `layer`, or nullopt when
+/// the operator scanned instead (or failed).
+std::optional<core::aggcache::AggServeStats> Served(
+    const QueryEngine& engine, const std::string& layer,
+    const GeometryPredicate& pred, const TimePredicate& when) {
+  auto region = engine.RegionState("cars", layer, pred, when,
+                                   core::gamma::Granule(), Strategy::kOverlay);
+  return region.ok() ? region.ValueOrDie().served : std::nullopt;
+}
+
 TEST(AggCacheEquivalenceTest, ServeGateRefusesOnlySubHourPredicates) {
   auto city = MakeCity(1, /*convex=*/true);
   QueryEngine on(city->db.get());
@@ -456,25 +467,24 @@ TEST(AggCacheEquivalenceTest, ServeGateRefusesOnlySubHourPredicates) {
   GeometryPredicate low = GeometryPredicate::AttributeLess("income", 1500.0);
 
   for (const auto& [name, when] : SweepWhens()) {
-    auto served = on.CachedRegionAggregate(
-        "cars", city->neighborhoods_layer, low, when);
-    if (when.has_sub_hour_rollup()) {
-      EXPECT_FALSE(served.has_value()) << name;
-    } else {
-      EXPECT_TRUE(served.has_value()) << name;
-    }
+    auto region = on.RegionState("cars", city->neighborhoods_layer, low, when,
+                                 core::gamma::Granule(), Strategy::kOverlay);
+    ASSERT_TRUE(region.ok()) << name << ": " << region.status().ToString();
+    EXPECT_EQ(region.ValueOrDie().served.has_value(),
+              !when.has_sub_hour_rollup())
+        << name;
+    EXPECT_EQ(region.ValueOrDie().cache_fallback, when.has_sub_hour_rollup())
+        << name;
   }
 
   // Mode off refuses everything.
   QueryEngine off(city->db.get());
   off.set_agg_cache_mode(AggCacheMode::kOff);
-  EXPECT_FALSE(off.CachedRegionAggregate("cars", city->neighborhoods_layer,
-                                         low, TimePredicate())
+  EXPECT_FALSE(Served(off, city->neighborhoods_layer, low, TimePredicate())
                    .has_value());
   // No overlay coverage refuses (streets is not an overlay layer).
-  EXPECT_FALSE(on.CachedRegionAggregate("cars", city->streets_layer, low,
-                                        TimePredicate())
-                   .has_value());
+  EXPECT_FALSE(
+      Served(on, city->streets_layer, low, TimePredicate()).has_value());
 }
 
 TEST(AggCacheEquivalenceTest, InteriorCellsAreServedWithoutSampleTouches) {
@@ -482,27 +492,26 @@ TEST(AggCacheEquivalenceTest, InteriorCellsAreServedWithoutSampleTouches) {
   QueryEngine on(city->db.get());
   on.set_agg_cache_mode(AggCacheMode::kOn);
 
-  auto served = on.CachedRegionAggregate(
-      "cars", city->neighborhoods_layer, GeometryPredicate::All(),
-      TimePredicate());
+  auto served = Served(on, city->neighborhoods_layer,
+                       GeometryPredicate::All(), TimePredicate());
   ASSERT_TRUE(served.has_value());
   // Every neighborhood is wanted, so no cell is boundary-refined and no
   // bucket is fringe: the whole answer comes from partials.
-  EXPECT_GT(served->stats.interior_cells, 0u);
-  EXPECT_GT(served->stats.groups_from_partials, 0u);
-  EXPECT_EQ(served->stats.rows_refined, 0u);
-  EXPECT_EQ(served->stats.fringe_rows, 0u);
-  EXPECT_EQ(served->stats.point_tests, 0u);
+  EXPECT_GT(served->interior_cells, 0u);
+  EXPECT_GT(served->groups_from_partials, 0u);
+  EXPECT_EQ(served->rows_refined, 0u);
+  EXPECT_EQ(served->fringe_rows, 0u);
+  EXPECT_EQ(served->point_tests, 0u);
   // The engine's stats mirror the zero-touch serve.
   EXPECT_EQ(on.stats().samples_scanned, 0u);
   EXPECT_EQ(on.stats().point_tests, 0u);
 
   // A proper subset leaves boundary cells to refine exactly.
-  auto subset = on.CachedRegionAggregate(
-      "cars", city->neighborhoods_layer,
-      GeometryPredicate::AttributeLess("income", 1500.0), TimePredicate());
+  auto subset = Served(on, city->neighborhoods_layer,
+                       GeometryPredicate::AttributeLess("income", 1500.0),
+                       TimePredicate());
   ASSERT_TRUE(subset.has_value());
-  EXPECT_GT(subset->stats.skipped_cells + subset->stats.boundary_cells, 0u);
+  EXPECT_GT(subset->skipped_cells + subset->boundary_cells, 0u);
 }
 
 TEST(AggCacheEquivalenceTest, EvaluatorMatchesUncachedBitForBit) {

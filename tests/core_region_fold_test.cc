@@ -1,6 +1,6 @@
 // Oracle for the γ fold of the sample-semantics region counts:
 // queries::CountPerHourInRegion and CountObjectsInRegion fold region C into
-// γ's per-hour state inside the scan (QueryEngine::RegionObjects).
+// γ's per-hour state inside the scan (QueryEngine::RegionState).
 // The reference is built here the way the helpers built it before the
 // fold: SampleRegion's rows inserted into a std::set. Every strategy runs
 // over raw and compressed blocks, hot, released and spilled, at 1 and 4
@@ -233,11 +233,12 @@ TEST_P(RegionFoldOracleTest, CountsMatchSampleRegionSets) {
     }
 
     // The fold: γ's state over hour buckets with the scan's counters.
-    auto state = engine.RegionObjects("cars", nb, pred, c.when, p.strategy);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    EXPECT_EQ(Keys(state.ValueOrDie()),
+    auto region = engine.RegionState("cars", nb, pred, c.when,
+                                     core::gamma::Granule(), p.strategy);
+    ASSERT_TRUE(region.ok()) << region.status().ToString();
+    EXPECT_EQ(Keys(region.ValueOrDie().state),
               std::vector<Key>(want.begin(), want.end()));
-    EXPECT_EQ(core::gamma::Tuples(state.ValueOrDie()),
+    EXPECT_EQ(core::gamma::Tuples(region.ValueOrDie().state),
               static_cast<int64_t>(rows));
     EXPECT_EQ(engine.stats().samples_scanned, scan.samples_scanned);
     EXPECT_EQ(engine.stats().point_tests, scan.point_tests);

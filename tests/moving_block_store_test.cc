@@ -783,33 +783,6 @@ TEST(MoftBlockTest, CopyOfBlockBackedMoftIsIndependent) {
   EXPECT_EQ(moft.num_samples(), 32u);
 }
 
-TEST(MoftBlockTest, CollinearityPruningDropsExactlyRedundantSamples) {
-  BlockOptions opts;
-  opts.simplify_eps = 0.0;  // Exact: only zero-error interior samples go.
-  Moft moft;
-  moft.SetBlockOptions(opts);
-  // Object 1: constant velocity — interior samples are exactly on the LIT.
-  for (int j = 0; j <= 4; ++j) {
-    ASSERT_TRUE(moft.Add(1, TimePoint(10.0 * j),
-                         geometry::Point(2.0 * j, -1.0 * j))
-                    .ok());
-  }
-  // Object 2: a genuine kink at the middle sample.
-  ASSERT_TRUE(moft.Add(2, TimePoint(0.0), geometry::Point(0, 0)).ok());
-  ASSERT_TRUE(moft.Add(2, TimePoint(10.0), geometry::Point(5, 3)).ok());
-  ASSERT_TRUE(moft.Add(2, TimePoint(20.0), geometry::Point(10, 0)).ok());
-  // Object 3: fewer than 3 samples passes through untouched.
-  ASSERT_TRUE(moft.Add(3, TimePoint(0.0), geometry::Point(7, 7)).ok());
-
-  EXPECT_EQ(moft.SamplesOf(1).size(), 2u);  // Endpoints only.
-  EXPECT_EQ(moft.SamplesOf(1).front().t.seconds, 0.0);
-  EXPECT_EQ(moft.SamplesOf(1).back().t.seconds, 40.0);
-  EXPECT_EQ(moft.SamplesOf(2).size(), 3u);  // Kink survives eps = 0.
-  EXPECT_EQ(moft.SamplesOf(3).size(), 1u);
-  // num_samples reflects the pruned table.
-  EXPECT_EQ(moft.num_samples(), 6u);
-}
-
 // ---------------------------------------------------------------------------
 // SamplesBetween at block seams (satellite 3).
 
@@ -820,6 +793,24 @@ TEST(MoftWindowSeamTest, EmptyMoft) {
             0u);
   EXPECT_EQ(moft.Blocks().total_rows(), 0u);
   EXPECT_EQ(CollectBlockScan(moft).size(), 0u);
+}
+
+// The whole-table views have no Status channel (they go once every reader
+// walks Moft::Blocks()), so an opened table whose block fails to decode
+// must show them no rows at all rather than a table with that block's rows
+// missing: SamplesBetween used to index the block's spans into hot columns
+// that lacked them.
+TEST(MoftWindowSeamTest, UndecodableBlockHidesTheWholeTable) {
+  const Moft source = MakeMoft(6, 8, Blocked(16));
+  auto garbled = MoftFromGarbledBlockFile(source.Columns(), Blocked(16),
+                                          "window_seam_garbled.pietblk");
+  ASSERT_TRUE(garbled.ok()) << garbled.status().ToString();
+  const Moft& moft = garbled.ValueOrDie();
+  ASSERT_GT(moft.block_store()->num_blocks(), 1u);
+  // Block 0 holds objects 1 and 11, the ones the window reaches.
+  EXPECT_EQ(moft.SamplesBetween(TimePoint(0.0), TimePoint(100.0)).size(), 0u);
+  EXPECT_EQ(moft.Scan().size(), 0u);
+  EXPECT_EQ(moft.num_objects(), 0u);
 }
 
 TEST(MoftWindowSeamTest, WindowsOnExactBlockSeams) {
