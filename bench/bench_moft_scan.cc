@@ -313,7 +313,7 @@ void BM_ScanBlocks(benchmark::State& state, Tier tier) {
   state.counters["rows"] = static_cast<double>(blocks.total_rows());
   state.counters["decodes_per_scan"] =
       state.iterations() > 0
-          ? static_cast<double>(io.blocks_decoded) /
+          ? static_cast<double>(io.blocks_pinned) /
                 static_cast<double>(state.iterations())
           : 0.0;
   SetStoreCounters(state, *moft);

@@ -135,19 +135,18 @@ void PrintStorage(const Dump& d) {
 void PrintCaches(const Dump& d) {
   const double hits = d.Get("piet_pietql_aggcache_hits_total");
   const double misses = d.Get("piet_pietql_aggcache_misses_total");
-  const double stale = d.Get("piet_pietql_aggcache_stale_storage_total");
   const double fallback = d.Get("piet_pietql_aggcache_fallback_subhour_total");
   const double classify_hits = d.Get("piet_db_classify_cache_hits_total");
-  if (hits + misses + stale + fallback + classify_hits == 0.0) {
+  if (hits + misses + fallback + classify_hits == 0.0) {
     return;
   }
   std::printf("caches\n");
   const double serves = hits + misses;
   if (serves > 0.0) {
     std::printf(
-        "  aggcache   hit %.1f%% (%.0f/%.0f)  stale %.0f  fallback %.0f  "
+        "  aggcache   hit %.1f%% (%.0f/%.0f)  fallback %.0f  "
         "entries %.0f (%s)\n",
-        100.0 * hits / serves, hits, serves, stale, fallback,
+        100.0 * hits / serves, hits, serves, fallback,
         d.Get("piet_pietql_aggcache_entries"),
         HumanBytes(d.Get("piet_pietql_aggcache_bytes")).c_str());
   }

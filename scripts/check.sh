@@ -203,6 +203,19 @@ if grep -nE "Scan\(\)|SpanAt\(|Columns\(\)" src/analysis/model_check.cc; then
   exit 1
 fi
 
+# The aggregate cache groups rows by their classification hit sets and
+# reads fringe rows through Moft::Blocks() (DESIGN.md §13): it borrows no
+# whole-table view, so a released or spilled table stays cold, and it runs
+# no point location or geometry kernel of its own.
+if grep -rnE 'Scan\(\)|Columns\(\)|SamplesBetween\(|SamplesOf\(|SpanAt\(|CellsContaining\(|#include "core/geometry/batch\.h"' \
+     src/core/aggcache/; then
+  echo "error: src/core/aggcache/ reads the MOFT through Moft::Blocks() and" \
+       "its membership from SampleClassification, never a whole-table view" \
+       "(Scan/Columns/SamplesBetween/SamplesOf/SpanAt), CellsContaining or" \
+       "core/geometry/batch.h" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

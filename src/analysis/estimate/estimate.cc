@@ -348,7 +348,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
                                      wm_last.admitted_rows};
     }
     if (serve_possible || !replay_exact || may_skip) {
-      // Interior cells served from partials scan nothing, and neither
+      // Full buckets served from partials scan nothing, and neither
       // does a skipped scan.
       est.rows_scanned.lo = 0;
     }

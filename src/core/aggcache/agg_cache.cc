@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 
-#include "common/parallel.h"
-#include "core/geometry/batch.h"
+#include "core/database.h"
 #include "obs/metrics.h"
 #include "temporal/calendar.h"
 
@@ -20,57 +20,22 @@ using temporal::TimePoint;
 
 constexpr double kBucketSeconds = 3600.0;
 
-bool IsWanted(const std::vector<uint8_t>& wanted, gis::GeometryId id) {
-  return id >= 0 && static_cast<size_t>(id) < wanted.size() &&
-         wanted[static_cast<size_t>(id)] != 0;
+/// True when one of the ids [first, last) is set in the `wanted` bitmap.
+template <typename It>
+bool MeetsWanted(It first, It last, const std::vector<uint8_t>& wanted) {
+  return std::any_of(first, last, [&](gis::GeometryId id) {
+    return id >= 0 && static_cast<size_t>(id) < wanted.size() &&
+           wanted[static_cast<size_t>(id)] != 0;
+  });
 }
 
-/// Shared batched refinement of one boundary-cell group: mask[i] = 1 iff
-/// the group's i-th row lies inside some wanted candidate polygon of its
-/// cell. Batchers are built lazily per candidate geometry and reused
-/// across groups and cells within one serve.
-struct GroupRefiner {
-  const MoftColumns* cols = nullptr;
-  const std::vector<uint32_t>* rows = nullptr;
-  const std::vector<uint32_t>* cand_offsets = nullptr;
-  const std::vector<gis::GeometryId>* cand_ids = nullptr;
-  const std::vector<const geometry::Polygon*>* cand_polys = nullptr;
-
-  std::map<gis::GeometryId, batch::PolygonBatcher> batchers{};
-  batch::BatchScratch scratch{};
-  std::vector<double> xs{}, ys{};
-  std::vector<uint8_t> verdict{};
-
-  void Mask(const AggCacheEntry::Group& g, const std::vector<uint8_t>& wanted,
-            std::vector<uint8_t>* mask, AggServeStats* st) {
-    xs.clear();
-    ys.clear();
-    for (uint32_t k = g.rows_begin; k < g.rows_end; ++k) {
-      const uint32_t row = (*rows)[k];
-      xs.push_back(cols->x[row]);
-      ys.push_back(cols->y[row]);
-    }
-    mask->assign(xs.size(), 0);
-    for (uint32_t c = (*cand_offsets)[g.cell]; c < (*cand_offsets)[g.cell + 1];
-         ++c) {
-      const geometry::Polygon* pg = (*cand_polys)[c];
-      if (pg == nullptr || !IsWanted(wanted, (*cand_ids)[c])) {
-        continue;
-      }
-      auto it = batchers.find((*cand_ids)[c]);
-      if (it == batchers.end()) {
-        it = batchers.emplace((*cand_ids)[c], batch::PolygonBatcher(pg)).first;
-      }
-      it->second.ContainsBatch(xs, ys, &scratch, &verdict);
-      st->point_tests += xs.size();
-      for (size_t i = 0; i < mask->size(); ++i) {
-        (*mask)[i] = static_cast<uint8_t>((*mask)[i] | verdict[i]);
-      }
-    }
-    st->rows_refined += xs.size();
-    ++st->groups_refined;
+/// Appends `oid` unless it is the last one: the fringe walk visits rows
+/// in (Oid, t) order, so this keeps one entry per object and bucket run.
+void PushDistinct(std::vector<moving::ObjectId>* oids, moving::ObjectId oid) {
+  if (oids->empty() || oids->back() != oid) {
+    oids->push_back(oid);
   }
-};
+}
 
 /// The at-most-two padded time slices holding every window row of a
 /// fringe bucket. Rows outside fringe buckets that land in a slice are
@@ -98,16 +63,8 @@ void CountServe(const AggServeStats& st) {
   }
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("pietql.aggcache.served").Add(1);
-  registry.GetCounter("pietql.aggcache.cells_interior")
-      .Add(static_cast<int64_t>(st.interior_cells));
-  registry.GetCounter("pietql.aggcache.cells_boundary")
-      .Add(static_cast<int64_t>(st.boundary_cells));
-  registry.GetCounter("pietql.aggcache.cells_skipped")
-      .Add(static_cast<int64_t>(st.skipped_cells));
   registry.GetCounter("pietql.aggcache.groups_from_partials")
       .Add(static_cast<int64_t>(st.groups_from_partials));
-  registry.GetCounter("pietql.aggcache.rows_refined")
-      .Add(static_cast<int64_t>(st.rows_refined));
   registry.GetCounter("pietql.aggcache.fringe_rows")
       .Add(static_cast<int64_t>(st.fringe_rows));
 }
@@ -126,126 +83,75 @@ AggCacheMode AggCacheModeFromEnv() {
   return AggCacheMode::kOn;
 }
 
-AggCacheEntry AggCacheEntry::Build(const moving::Moft& moft,
-                                   const gis::OverlayDb& overlay,
-                                   size_t overlay_layer, int threads) {
+Result<AggCacheEntry> AggCacheEntry::Build(
+    const moving::Moft& moft,
+    std::shared_ptr<const SampleClassification> classification) {
   AggCacheEntry e;
   e.moft_ = &moft;
-  e.overlay_ = &overlay;
-  e.layer_ = overlay_layer;
-  e.view_ = moft.Scan();
-  const MoftColumns& cols = *e.view_.columns();
-  const size_t n = cols.size();
+  e.classification_ = std::move(classification);
+  const gis::BatchHits& hits = e.classification_->hits;
 
-  // Pin every row to its overlay cell and hour bucket. Per-row work is
-  // pure, chunks write disjoint ranges, and shared-border rows merge in
-  // chunk order — bit-identical for any thread count.
-  e.cell_of_row_.assign(n, kCellOutside);
-  std::vector<int64_t> bucket_of(n);
-  struct LocateChunk {
-    std::vector<uint32_t> shared_rows;
+  // One row walk: intern each row's hit set and fold the row into its
+  // (hit set, bucket) group. Rows ascend by (oid, t), so each group's
+  // Oids arrive nondecreasing and dedup against the last one; a row with
+  // the previous row's hits and bucket joins the previous row's group.
+  struct Partial {
+    uint32_t samples = 0;
+    std::vector<moving::ObjectId> oids;
   };
-  parallel::OrderedReduce<LocateChunk>(
-      threads, n,
-      [&](size_t /*chunk*/, size_t begin, size_t end, LocateChunk* out) {
-        std::vector<uint32_t> cells;
-        for (size_t i = begin; i < end; ++i) {
-          bucket_of[i] = temporal::HourBucketKey(TimePoint(cols.t[i]));
-          overlay.CellsContaining(geometry::Point(cols.x[i], cols.y[i]),
-                                  &cells);
-          if (cells.empty()) {
-            continue;  // stays kCellOutside
+  std::map<std::vector<gis::GeometryId>, uint32_t> set_of;
+  std::map<std::pair<uint32_t, int64_t>, Partial> partials;
+  Partial* last = nullptr;
+  size_t last_row = 0;
+  int64_t last_bucket = 0;
+  std::vector<gis::GeometryId> key;
+  const moving::TableBlocks blocks = moft.Blocks();
+  e.num_rows_ = blocks.total_rows();
+  moving::BlockIoStats io;
+  PIET_RETURN_NOT_OK(blocks.ForEachRowRange(
+      0, e.num_rows_, moving::ZoneFilter{}, &io,
+      [&](const MoftColumns& data, size_t lb, size_t le,
+          size_t row_base) -> Status {
+        for (size_t i = lb; i < le; ++i) {
+          const size_t row = row_base + i;
+          const moving::ObjectId oid = data.oid[i];
+          const int64_t bucket = temporal::HourBucketKey(TimePoint(data.t[i]));
+          const auto first = hits.ids.begin() + hits.offsets[row];
+          const auto end = hits.ids.begin() + hits.offsets[row + 1];
+          if (last == nullptr || bucket != last_bucket ||
+              !std::equal(first, end,
+                          hits.ids.begin() + hits.offsets[last_row],
+                          hits.ids.begin() + hits.offsets[last_row + 1])) {
+            key.assign(first, end);
+            const auto [set, fresh] = set_of.try_emplace(
+                key, static_cast<uint32_t>(set_of.size()));
+            if (fresh) {
+              e.set_ids_.insert(e.set_ids_.end(), first, end);
+              e.set_offsets_.push_back(
+                  static_cast<uint32_t>(e.set_ids_.size()));
+            }
+            last = &partials[{set->second, bucket}];
+            last_bucket = bucket;
           }
-          if (cells.size() == 1) {
-            e.cell_of_row_[i] = cells[0];
-          } else {
-            e.cell_of_row_[i] = kCellShared;
-            out->shared_rows.push_back(static_cast<uint32_t>(i));
-          }
+          last_row = row;
+          ++last->samples;
+          PushDistinct(&last->oids, oid);
+          PushDistinct(&e.object_ids_, oid);
         }
-      },
-      [&](LocateChunk&& c) {
-        e.exception_rows_.insert(e.exception_rows_.end(),
-                                 c.shared_rows.begin(), c.shared_rows.end());
-      });
+        return Status::OK();
+      }));
 
-  // Shared-border rows keep their exact layer hits, so serving never has
-  // to re-run point location.
-  e.exception_offsets_.push_back(0);
-  {
-    std::vector<gis::GeometryId> hits;
-    for (uint32_t row : e.exception_rows_) {
-      overlay.LocateInLayerInto(geometry::Point(cols.x[row], cols.y[row]),
-                                overlay_layer, &hits);
-      e.exception_hits_.insert(e.exception_hits_.end(), hits.begin(),
-                               hits.end());
-      e.exception_offsets_.push_back(
-          static_cast<uint32_t>(e.exception_hits_.size()));
-    }
-  }
-
-  // Dense object index (span order == ascending Oid).
-  e.object_ids_.reserve(cols.spans.size());
-  for (const MoftColumns::Span& s : cols.spans) {
-    e.object_ids_.push_back(s.oid);
-  }
-
-  // Group the conforming rows by (cell, bucket). Ties keep row order, so
-  // each group's rows are ascending — and therefore nondecreasing in Oid
-  // (the columns are (oid, t)-sorted), which yields the distinct-Oid sets
-  // and dwell counts in one pass.
-  std::vector<uint32_t> idx;
-  idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (e.cell_of_row_[i] != kCellShared) {
-      idx.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    if (e.cell_of_row_[a] != e.cell_of_row_[b]) {
-      return e.cell_of_row_[a] < e.cell_of_row_[b];
-    }
-    if (bucket_of[a] != bucket_of[b]) {
-      return bucket_of[a] < bucket_of[b];
-    }
-    return a < b;
-  });
-
-  for (size_t i = 0; i < idx.size();) {
-    const uint32_t cell = e.cell_of_row_[idx[i]];
-    const int64_t bucket = bucket_of[idx[i]];
+  for (const auto& [k, p] : partials) {
     Group g;
-    g.cell = cell;
-    g.bucket = bucket;
-    g.rows_begin = static_cast<uint32_t>(e.rows_.size());
+    g.hit_set = k.first;
+    g.bucket = k.second;
+    g.samples = p.samples;
     g.oids_begin = static_cast<uint32_t>(e.oids_.size());
-    size_t j = i;
-    while (j < idx.size() && e.cell_of_row_[idx[j]] == cell &&
-           bucket_of[idx[j]] == bucket) {
-      const uint32_t row = idx[j];
-      e.rows_.push_back(row);
-      if (e.oids_.size() == g.oids_begin || e.oids_.back() != cols.oid[row]) {
-        e.oids_.push_back(cols.oid[row]);
-        e.oid_counts_.push_back(1);
-      } else {
-        ++e.oid_counts_.back();
-      }
-      if (j > i && row == idx[j - 1] + 1 &&
-          cols.oid[row] == cols.oid[idx[j - 1]]) {
-        ++g.legs;
-      }
-      ++j;
-    }
-    g.rows_end = static_cast<uint32_t>(e.rows_.size());
+    e.oids_.insert(e.oids_.end(), p.oids.begin(), p.oids.end());
     g.oids_end = static_cast<uint32_t>(e.oids_.size());
-    g.samples = g.rows_end - g.rows_begin;
     e.groups_.push_back(g);
-    i = j;
+    e.buckets_.push_back(k.second);
   }
-
-  // Distinct buckets across every row (exception rows included — bucket
-  // classification must cover them too).
-  e.buckets_.assign(bucket_of.begin(), bucket_of.end());
   std::sort(e.buckets_.begin(), e.buckets_.end());
   e.buckets_.erase(std::unique(e.buckets_.begin(), e.buckets_.end()),
                    e.buckets_.end());
@@ -272,34 +178,6 @@ AggCacheEntry AggCacheEntry::Build(const moving::Moft& moft,
     e.oids_.clear();
     e.oids_.shrink_to_fit();
   }
-
-  // Flattened per-cell labels of the cached layer; candidate polygons are
-  // resolved once (unresolvable ids keep a null slot and never match,
-  // mirroring LocateInLayerInto).
-  const size_t ncells = overlay.num_cells();
-  const gis::Layer* layer = overlay.layers()[overlay_layer];
-  e.covered_offsets_.reserve(ncells + 1);
-  e.candidate_offsets_.reserve(ncells + 1);
-  e.covered_offsets_.push_back(0);
-  e.candidate_offsets_.push_back(0);
-  for (size_t c = 0; c < ncells; ++c) {
-    for (const gis::OverlayLabel& l : overlay.CellCovered(c)) {
-      if (l.layer == overlay_layer) {
-        e.covered_ids_.push_back(l.geom);
-      }
-    }
-    e.covered_offsets_.push_back(static_cast<uint32_t>(e.covered_ids_.size()));
-    for (const gis::OverlayLabel& l : overlay.CellCandidates(c)) {
-      if (l.layer != overlay_layer) {
-        continue;
-      }
-      e.candidate_ids_.push_back(l.geom);
-      auto poly = layer->GetPolygon(l.geom);
-      e.candidate_polys_.push_back(poly.ok() ? poly.ValueOrDie() : nullptr);
-    }
-    e.candidate_offsets_.push_back(
-        static_cast<uint32_t>(e.candidate_ids_.size()));
-  }
   return e;
 }
 
@@ -322,27 +200,18 @@ void AggCacheEntry::AppendGroupOids(const Group& g,
   }
 }
 
-std::vector<uint32_t> AggCacheEntry::GroupDwellCounts(const Group& g) const {
-  return std::vector<uint32_t>(oid_counts_.begin() + g.oids_begin,
-                               oid_counts_.begin() + g.oids_end);
+uint64_t AggCacheEntry::database_epoch() const {
+  return classification_->epoch;
 }
 
 size_t AggCacheEntry::memory_bytes() const {
-  return cell_of_row_.size() * sizeof(uint32_t) +
-         groups_.size() * sizeof(Group) + rows_.size() * sizeof(uint32_t) +
-         oid_counts_.size() * sizeof(uint32_t) +
+  return set_offsets_.size() * sizeof(uint32_t) +
+         set_ids_.size() * sizeof(gis::GeometryId) +
+         groups_.size() * sizeof(Group) +
          oids_.size() * sizeof(moving::ObjectId) +
          bitmap_words_.size() * sizeof(uint64_t) +
          object_ids_.size() * sizeof(moving::ObjectId) +
-         buckets_.size() * sizeof(int64_t) +
-         exception_rows_.size() * sizeof(uint32_t) +
-         exception_offsets_.size() * sizeof(uint32_t) +
-         exception_hits_.size() * sizeof(gis::GeometryId) +
-         covered_offsets_.size() * sizeof(uint32_t) +
-         covered_ids_.size() * sizeof(gis::GeometryId) +
-         candidate_offsets_.size() * sizeof(uint32_t) +
-         candidate_ids_.size() * sizeof(gis::GeometryId) +
-         candidate_polys_.size() * sizeof(void*);
+         buckets_.size() * sizeof(int64_t);
 }
 
 std::vector<AggCacheEntry::BucketState> AggCacheEntry::ClassifyBuckets(
@@ -386,176 +255,89 @@ AggCacheEntry::BucketState AggCacheEntry::StateOf(
   return states[static_cast<size_t>(it - buckets_.begin())];
 }
 
-void AggCacheEntry::ClassifyCells(const std::vector<uint8_t>& wanted,
-                                  std::vector<uint8_t>* member,
-                                  std::vector<uint8_t>* boundary,
-                                  AggServeStats* stats) const {
-  const size_t ncells = covered_offsets_.size() - 1;
-  member->assign(ncells, 0);
-  boundary->assign(ncells, 0);
-  for (size_t c = 0; c < ncells; ++c) {
-    for (uint32_t k = covered_offsets_[c]; k < covered_offsets_[c + 1]; ++k) {
-      if (IsWanted(wanted, covered_ids_[k])) {
-        (*member)[c] = 1;
-        break;
-      }
-    }
-    for (uint32_t k = candidate_offsets_[c]; k < candidate_offsets_[c + 1];
-         ++k) {
-      if (candidate_polys_[k] != nullptr && IsWanted(wanted, candidate_ids_[k])) {
-        (*boundary)[c] = 1;
-        break;
-      }
-    }
-    if ((*boundary)[c] != 0) {
-      ++stats->boundary_cells;
-    } else if ((*member)[c] != 0) {
-      ++stats->interior_cells;
-    } else {
-      ++stats->skipped_cells;
-    }
+std::vector<uint8_t> AggCacheEntry::MemberSets(
+    const std::vector<uint8_t>& wanted) const {
+  std::vector<uint8_t> member(num_hit_sets());
+  for (size_t s = 0; s < member.size(); ++s) {
+    member[s] = MeetsWanted(set_ids_.begin() + set_offsets_[s],
+                            set_ids_.begin() + set_offsets_[s + 1], wanted);
   }
+  return member;
 }
 
-bool AggCacheEntry::RefineRow(uint32_t row, uint32_t cell,
-                              const std::vector<uint8_t>& wanted,
-                              AggServeStats* stats) const {
-  const MoftColumns& cols = *view_.columns();
-  const geometry::Point p(cols.x[row], cols.y[row]);
-  for (uint32_t c = candidate_offsets_[cell]; c < candidate_offsets_[cell + 1];
-       ++c) {
-    const geometry::Polygon* pg = candidate_polys_[c];
-    if (pg == nullptr || !IsWanted(wanted, candidate_ids_[c])) {
-      continue;
-    }
-    ++stats->point_tests;
-    if (pg->Contains(p)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool AggCacheEntry::ExceptionIsMember(size_t exception_idx,
-                                      const std::vector<uint8_t>& wanted) const {
-  for (uint32_t k = exception_offsets_[exception_idx];
-       k < exception_offsets_[exception_idx + 1]; ++k) {
-    if (IsWanted(wanted, exception_hits_[k])) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void AggCacheEntry::ForEachExactRow(
+Status AggCacheEntry::ForEachFringeRow(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
-    const std::vector<BucketState>& states, const std::vector<uint8_t>& member,
-    const std::vector<uint8_t>& boundary, AggServeStats* st,
-    const std::function<void(size_t, bool)>& visit) const {
-  const MoftColumns& cols = *view_.columns();
-  for (size_t ei = 0; ei < exception_rows_.size(); ++ei) {
-    const uint32_t row = exception_rows_[ei];
-    if (StateOf(states, temporal::HourBucketKey(TimePoint(cols.t[row]))) !=
-        BucketState::kFull) {
-      continue;
-    }
-    ++st->rows_refined;
-    visit(row, ExceptionIsMember(ei, wanted));
+    const std::vector<BucketState>& states, AggServeStats* st,
+    const std::function<void(moving::ObjectId, double, bool)>& visit) const {
+  if (st->fringe_buckets == 0) {
+    return Status::OK();
   }
-  if (!when.window() || std::find(states.begin(), states.end(),
-                                  BucketState::kFringe) == states.end()) {
-    return;
-  }
+  const gis::BatchHits& hits = classification_->hits;
+  const moving::TableBlocks blocks = moft_->Blocks();
+  moving::BlockIoStats io;
   for (const temporal::Interval& slice : FringeSlices(*when.window())) {
-    const moving::SampleWindow win =
-        moft_->SamplesBetween(slice.begin, slice.end);
-    for (const moving::SampleWindow::Range& r : win.ranges()) {
-      for (size_t row = r.begin; row < r.end; ++row) {
-        if (StateOf(states, temporal::HourBucketKey(TimePoint(cols.t[row]))) !=
-            BucketState::kFringe) {
-          continue;
-        }
-        ++st->fringe_rows;
-        const uint32_t cell = cell_of_row_[row];
-        bool is_member = false;
-        if (cell == kCellShared) {
-          const auto it = std::lower_bound(exception_rows_.begin(),
-                                           exception_rows_.end(), row);
-          is_member = ExceptionIsMember(
-              static_cast<size_t>(it - exception_rows_.begin()), wanted);
-        } else if (cell != kCellOutside) {
-          is_member = member[cell] != 0 ||
-                      (boundary[cell] != 0 &&
-                       RefineRow(static_cast<uint32_t>(row), cell, wanted, st));
-        }
-        visit(row, is_member);
-      }
-    }
+    moving::ZoneFilter filter;
+    filter.window = slice;
+    PIET_RETURN_NOT_OK(blocks.ForEachSpanRange(
+        0, blocks.total_spans(), filter, &io,
+        [&](const MoftColumns& data, size_t sb, size_t se,
+            size_t row_base) -> Status {
+          for (size_t s = sb; s < se; ++s) {
+            const auto [lo, hi] = moving::WindowRowsOf(
+                data, data.spans[s], slice.begin.seconds, slice.end.seconds);
+            for (size_t i = lo; i < hi; ++i) {
+              if (StateOf(states, temporal::HourBucketKey(
+                                      TimePoint(data.t[i]))) !=
+                  BucketState::kFringe) {
+                continue;
+              }
+              ++st->fringe_rows;
+              const size_t row = row_base + i;
+              visit(data.oid[i], data.t[i],
+                    MeetsWanted(hits.ids.begin() + hits.offsets[row],
+                                hits.ids.begin() + hits.offsets[row + 1],
+                                wanted));
+            }
+          }
+          return Status::OK();
+        }));
   }
+  return Status::OK();
 }
 
-std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
+Result<RegionAggregate> AggCacheEntry::RegionAggregates(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  // Hour buckets cannot decide a sub-hour rollup; QueryEngine's cache
-  // probe refuses it first and counts the fallback.
   if (when.has_sub_hour_rollup()) {
-    return std::nullopt;
+    return Status::InvalidArgument(
+        "hour buckets cannot decide a sub-hour rollup");
   }
   RegionAggregate out;
   AggServeStats& st = out.stats;
-  std::vector<uint8_t> member;
-  std::vector<uint8_t> boundary;
-  ClassifyCells(wanted, &member, &boundary, &st);
+  const std::vector<uint8_t> member = MemberSets(wanted);
   const std::vector<BucketState> states = ClassifyBuckets(when, dim, &st);
-  const MoftColumns& cols = *view_.columns();
-  GroupRefiner refiner{&cols, &rows_, &candidate_offsets_, &candidate_ids_,
-                       &candidate_polys_};
-  std::vector<uint8_t> mask;
 
-  // Full buckets: interior member cells from partials, boundary cells
-  // through the batch kernels, everything else skipped.
   for (const Group& g : groups_) {
-    if (StateOf(states, g.bucket) != BucketState::kFull ||
-        g.cell == kCellOutside) {
-      continue;
-    }
-    if (member[g.cell] != 0) {
-      gamma::Partial& b = out.per_bucket[static_cast<double>(g.bucket)];
-      b.samples += g.samples;
-      AppendGroupOids(g, &b.oids);
-      ++st.groups_from_partials;
-      continue;
-    }
-    if (boundary[g.cell] == 0) {
-      continue;
-    }
-    refiner.Mask(g, wanted, &mask, &st);
-    int64_t members = 0;
-    for (const uint8_t m : mask) {
-      members += m;
-    }
-    if (members == 0) {
+    if (member[g.hit_set] == 0 ||
+        StateOf(states, g.bucket) != BucketState::kFull) {
       continue;
     }
     gamma::Partial& b = out.per_bucket[static_cast<double>(g.bucket)];
-    b.samples += members;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i] != 0) {
-        b.oids.push_back(cols.oid[rows_[g.rows_begin + i]]);
-      }
-    }
+    b.samples += g.samples;
+    AppendGroupOids(g, &b.oids);
+    ++st.groups_from_partials;
   }
 
-  ForEachExactRow(wanted, when, states, member, boundary, &st,
-                  [&](size_t row, bool is_member) {
-                    if (is_member) {
-                      gamma::Partial& b = out.per_bucket[static_cast<double>(
-                          temporal::HourBucketKey(TimePoint(cols.t[row])))];
-                      ++b.samples;
-                      b.oids.push_back(cols.oid[row]);
-                    }
-                  });
+  PIET_RETURN_NOT_OK(ForEachFringeRow(
+      wanted, when, states, &st,
+      [&](moving::ObjectId oid, double t, bool is_member) {
+        if (is_member) {
+          gamma::Partial& b = out.per_bucket[static_cast<double>(
+              temporal::HourBucketKey(TimePoint(t)))];
+          ++b.samples;
+          PushDistinct(&b.oids, oid);
+        }
+      }));
 
   for (auto& entry : out.per_bucket) {
     std::vector<moving::ObjectId>& oids = entry.second.oids;
@@ -566,65 +348,42 @@ std::optional<RegionAggregate> AggCacheEntry::RegionAggregates(
   return out;
 }
 
-std::optional<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
+Result<AlwaysWithinResult> AggCacheEntry::ObjectsAlwaysWithin(
     const std::vector<uint8_t>& wanted, const TimePredicate& when,
     const temporal::TimeDimension& dim) const {
-  // Hour buckets cannot decide a sub-hour rollup; QueryEngine's cache
-  // probe refuses it first and counts the fallback.
   if (when.has_sub_hour_rollup()) {
-    return std::nullopt;
+    return Status::InvalidArgument(
+        "hour buckets cannot decide a sub-hour rollup");
   }
   AlwaysWithinResult out;
   AggServeStats& st = out.stats;
-  std::vector<uint8_t> member;
-  std::vector<uint8_t> boundary;
-  ClassifyCells(wanted, &member, &boundary, &st);
+  const std::vector<uint8_t> member = MemberSets(wanted);
   const std::vector<BucketState> states = ClassifyBuckets(when, dim, &st);
-  const MoftColumns& cols = *view_.columns();
-  GroupRefiner refiner{&cols, &rows_, &candidate_offsets_, &candidate_ids_,
-                       &candidate_polys_};
-  std::vector<uint8_t> mask;
 
   // present: objects with a matching sample. disq: objects with a
   // matching non-member sample. The answer is present \ disq — the
   // sample semantics of QueryEngine::ObjectsAlwaysWithin.
   std::vector<moving::ObjectId> present;
   std::vector<moving::ObjectId> disq;
-
   for (const Group& g : groups_) {
     if (StateOf(states, g.bucket) != BucketState::kFull) {
       continue;
     }
     AppendGroupOids(g, &present);
-    if (g.cell == kCellOutside) {
+    if (member[g.hit_set] == 0) {
       AppendGroupOids(g, &disq);
-      ++st.groups_from_partials;
-      continue;
     }
-    if (member[g.cell] != 0) {
-      ++st.groups_from_partials;
-      continue;
-    }
-    if (boundary[g.cell] == 0) {
-      AppendGroupOids(g, &disq);
-      ++st.groups_from_partials;
-      continue;
-    }
-    refiner.Mask(g, wanted, &mask, &st);
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i] == 0) {
-        disq.push_back(cols.oid[rows_[g.rows_begin + i]]);
-      }
-    }
+    ++st.groups_from_partials;
   }
 
-  ForEachExactRow(wanted, when, states, member, boundary, &st,
-                  [&](size_t row, bool is_member) {
-                    present.push_back(cols.oid[row]);
-                    if (!is_member) {
-                      disq.push_back(cols.oid[row]);
-                    }
-                  });
+  PIET_RETURN_NOT_OK(ForEachFringeRow(
+      wanted, when, states, &st,
+      [&](moving::ObjectId oid, double /*t*/, bool is_member) {
+        PushDistinct(&present, oid);
+        if (!is_member) {
+          PushDistinct(&disq, oid);
+        }
+      }));
 
   std::sort(present.begin(), present.end());
   present.erase(std::unique(present.begin(), present.end()), present.end());

@@ -221,31 +221,16 @@ Result<std::shared_ptr<const aggcache::AggCacheEntry>>
 GeoOlapDatabase::AggCache(const std::string& moft_name,
                           const std::string& layer_name) const {
   auto key = std::make_pair(moft_name, layer_name);
-  PIET_ASSIGN_OR_RETURN(const moving::Moft* keyed_moft, GetMoft(moft_name));
-  // Entries key on (MOFT seal/storage epoch, overlay epoch): BuildOverlay
-  // invalidates eagerly, but the registered MOFT's storage can change in
-  // place (ReleaseHot, SpillToDisk), so a hit must still pass the
-  // view-validity and storage-epoch gates.
-  const uint64_t storage_epoch = keyed_moft->storage_epoch();
   {
     std::lock_guard<std::mutex> lock(classify_mu_);
     auto it = agg_cache_.find(key);
     if (it != agg_cache_.end()) {
-      if (it->second->valid() &&
-          it->second->moft_storage_epoch() == storage_epoch) {
-        if (obs::Enabled()) {
-          obs::MetricsRegistry::Global()
-              .GetCounter("pietql.aggcache.hits")
-              .Add(1);
-        }
-        return it->second;
-      }
-      agg_cache_.erase(it);
       if (obs::Enabled()) {
         obs::MetricsRegistry::Global()
-            .GetCounter("pietql.aggcache.stale_storage")
+            .GetCounter("pietql.aggcache.hits")
             .Add(1);
       }
+      return it->second;
     }
   }
   if (obs::Enabled()) {
@@ -255,16 +240,16 @@ GeoOlapDatabase::AggCache(const std::string& moft_name,
   }
 
   PIET_ASSIGN_OR_RETURN(const moving::Moft* moft, GetMoft(moft_name));
-  PIET_ASSIGN_OR_RETURN(const gis::OverlayDb* ov, overlay());
-  PIET_ASSIGN_OR_RETURN(size_t layer_idx, OverlayLayerIndex(layer_name));
-
-  std::shared_ptr<aggcache::AggCacheEntry> entry;
+  PIET_ASSIGN_OR_RETURN(std::shared_ptr<const SampleClassification> cls,
+                        ClassifySamples(moft_name, layer_name));
+  std::shared_ptr<const aggcache::AggCacheEntry> entry;
   {
     obs::ScopedTimer timer(
         &obs::MetricsRegistry::Global().GetHistogram(
             "pietql.aggcache.build.latency"));
-    entry = std::make_shared<aggcache::AggCacheEntry>(
-        aggcache::AggCacheEntry::Build(*moft, *ov, layer_idx, num_threads_));
+    PIET_ASSIGN_OR_RETURN(aggcache::AggCacheEntry built,
+                          aggcache::AggCacheEntry::Build(*moft, std::move(cls)));
+    entry = std::make_shared<const aggcache::AggCacheEntry>(std::move(built));
   }
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global()
@@ -273,11 +258,6 @@ GeoOlapDatabase::AggCache(const std::string& moft_name,
   }
 
   std::lock_guard<std::mutex> lock(classify_mu_);
-  entry->set_database_epoch(epoch_);
-  // Build went through moft->Scan(), which materialized the hot tier if
-  // it was released — the storage epoch does not move on materialization,
-  // so the stamp taken here matches the columns the entry borrows.
-  entry->set_moft_storage_epoch(moft->storage_epoch());
   // A concurrent query may have built the same pair meanwhile; keep the
   // first stored entry so every caller shares one block.
   auto [it, inserted] = agg_cache_.emplace(key, std::move(entry));

@@ -125,11 +125,12 @@ class GeoOlapDatabase {
   /// Number of live cache entries (tests/diagnostics).
   size_t classification_cache_size() const;
 
-  /// The materialized (overlay cell × hour bucket) aggregate partials of
-  /// `moft` against overlay layer `layer_name`, built once per (MOFT seal
-  /// epoch, overlay epoch) pair and served from the same
-  /// invalidation-coupled cache as ClassifySamples: BuildOverlay drops
-  /// every entry, AddMoft none. Thread-safe.
+  /// The materialized (hit set × hour bucket) aggregate partials of
+  /// `moft` against overlay layer `layer_name`, built once per (MOFT,
+  /// overlay epoch) pair over ClassifySamples' classification and cached
+  /// with it: BuildOverlay drops every entry, AddMoft, ReleaseHot and
+  /// SpillToDisk none (the entry borrows no MOFT storage). A block that
+  /// fails to decode fails the build, which is not cached. Thread-safe.
   Result<std::shared_ptr<const aggcache::AggCacheEntry>> AggCache(
       const std::string& moft, const std::string& layer_name) const;
 

@@ -75,7 +75,7 @@ class QueryObs {
         {"engine.leg_refines", stats_->leg_refines},
         {"engine.rows_matched", stats_->rows_matched},
         {"engine.blocks_pinned", stats_->blocks.blocks_pinned},
-        {"engine.blocks_decoded", stats_->blocks.blocks_decoded},
+        {"engine.blocks_decoded", stats_->blocks.blocks_pinned},
         {"engine.blocks_skipped", stats_->blocks.blocks_skipped},
     };
     for (const auto& [name, value] : counters) {
@@ -353,12 +353,11 @@ QueryEngine::GammaAnswer Folded(std::vector<gamma::Run> runs,
   return QueryEngine::GammaAnswer{gamma::Build(std::move(runs))};
 }
 
-/// Mirrors one aggregate-cache serve's exact work into the engine's
+/// Mirrors one aggregate-cache serve's sample touches into the engine's
 /// per-call stats (the cache flushes its own counters).
 void FlushAggServe(const aggcache::AggServeStats& st, EngineStats* stats) {
   *stats = EngineStats{};
-  stats->samples_scanned = st.rows_refined + st.fringe_rows;
-  stats->point_tests = st.point_tests;
+  stats->samples_scanned = st.fringe_rows;
 }
 
 }  // namespace
@@ -705,22 +704,21 @@ Result<QueryEngine::GammaAnswer> QueryEngine::RegionState(
     const gamma::Granule& granule, Strategy strategy) const {
   GammaAnswer out;
   if (strategy == Strategy::kOverlay) {
-    // Interior cells from cached counts, boundary cells and fringe buckets
-    // refined exactly: the state the scan below would build.
+    // Full buckets from the partials of the hit sets meeting `ids`, fringe
+    // buckets from their rows: the state the scan below would build.
     if (auto entry = AggCacheProbe(moft_name, layer_name, when,
                                    granule.instants(), &out.cache_fallback)) {
       // The overlay covers the layer, so the lookup cannot fail.
       const Layer* layer = db_->gis().GetLayer(layer_name).ValueOrDie();
-      std::optional<aggcache::RegionAggregate> served =
+      PIET_ASSIGN_OR_RETURN(
+          aggcache::RegionAggregate served,
           entry->RegionAggregates(
               ResolvePolygons(*layer, ids).Bitmap(layer->size()), when,
-              db_->time_dimension());
-      if (served) {
-        FlushAggServe(served->stats, &stats_);
-        out.state = std::move(served->per_bucket);
-        out.served = served->stats;
-        return out;
-      }
+              db_->time_dimension()));
+      FlushAggServe(served.stats, &stats_);
+      out.state = std::move(served.per_bucket);
+      out.served = served.stats;
+      return out;
     }
   }
   std::vector<gamma::Run> runs;
@@ -807,11 +805,11 @@ QueryEngine::CachedObjectsAlwaysWithin(const std::string& moft,
   auto served = entry->ObjectsAlwaysWithin(
       QualifyingPolygons(*lay, layer, pred).ValueOrDie().Bitmap(lay->size()),
       when, db_->time_dimension());
-  if (!served) {
-    return std::nullopt;
+  if (!served.ok()) {
+    return std::nullopt;  // The scan reports the failure.
   }
-  FlushAggServe(served->stats, &stats_);
-  return std::move(served->oids);
+  FlushAggServe(served.ValueOrDie().stats, &stats_);
+  return std::move(served).ValueOrDie().oids;
 }
 
 }  // namespace piet::core

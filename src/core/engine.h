@@ -54,7 +54,7 @@ class QueryEngine {
   int num_threads() const { return num_threads_; }
 
   /// Whether the count/aggregate helpers (queries.h) may be served from
-  /// the database's materialized (overlay cell × hour bucket) aggregate
+  /// the database's materialized (hit set × hour bucket) aggregate
   /// cache. Cached answers are bit-identical to the scan paths; defaults
   /// to the PIET_AGG_CACHE environment variable.
   void set_agg_cache_mode(aggcache::AggCacheMode m) { agg_cache_mode_ = m; }

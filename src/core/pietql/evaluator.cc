@@ -550,18 +550,9 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       // The serve's decomposition, nested where the scan would have run.
       const aggcache::AggServeStats& cs = *answer.served;
       obs::TraceSpan cache_span(trace, "agg_cache");
-      cache_span.Attr("cells_interior",
-                      static_cast<uint64_t>(cs.interior_cells));
-      cache_span.Attr("cells_boundary",
-                      static_cast<uint64_t>(cs.boundary_cells));
-      cache_span.Attr("cells_skipped", static_cast<uint64_t>(cs.skipped_cells));
       cache_span.Attr("groups_from_partials",
                       static_cast<uint64_t>(cs.groups_from_partials));
-      cache_span.Attr("groups_refined",
-                      static_cast<uint64_t>(cs.groups_refined));
-      cache_span.Attr("rows_refined", static_cast<uint64_t>(cs.rows_refined));
       cache_span.Attr("fringe_rows", static_cast<uint64_t>(cs.fringe_rows));
-      cache_span.Attr("point_tests", static_cast<uint64_t>(cs.point_tests));
       cache_span.Attr("buckets", static_cast<uint64_t>(state.size()));
     } else {
       // The query's own block I/O: zonemap skips and the cold blocks its
@@ -572,7 +563,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       intersect_span.Attr("blocks_skipped",
                           static_cast<uint64_t>(st.blocks.blocks_skipped));
       intersect_span.Attr("blocks_decoded",
-                          static_cast<uint64_t>(st.blocks.blocks_decoded));
+                          static_cast<uint64_t>(st.blocks.blocks_pinned));
       if (obs_on) {
         obs::MetricsRegistry::Global()
             .GetCounter("pietql.blocks_skipped")

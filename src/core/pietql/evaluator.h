@@ -63,10 +63,10 @@ class Evaluator {
   void set_check_mode(analysis::CheckMode mode) { check_mode_ = mode; }
   analysis::CheckMode check_mode() const { return check_mode_; }
 
-  /// The materialized (overlay cell × hour bucket) aggregate cache for the
+  /// The materialized (hit set × hour bucket) aggregate cache for the
   /// INSIDE RESULT aggregate branches. kOn serves hour-decomposable
-  /// count/rate aggregates from the database's cached partials — interior
-  /// cells from the materialized counts, boundary cells refined exactly —
+  /// count/rate aggregates from the database's cached partials — full
+  /// buckets from the materialized counts, fringe buckets row by row —
   /// bit-identical to kOff, which always runs the tuple scan. Defaults to
   /// the PIET_AGG_CACHE environment knob.
   void set_agg_cache_mode(aggcache::AggCacheMode mode) {

@@ -366,20 +366,6 @@ std::vector<GeometryId> OverlayDb::LocateInLayer(Point p, size_t layer) const {
   return out;
 }
 
-void OverlayDb::CellsContaining(Point p, std::vector<uint32_t>* out) const {
-  out->clear();
-  if (!cell_index_) {
-    return;
-  }
-  cell_index_->VisitPoint(p, [&](index::GridIndex::Id raw) {
-    const Cell& cell = cells_[static_cast<size_t>(raw)];
-    if (cell.polygon.Contains(p)) {
-      out->push_back(static_cast<uint32_t>(raw));
-    }
-  });
-  std::sort(out->begin(), out->end());
-}
-
 void OverlayDb::LocateInLayerInto(Point p, size_t layer,
                                   std::vector<GeometryId>* out,
                                   LocateWork* work) const {

@@ -119,14 +119,6 @@ class OverlayDb {
   BatchHits LocateBatch(std::span<const geometry::Point> points, size_t layer,
                         int threads = 0) const;
 
-  /// Appends the index of every cell whose polygon contains `p` to `out`
-  /// (cleared first), ascending. A point strictly inside the overlay lands
-  /// in exactly one cell; a point on a shared cell border reports every
-  /// adjacent cell; a point outside the overlay extent reports none. The
-  /// aggregate cache's builder uses this to pin each sample to a cell (or
-  /// to the shared-border exception path).
-  void CellsContaining(geometry::Point p, std::vector<uint32_t>* out) const;
-
   size_t num_layers() const { return layers_.size(); }
   /// Number of overlay cells (convex) or leaves (quadtree).
   size_t num_cells() const { return cells_.size(); }

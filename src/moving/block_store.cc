@@ -324,7 +324,6 @@ Result<const MoftColumns*> TableBlocks::Acquire(size_t b,
     slot.left[static_cast<int>(Unit::kRows)] = m.rows();
     slot.left[static_cast<int>(Unit::kSpans)] = m.span_end - m.span_begin;
     ++io->blocks_pinned;
-    ++io->blocks_decoded;
   }
   return &slot.pin.data();
 }

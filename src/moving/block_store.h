@@ -82,13 +82,13 @@ struct ZoneFilter {
 /// Chunk-local I/O accounting of one block-iterating scan; merged into
 /// EngineStats / obs counters by the consumer.
 struct BlockIoStats {
-  size_t blocks_pinned = 0;   ///< Blocks pinned (once per block per scan).
-  size_t blocks_decoded = 0;  ///< Pins that ran the codec (cold blocks).
+  /// Payload blocks pinned, each decoded by its pin (once per block per
+  /// scan); the decode count the traces and engine.blocks_decoded report.
+  size_t blocks_pinned = 0;
   size_t blocks_skipped = 0;  ///< Blocks a ZoneFilter ruled out (once each).
 
   BlockIoStats& operator+=(const BlockIoStats& o) {
     blocks_pinned += o.blocks_pinned;
-    blocks_decoded += o.blocks_decoded;
     blocks_skipped += o.blocks_skipped;
     return *this;
   }
@@ -363,7 +363,7 @@ class TableBlocks {
 
   /// The hot columns for a block without a payload; otherwise pins block
   /// b unless a chunk already holds it, and the pinning call accounts the
-  /// pin (and decode) in `io`.
+  /// pin in `io`.
   Result<const MoftColumns*> Acquire(size_t b, BlockIoStats* io) const;
   /// Marks `n` rows or spans of block b consumed; the last ones unpin it.
   /// No-op for a block without a payload.

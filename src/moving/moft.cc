@@ -31,7 +31,6 @@ Moft& Moft::operator=(const Moft& other) {
     staging_ = other.staging_;
     cols_ = other.cols_;
     block_options_ = other.block_options_;
-    storage_epoch_ = other.storage_epoch_;
     read_only_ = other.read_only_;
     hot_valid_ = true;
     store_.reset();
@@ -58,7 +57,6 @@ Moft& Moft::operator=(Moft&& other) noexcept {
     other.store_.reset();
     hot_valid_ = other.hot_valid_;
     other.hot_valid_ = true;
-    storage_epoch_ = other.storage_epoch_;
     read_only_ = other.read_only_;
   }
   return *this;
@@ -206,7 +204,6 @@ void Moft::SealLocked() const {
   }
 
   ++cols_.seal_epoch;
-  ++storage_epoch_;
   store_.emplace(MoftBlockStore::Build(cols_, block_options_));
   hot_valid_ = true;
 }
@@ -284,11 +281,6 @@ uint64_t Moft::seal_epoch() const {
   return cols_.seal_epoch;
 }
 
-uint64_t Moft::storage_epoch() const {
-  std::lock_guard<std::mutex> lock(seal_mu_);
-  return storage_epoch_;
-}
-
 TableBlocks Moft::Blocks() const {
   std::lock_guard<std::mutex> lock(seal_mu_);
   EnsureSealedLocked();
@@ -313,7 +305,6 @@ void Moft::ReleaseHot() const {
   std::vector<double>().swap(cols_.y);
   std::vector<MoftColumns::Span>().swap(cols_.spans);
   ++cols_.seal_epoch;  // Outstanding views must notice the data is gone.
-  ++storage_epoch_;
   hot_valid_ = false;
 }
 
@@ -329,7 +320,6 @@ Result<Moft> Moft::Open(const std::string& path) {
   moft.size_ = store.total_rows();
   moft.store_.emplace(std::move(store));
   moft.cols_.seal_epoch = 1;
-  moft.storage_epoch_ = 1;
   moft.hot_valid_ = false;
   moft.read_only_ = true;
   return moft;
@@ -345,9 +335,10 @@ Status Moft::SpillToDisk() const {
   {
     std::lock_guard<std::mutex> lock(seal_mu_);
     EnsureSealedLocked();
+    // The file lives only while the lock is held, so the table's address
+    // names it uniquely.
     path = dir + "/moft-" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + "-" +
-           std::to_string(storage_epoch_) + ".pietblk";
+           std::to_string(reinterpret_cast<uintptr_t>(this)) + ".pietblk";
     PIET_RETURN_NOT_OK(store_->Save(path, &cols_));
     Result<MoftBlockStore> mapped = MoftBlockStore::Open(path);
     // The mapping keeps the spilled bytes alive, and nothing reopens the
@@ -355,7 +346,6 @@ Status Moft::SpillToDisk() const {
     std::remove(path.c_str());
     PIET_RETURN_NOT_OK(mapped.status());
     store_.emplace(std::move(mapped).ValueOrDie());
-    ++storage_epoch_;
     if (obs::Enabled()) {
       obs::MetricsRegistry::Global().GetCounter("moft.spills").Add(1);
     }

@@ -113,12 +113,6 @@ class Moft {
   /// taken before a bump are invalid.
   uint64_t seal_epoch() const;
 
-  /// Monotone storage-generation counter: bumps on every seal, ReleaseHot
-  /// and SpillToDisk (Open starts at 1). Anything caching state that
-  /// borrows the hot columns should key on (seal_epoch, storage_epoch);
-  /// state indexed by global row only needs the seal.
-  uint64_t storage_epoch() const;
-
   /// Per-block access to the sealed storage for one block-iterating scan
   /// (seals first when dirty, but does NOT materialize the hot tier).
   /// Borrows the Moft; invalidated by the next mutation + seal.
@@ -243,7 +237,6 @@ class Moft {
   mutable std::optional<MoftBlockStore> store_;
   /// False when the hot columns were released (store_ is authoritative).
   mutable bool hot_valid_ = true;
-  mutable uint64_t storage_epoch_ = 0;
   /// Set by Open: no duplicate index, Add is refused.
   bool read_only_ = false;
 };

@@ -1,9 +1,9 @@
-// The materialized (overlay cell × hour bucket) aggregate cache: build
-// invariants, the bit-identical-to-uncached serving contract (the PR 6
+// The materialized (hit set × hour bucket) aggregate cache: build
+// invariants, the bit-identical-to-uncached serving contract (the
 // exactness rule) across the engine helpers and the Piet-QL evaluator,
-// epoch invalidation alongside the classification cache, move semantics,
-// and the observability surface (counters + the EXPLAIN ANALYZE
-// agg_cache span).
+// epoch invalidation alongside the classification cache, entries that
+// survive storage-tier swaps, decode failures, move semantics, and the
+// observability surface (counters + the EXPLAIN ANALYZE agg_cache span).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/aggcache/agg_cache.h"
+#include "core/database.h"
 #include "core/engine.h"
 #include "core/pietql/evaluator.h"
 #include "core/queries.h"
@@ -22,6 +23,7 @@
 #include "gis/overlay.h"
 #include "moving/block_store.h"
 #include "moving/moft.h"
+#include "moving_test_util.h"
 #include "obs/metrics.h"
 #include "temporal/calendar.h"
 #include "workload/city.h"
@@ -146,125 +148,97 @@ TEST(TimePredicateCacheTest, HourBucketKeyIsSharedWithTheTimeDimension) {
 }
 
 // ---------------------------------------------------------------------------
-// OverlayDb::CellsContaining — the builder's row-pinning primitive.
-
-TEST(CellsContainingTest, InteriorBorderCornerAndOutside) {
-  gis::Layer grid("grid", gis::GeometryKind::kPolygon);
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      (void)grid.AddPolygon(
-          MakeRectangle(c * 50, r * 50, (c + 1) * 50, (r + 1) * 50));
-    }
-  }
-  auto overlay = gis::OverlayDb::BuildConvex({&grid});
-  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
-  ASSERT_EQ(overlay.ValueOrDie().num_cells(), 4u);
-
-  std::vector<uint32_t> cells;
-  overlay.ValueOrDie().CellsContaining(Point(25, 25), &cells);
-  EXPECT_EQ(cells.size(), 1u);  // Strict interior: exactly one cell.
-  overlay.ValueOrDie().CellsContaining(Point(50, 25), &cells);
-  EXPECT_EQ(cells.size(), 2u);  // Shared edge.
-  EXPECT_TRUE(std::is_sorted(cells.begin(), cells.end()));
-  overlay.ValueOrDie().CellsContaining(Point(50, 50), &cells);
-  EXPECT_EQ(cells.size(), 4u);  // Shared corner.
-  overlay.ValueOrDie().CellsContaining(Point(500, 500), &cells);
-  EXPECT_TRUE(cells.empty());  // Outside the overlay.
-}
-
-// ---------------------------------------------------------------------------
 // Build invariants.
+
+/// The entry the database builds for (cars, neighborhoods).
+std::shared_ptr<const AggCacheEntry> CarsEntry(const City& city) {
+  auto entry = city.db->AggCache("cars", city.neighborhoods_layer);
+  EXPECT_TRUE(entry.ok()) << entry.status().ToString();
+  return entry.ok() ? entry.ValueOrDie() : nullptr;
+}
 
 TEST(AggCacheBuildTest, GroupsPartitionRowsAndOidsAreExact) {
   for (bool convex : {true, false}) {
     auto city = MakeCity(1, convex);
-    const moving::Moft* moft =
-        city->db->GetMoft("cars").ValueOrDie();
-    const gis::OverlayDb* overlay = city->db->overlay().ValueOrDie();
-    AggCacheEntry entry = AggCacheEntry::Build(*moft, *overlay, 0, 1);
+    const moving::Moft* moft = city->db->GetMoft("cars").ValueOrDie();
+    std::shared_ptr<const AggCacheEntry> entry = CarsEntry(*city);
+    ASSERT_NE(entry, nullptr);
 
-    EXPECT_EQ(entry.num_rows(), moft->num_samples());
-    EXPECT_EQ(entry.seal_epoch(), moft->seal_epoch());
-    EXPECT_TRUE(std::is_sorted(entry.buckets().begin(),
-                               entry.buckets().end()));
+    EXPECT_EQ(entry->num_rows(), moft->num_samples());
+    EXPECT_TRUE(std::is_sorted(entry->buckets().begin(),
+                               entry->buckets().end()));
     // Every bucket key is hour-aligned and equals HourBucketKey of itself.
-    for (int64_t b : entry.buckets()) {
+    for (int64_t b : entry->buckets()) {
       EXPECT_EQ(b % 3600, 0) << "bucket " << b;
     }
 
     size_t grouped = 0;
-    const moving::MoftColumns& cols = moft->Columns();
-    for (const AggCacheEntry::Group& g : entry.groups()) {
-      ASSERT_LE(g.rows_begin, g.rows_end);
-      EXPECT_EQ(g.samples, g.rows_end - g.rows_begin);
+    const AggCacheEntry::Group* prev = nullptr;
+    for (const AggCacheEntry::Group& g : entry->groups()) {
+      ASSERT_LT(g.hit_set, entry->num_hit_sets());
+      EXPECT_TRUE(std::binary_search(entry->buckets().begin(),
+                                     entry->buckets().end(), g.bucket));
+      if (prev != nullptr) {  // Keys strictly ascend: one group per key.
+        EXPECT_TRUE(std::make_pair(prev->hit_set, prev->bucket) <
+                    std::make_pair(g.hit_set, g.bucket));
+      }
+      prev = &g;
       grouped += g.samples;
 
       std::vector<ObjectId> oids;
-      entry.AppendGroupOids(g, &oids);
+      entry->AppendGroupOids(g, &oids);
       ASSERT_FALSE(oids.empty());
+      EXPECT_LE(oids.size(), g.samples);
       EXPECT_TRUE(std::is_sorted(oids.begin(), oids.end()));
       EXPECT_TRUE(std::adjacent_find(oids.begin(), oids.end()) ==
                   oids.end());
-
-      std::vector<uint32_t> dwell = entry.GroupDwellCounts(g);
-      ASSERT_EQ(dwell.size(), oids.size());
-      uint32_t dwell_sum = 0;
-      for (uint32_t d : dwell) {
-        ASSERT_GT(d, 0u);
-        dwell_sum += d;
-      }
-      EXPECT_EQ(dwell_sum, g.samples);
-      // Legs never exceed samples - distinct objects (a leg needs two
-      // consecutive rows of one object inside the group).
-      EXPECT_LE(g.legs + oids.size(), g.samples + oids.size());
     }
-    // Groups + shared-border exceptions partition the sealed rows.
-    EXPECT_EQ(grouped + entry.num_exceptions(), entry.num_rows());
-    ASSERT_EQ(entry.cell_of_row().size(), cols.size());
+    // The groups partition the rows.
+    EXPECT_EQ(grouped, entry->num_rows());
 
     // The builder measured both distinct-Oid representations and chose
     // the smaller one.
-    EXPECT_GT(entry.bytes_sorted_sets(), 0u);
-    EXPECT_GT(entry.bytes_bitmap(), 0u);
-    EXPECT_EQ(entry.uses_bitmap(),
-              entry.bytes_bitmap() < entry.bytes_sorted_sets());
-    EXPECT_GT(entry.memory_bytes(), 0u);
+    EXPECT_GT(entry->bytes_sorted_sets(), 0u);
+    EXPECT_GT(entry->bytes_bitmap(), 0u);
+    EXPECT_EQ(entry->uses_bitmap(),
+              entry->bytes_bitmap() < entry->bytes_sorted_sets());
+    EXPECT_GT(entry->memory_bytes(), 0u);
   }
 }
 
+// The classification fans out over the pool; the entry built over it is
+// the same for every thread count.
 TEST(AggCacheBuildTest, BuildIsThreadCountIndependent) {
-  auto city = MakeCity(1, /*convex=*/true);
-  const moving::Moft* moft = city->db->GetMoft("cars").ValueOrDie();
-  const gis::OverlayDb* overlay = city->db->overlay().ValueOrDie();
-  AggCacheEntry serial = AggCacheEntry::Build(*moft, *overlay, 0, 1);
+  auto serial_city = MakeCity(1, /*convex=*/true);
+  std::shared_ptr<const AggCacheEntry> serial = CarsEntry(*serial_city);
+  ASSERT_NE(serial, nullptr);
   for (int threads : {2, 4}) {
-    AggCacheEntry parallel = AggCacheEntry::Build(*moft, *overlay, 0,
-                                                  threads);
-    ASSERT_EQ(parallel.cell_of_row(), serial.cell_of_row())
-        << "threads " << threads;
-    ASSERT_EQ(parallel.buckets(), serial.buckets());
-    ASSERT_EQ(parallel.num_groups(), serial.num_groups());
-    ASSERT_EQ(parallel.num_exceptions(), serial.num_exceptions());
-    EXPECT_EQ(parallel.uses_bitmap(), serial.uses_bitmap());
-    for (size_t i = 0; i < serial.num_groups(); ++i) {
-      const AggCacheEntry::Group& a = serial.groups()[i];
-      const AggCacheEntry::Group& b = parallel.groups()[i];
-      ASSERT_EQ(a.cell, b.cell);
+    auto city = MakeCity(threads, /*convex=*/true);
+    std::shared_ptr<const AggCacheEntry> parallel = CarsEntry(*city);
+    ASSERT_NE(parallel, nullptr);
+    ASSERT_EQ(parallel->buckets(), serial->buckets()) << "threads " << threads;
+    ASSERT_EQ(parallel->num_hit_sets(), serial->num_hit_sets());
+    ASSERT_EQ(parallel->num_groups(), serial->num_groups());
+    EXPECT_EQ(parallel->uses_bitmap(), serial->uses_bitmap());
+    for (size_t i = 0; i < serial->num_groups(); ++i) {
+      const AggCacheEntry::Group& a = serial->groups()[i];
+      const AggCacheEntry::Group& b = parallel->groups()[i];
+      ASSERT_EQ(a.hit_set, b.hit_set);
       ASSERT_EQ(a.bucket, b.bucket);
       ASSERT_EQ(a.samples, b.samples);
-      ASSERT_EQ(a.legs, b.legs);
       std::vector<ObjectId> oa;
       std::vector<ObjectId> ob;
-      serial.AppendGroupOids(a, &oa);
-      parallel.AppendGroupOids(b, &ob);
+      serial->AppendGroupOids(a, &oa);
+      parallel->AppendGroupOids(b, &ob);
       ASSERT_EQ(oa, ob);
     }
   }
 }
 
-// Samples placed exactly on a shared polygon border become exceptions and
-// still aggregate exactly (one membership test against the stored hits).
-TEST(AggCacheBuildTest, SharedBorderSamplesAreExceptionsAndCountExactly) {
+// A sample on the edge of two wanted polygons is one sample of the region;
+// a sample on a wanted/unwanted edge is inside the wanted one. Both hold
+// for full buckets (partials) and fringe buckets (block walk) alike.
+TEST(AggCacheBuildTest, SharedBorderSamplesCountOnceAndAsMembers) {
   gis::Layer halves("halves", gis::GeometryKind::kPolygon);
   (void)halves.AddPolygon(MakeRectangle(0, 0, 50, 100));   // id 0
   (void)halves.AddPolygon(MakeRectangle(50, 0, 100, 100));  // id 1
@@ -281,34 +255,56 @@ TEST(AggCacheBuildTest, SharedBorderSamplesAreExceptionsAndCountExactly) {
   // Object 3: outside the overlay entirely.
   ASSERT_TRUE(moft.Add(3, TimePoint(40), Point(500, 500)).ok());
 
-  AggCacheEntry entry =
-      AggCacheEntry::Build(moft, overlay.ValueOrDie(), 0, 1);
+  // The classification GeoOlapDatabase::ClassifySamples computes.
+  std::vector<Point> points;
+  for (const moving::Sample& s : moving::AllSamplesOf(moft)) {
+    points.push_back(s.pos);
+  }
+  auto cls = std::make_shared<core::SampleClassification>();
+  cls->hits = overlay.ValueOrDie().LocateBatch(points, 0, 1);
+  auto built = AggCacheEntry::Build(moft, cls);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const AggCacheEntry& entry = built.ValueOrDie();
   EXPECT_EQ(entry.num_rows(), 5u);
-  EXPECT_EQ(entry.num_exceptions(), 2u);  // The two border samples.
 
   temporal::TimeDimension dim;
-  std::vector<uint8_t> left_only = {1, 0};
-  auto served = entry.RegionAggregates(left_only, TimePredicate(), dim);
-  ASSERT_TRUE(served.has_value());
-  // Bucket 0: interior-left + border sample of object 1 = 2 member
-  // samples; bucket 3600: the border-only sample of object 2.
-  ASSERT_EQ(served->per_bucket.size(), 2u);
-  EXPECT_EQ(served->per_bucket.at(0).samples, 2);
-  EXPECT_EQ(served->per_bucket.at(0).oids, (std::vector<ObjectId>{1}));
-  EXPECT_EQ(served->per_bucket.at(3600).samples, 1);
-  EXPECT_EQ(served->per_bucket.at(3600).oids, (std::vector<ObjectId>{2}));
+  const std::vector<uint8_t> left_only = {1, 0};
+  const std::vector<uint8_t> both = {1, 1};
+  // Fringe-only: the window clips both buckets.
+  const TimePredicate fringe =
+      TimePredicate().Window(Interval(TimePoint(5), TimePoint(3750)));
+  for (const TimePredicate& when : {TimePredicate(), fringe}) {
+    const bool clipped = when.window().has_value();
+    auto left = entry.RegionAggregates(left_only, when, dim);
+    ASSERT_TRUE(left.ok()) << left.status().ToString();
+    EXPECT_EQ(left.ValueOrDie().stats.fringe_buckets, clipped ? 2u : 0u);
+    // Bucket 0: interior-left + border sample of object 1 = 2 member
+    // samples; bucket 3600: the border-only sample of object 2.
+    const core::gamma::State& l = left.ValueOrDie().per_bucket;
+    ASSERT_EQ(l.size(), 2u);
+    EXPECT_EQ(l.at(0).samples, 2);
+    EXPECT_EQ(l.at(0).oids, (std::vector<ObjectId>{1}));
+    EXPECT_EQ(l.at(3600).samples, 1);
+    EXPECT_EQ(l.at(3600).oids, (std::vector<ObjectId>{2}));
 
-  std::vector<uint8_t> both = {1, 1};
-  served = entry.RegionAggregates(both, TimePredicate(), dim);
-  ASSERT_TRUE(served.has_value());
-  EXPECT_EQ(served->per_bucket.at(0).samples, 3);  // Object 3 stays out.
-  EXPECT_EQ(served->per_bucket.at(0).oids, (std::vector<ObjectId>{1}));
+    auto all = entry.RegionAggregates(both, when, dim);
+    ASSERT_TRUE(all.ok());
+    const core::gamma::State& a = all.ValueOrDie().per_bucket;
+    ASSERT_EQ(a.size(), 2u);
+    EXPECT_EQ(a.at(0).samples, 3);  // The border sample once; 3 stays out.
+    EXPECT_EQ(a.at(0).oids, (std::vector<ObjectId>{1}));
+    EXPECT_EQ(a.at(3600).samples, 1);
 
-  // Always-within under sample semantics: object 1 and 2 never leave the
-  // union; object 3 has only an outside sample.
-  auto always = entry.ObjectsAlwaysWithin(both, TimePredicate(), dim);
-  ASSERT_TRUE(always.has_value());
-  EXPECT_EQ(always->oids, (std::vector<ObjectId>{1, 2}));
+    // Always-within under sample semantics: objects 1 and 2 never leave
+    // the union; object 3 has only an outside sample.
+    auto always = entry.ObjectsAlwaysWithin(both, when, dim);
+    ASSERT_TRUE(always.ok());
+    EXPECT_EQ(always.ValueOrDie().oids, (std::vector<ObjectId>{1, 2}));
+    // The left half alone: object 1 crosses into the right half.
+    always = entry.ObjectsAlwaysWithin(left_only, when, dim);
+    ASSERT_TRUE(always.ok());
+    EXPECT_EQ(always.ValueOrDie().oids, (std::vector<ObjectId>{2}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,23 +491,24 @@ TEST(AggCacheEquivalenceTest, InteriorCellsAreServedWithoutSampleTouches) {
   auto served = Served(on, city->neighborhoods_layer,
                        GeometryPredicate::All(), TimePredicate());
   ASSERT_TRUE(served.has_value());
-  // Every neighborhood is wanted, so no cell is boundary-refined and no
-  // bucket is fringe: the whole answer comes from partials.
-  EXPECT_GT(served->interior_cells, 0u);
+  // No bucket is fringe: the whole answer comes from partials.
   EXPECT_GT(served->groups_from_partials, 0u);
-  EXPECT_EQ(served->rows_refined, 0u);
+  EXPECT_GT(served->full_buckets, 0u);
+  EXPECT_EQ(served->fringe_buckets, 0u);
   EXPECT_EQ(served->fringe_rows, 0u);
-  EXPECT_EQ(served->point_tests, 0u);
   // The engine's stats mirror the zero-touch serve.
   EXPECT_EQ(on.stats().samples_scanned, 0u);
   EXPECT_EQ(on.stats().point_tests, 0u);
 
-  // A proper subset leaves boundary cells to refine exactly.
+  // A proper subset skips the groups of the hit sets it does not meet,
+  // and still touches no sample.
   auto subset = Served(on, city->neighborhoods_layer,
                        GeometryPredicate::AttributeLess("income", 1500.0),
                        TimePredicate());
   ASSERT_TRUE(subset.has_value());
-  EXPECT_GT(subset->skipped_cells + subset->boundary_cells, 0u);
+  EXPECT_GT(subset->groups_from_partials, 0u);
+  EXPECT_LT(subset->groups_from_partials, served->groups_from_partials);
+  EXPECT_EQ(on.stats().samples_scanned, 0u);
 }
 
 TEST(AggCacheEquivalenceTest, EvaluatorMatchesUncachedBitForBit) {
@@ -575,12 +572,12 @@ TEST(AggCacheEvaluatorTest, ExplainAnalyzeShowsTheAggCacheSpan) {
   const obs::SpanNode* cache = intersect->Find("agg_cache");
   ASSERT_NE(cache, nullptr)
       << "the cached serve must surface its decomposition";
-  EXPECT_FALSE(cache->Attr("cells_interior").empty());
-  EXPECT_FALSE(cache->Attr("cells_boundary").empty());
-  EXPECT_FALSE(cache->Attr("cells_skipped").empty());
   EXPECT_FALSE(cache->Attr("groups_from_partials").empty());
-  EXPECT_FALSE(cache->Attr("rows_refined").empty());
   EXPECT_FALSE(cache->Attr("fringe_rows").empty());
+  EXPECT_FALSE(cache->Attr("buckets").empty());
+  // The window has two fringe buckets, read row by row.
+  EXPECT_EQ(intersect->Attr("rows_scanned"), cache->Attr("fringe_rows"));
+  EXPECT_NE(cache->Attr("fringe_rows"), "0");
   // The taxonomy stays the uncached one: moft_intersect and aggregate
   // siblings, with clause/tuples attributes intact.
   EXPECT_EQ(intersect->Attr("clause"), "inside_result");
@@ -697,59 +694,155 @@ TEST(AggCacheObsTest, SubHourFallbackIsCountedAndNamed) {
   obs::SetEnabled(false);
 }
 
-// ReleaseHot / SpillToDisk swap the block tier without going through
-// AddMoft. The aggregate cache borrows the hot columns, so a served entry
-// must be revalidated against the moft's storage epoch and rebuilt when
-// stale; the classification cache borrows nothing and stays.
-TEST(DatabaseAggCacheTest, StorageEpochRefreshesEntriesAfterReleaseHot) {
-  auto city = MakeCity(1, /*convex=*/true);
-  core::GeoOlapDatabase& db = *city->db;
+/// The cache-answerable helpers' answers over `moft` for `when`.
+struct HelperAnswers {
+  int64_t tuple_count = 0;
+  int64_t hour_count = 0;
+  double per_hour = 0.0;
+  int64_t within = 0;
+  bool operator==(const HelperAnswers&) const = default;
+};
 
-  // A block-backed copy of the fleet: same generator, compressed chunks.
-  TrajectoryConfig traj;
+HelperAnswers Answer(const QueryEngine& engine, const City& city,
+                     const std::string& moft, const TimePredicate& when) {
+  const GeometryPredicate low =
+      GeometryPredicate::AttributeLess("income", 1500.0);
+  HelperAnswers out;
+  auto per_hour = core::queries::CountPerHourInRegion(
+      engine, moft, city.neighborhoods_layer, low, when, Strategy::kOverlay);
+  EXPECT_TRUE(per_hour.ok()) << per_hour.status().ToString();
+  if (per_hour.ok()) {
+    out.tuple_count = per_hour.ValueOrDie().tuple_count;
+    out.hour_count = per_hour.ValueOrDie().hour_count;
+    out.per_hour = per_hour.ValueOrDie().per_hour;
+  }
+  auto within = core::queries::CountObjectsCompletelyWithin(
+      engine, moft, city.neighborhoods_layer, low, when,
+      /*trajectory_semantics=*/false);
+  EXPECT_TRUE(within.ok()) << within.status().ToString();
+  out.within = within.ok() ? within.ValueOrDie() : -1;
+  return out;
+}
+
+/// A copy of the fleet in compressed 256-row blocks, registered as "vans".
+void AddVans(const City& city) {
+  TrajectoryConfig traj;  // MakeCity's fleet.
   traj.seed = 77;
   traj.num_objects = 40;
   traj.duration = 7200.0;
   traj.sample_period = 60.0;
   traj.speed = 12.0;
-  auto vans = workload::GenerateTrajectories(*city, traj).ValueOrDie();
+  auto vans = workload::GenerateTrajectories(city, traj).ValueOrDie();
   moving::BlockOptions opts;
   opts.block_rows = 256;
   opts.compress = true;
   vans.SetBlockOptions(opts);
-  ASSERT_TRUE(db.AddMoft("vans", std::move(vans)).ok());
+  ASSERT_TRUE(city.db->AddMoft("vans", std::move(vans)).ok());
+}
+
+// ReleaseHot and SpillToDisk swap the block tier in place. The entry
+// borrows no MOFT storage, so it survives both, and its serves read the
+// new tier's blocks without rebuilding the hot columns.
+TEST(DatabaseAggCacheTest, EntrySurvivesReleaseHotAndSpillToDisk) {
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricsRegistry::Global();
+  auto city = MakeCity(1, /*convex=*/true);
+  core::GeoOlapDatabase& db = *city->db;
+  AddVans(*city);
+  const moving::Moft* moft = db.GetMoft("vans").ValueOrDie();
+
+  QueryEngine off(&db);
+  off.set_agg_cache_mode(AggCacheMode::kOff);
+  QueryEngine on(&db);
+  on.set_agg_cache_mode(AggCacheMode::kOn);
+  // Fringes on both ends, full buckets between.
+  const TimePredicate when =
+      TimePredicate().Window(Interval(TimePoint(100), TimePoint(7250)));
+  const HelperAnswers want = Answer(off, *city, "vans", when);
+  ASSERT_GT(want.tuple_count, 0);
+  ASSERT_NE(moft->block_store(), nullptr);  // The scan sealed the table.
+  ASSERT_TRUE(moft->block_store()->compressed());
 
   auto first = db.AggCache("vans", city->neighborhoods_layer);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto again = db.AggCache("vans", city->neighborhoods_layer);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(first.ValueOrDie().get(), again.ValueOrDie().get());
+  auto cls = db.ClassifySamples("vans", city->neighborhoods_layer);
+  ASSERT_TRUE(cls.ok());
 
-  const moving::Moft* moft = db.GetMoft("vans").ValueOrDie();
-  ASSERT_NE(moft->block_store(), nullptr);
-  const uint64_t before = moft->storage_epoch();
-  moft->ReleaseHot();
-  ASSERT_GT(moft->storage_epoch(), before)
-      << "dropping the hot tier must move the storage epoch";
+  for (const char* step : {"release_hot", "spill_to_disk"}) {
+    if (std::string(step) == "release_hot") {
+      moft->ReleaseHot();
+    } else {
+      ASSERT_TRUE(moft->SpillToDisk().ok());
+      ASSERT_TRUE(moft->block_store()->mapped());
+    }
+    auto again = db.AggCache("vans", city->neighborhoods_layer);
+    ASSERT_TRUE(again.ok()) << step;
+    EXPECT_EQ(again.ValueOrDie().get(), first.ValueOrDie().get()) << step;
 
-  auto rebuilt = db.AggCache("vans", city->neighborhoods_layer);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_NE(rebuilt.ValueOrDie().get(), first.ValueOrDie().get())
-      << "a stale entry must be rebuilt, not served";
-  EXPECT_TRUE(rebuilt.ValueOrDie()->valid());
-  EXPECT_EQ(rebuilt.ValueOrDie()->moft_storage_epoch(),
-            moft->storage_epoch());
+    const int64_t mats0 =
+        registry.GetCounter("moft.hot_materializations").Value();
+    const GeometryPredicate low =
+        GeometryPredicate::AttributeLess("income", 1500.0);
+    auto served = on.RegionState("vans", city->neighborhoods_layer, low,
+                                 when, core::gamma::Granule(),
+                                 Strategy::kOverlay);
+    ASSERT_TRUE(served.ok()) << step << ": " << served.status().ToString();
+    ASSERT_TRUE(served.ValueOrDie().served.has_value()) << step;
+    EXPECT_EQ(served.ValueOrDie().served->fringe_buckets, 2u) << step;
+    EXPECT_GT(served.ValueOrDie().served->fringe_rows, 0u) << step;
+    EXPECT_EQ(Answer(on, *city, "vans", when), want) << step;
+    EXPECT_EQ(registry.GetCounter("moft.hot_materializations").Value(), mats0)
+        << step << ": a cache serve rebuilt the hot tier";
+    EXPECT_EQ(moft->Footprint().live_pins, 0) << step;
+    EXPECT_EQ(Answer(off, *city, "vans", when), want) << step;
+  }
 
-  // The classification cache is keyed on registration, not on the
-  // storage tier: its hits index global rows, which ReleaseHot leaves in
-  // place, so the entry survives.
-  auto cls1 = db.ClassifySamples("vans", city->neighborhoods_layer);
-  ASSERT_TRUE(cls1.ok());
-  moft->ReleaseHot();
+  // The classification is indexed by global row, which neither swap
+  // moves, so it survives too.
   auto cls2 = db.ClassifySamples("vans", city->neighborhoods_layer);
   ASSERT_TRUE(cls2.ok());
-  EXPECT_EQ(cls1.ValueOrDie().get(), cls2.ValueOrDie().get());
+  EXPECT_EQ(cls.ValueOrDie().get(), cls2.ValueOrDie().get());
   EXPECT_EQ(cls2.ValueOrDie()->hits.offsets.size(), moft->num_samples() + 1);
+  obs::SetEnabled(false);
+}
+
+// A block that fails to decode never yields a cached answer: the build
+// fails, nothing is cached, and the query reports the codec's Status.
+TEST(DatabaseAggCacheTest, UndecodableBlockFailsCachedServes) {
+  auto city = MakeCity(1, /*convex=*/true);
+  core::GeoOlapDatabase& db = *city->db;
+  moving::BlockOptions opts;
+  opts.block_rows = 256;
+  auto bad = moving::MoftFromGarbledBlockFile(
+      db.GetMoft("cars").ValueOrDie()->Columns(), opts,
+      "aggcache_garbled.pietblk");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  ASSERT_TRUE(db.AddMoft("bad", std::move(bad).ValueOrDie()).ok());
+
+  EXPECT_FALSE(db.AggCache("bad", city->neighborhoods_layer).ok());
+  QueryEngine on(&db);
+  on.set_agg_cache_mode(AggCacheMode::kOn);
+  // Fringe-only inside bucket 0; the garbled first block holds it.
+  const TimePredicate fringe = TimePredicate().Window(
+      Interval(TimePoint(1700.25), TimePoint(1900.75)));
+  for (const TimePredicate& when : {fringe, TimePredicate()}) {
+    auto region = on.RegionState("bad", city->neighborhoods_layer,
+                                 GeometryPredicate::All(), when,
+                                 core::gamma::Granule(), Strategy::kOverlay);
+    EXPECT_FALSE(region.ok());
+    auto within = core::queries::CountObjectsCompletelyWithin(
+        on, "bad", city->neighborhoods_layer, GeometryPredicate::All(), when,
+        /*trajectory_semantics=*/false);
+    EXPECT_FALSE(within.ok());
+  }
+  core::pietql::Evaluator eval(&db);
+  eval.set_agg_cache_mode(AggCacheMode::kOn);
+  EXPECT_FALSE(eval.EvaluateString(
+                       "SELECT layer.neighborhoods; FROM PietSchema; "
+                       "| SELECT COUNT(*) FROM bad WHERE INSIDE RESULT "
+                       "AND T BETWEEN 1700 AND 1900")
+                   .ok());
+  EXPECT_EQ(db.GetMoft("bad").ValueOrDie()->Footprint().live_pins, 0);
 }
 
 }  // namespace

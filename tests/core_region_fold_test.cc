@@ -243,8 +243,8 @@ TEST_P(RegionFoldOracleTest, CountsMatchSampleRegionSets) {
     EXPECT_EQ(engine.stats().samples_scanned, scan.samples_scanned);
     EXPECT_EQ(engine.stats().point_tests, scan.point_tests);
     EXPECT_EQ(engine.stats().rows_matched, rows);
-    EXPECT_EQ(engine.stats().blocks.blocks_decoded,
-              scan.blocks.blocks_decoded);
+    EXPECT_EQ(engine.stats().blocks.blocks_pinned,
+              scan.blocks.blocks_pinned);
     EXPECT_EQ(engine.stats().blocks.blocks_skipped,
               scan.blocks.blocks_skipped);
 

@@ -342,7 +342,6 @@ TEST(BlockStoreTest, ZoneFilterSkipsNonMatchingBlocksOnly) {
   std::vector<Row> got = CollectBlockScan(packed, filter, &io);
   EXPECT_GT(io.blocks_skipped, 0u);
   EXPECT_GT(io.blocks_pinned, 0u);
-  EXPECT_EQ(io.blocks_decoded, io.blocks_pinned);
 
   // Skipped blocks may only hide rows outside the window: filtering the
   // visited rows matches filtering the full table.
@@ -682,7 +681,6 @@ TEST(MoftBlockTest, ReleaseHotInvalidatesViewsAndRematerializes) {
   moft.ReleaseHot();
   EXPECT_FALSE(before.valid());
   EXPECT_GT(moft.seal_epoch(), epoch);
-  EXPECT_GT(moft.storage_epoch(), 0u);
 
   EXPECT_EQ(AllSamplesOf(moft), want);  // Rematerialized on demand.
   EXPECT_TRUE(moft.Scan().valid());
